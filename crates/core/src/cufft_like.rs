@@ -58,46 +58,31 @@ pub fn cufft1d_batch(
         streams: 1,
     };
     let plan = Fft1dPlan::new(n);
-    let total = grid * 64;
     // Pass 1: one block per row (grid-strided), lanes own interleaved
     // elements so loads and stores coalesce — the shape of the historical
     // radix kernels. The row maths runs at block level over the staged data.
-    let r1 = gpu.launch_coop(&cfg("cufft1d_pass1"), |blk| {
-        let mut scratch = vec![Complex32::ZERO; n];
-        let mut row_buf = vec![Complex32::ZERO; n];
-        let mut r = blk.block;
-        let grid_dim = blk.grid_dim;
-        while r < rows {
-            blk.threads(|tid, ctx| {
-                let mut j = tid;
-                while j < n {
-                    row_buf[j] = ctx.ld(src, r * n + j);
-                    j += 64;
-                }
-            });
-            plan.execute(&mut row_buf, &mut scratch, dir);
-            blk.threads(|tid, ctx| {
-                if tid == 0 {
-                    ctx.flops(5 * n as u64 * n.trailing_zeros() as u64 / 2);
-                }
-                let mut j = tid;
-                while j < n {
-                    ctx.st(dst, r * n + j, row_buf[j]);
-                    j += 64;
-                }
-            });
-            r += grid_dim;
-        }
+    let mut scratch = vec![Complex32::ZERO; n];
+    let mut row_buf = vec![Complex32::ZERO; n];
+    let r1 = gpu.launch_coop_items(&cfg("cufft1d_pass1"), rows, |blk, r| {
+        blk.threads(|tid, ctx| {
+            for j in (tid..n).step_by(64) {
+                row_buf[j] = ctx.ld(src, r * n + j);
+            }
+        });
+        plan.execute(&mut row_buf, &mut scratch, dir);
+        blk.threads(|tid, ctx| {
+            if tid == 0 {
+                ctx.flops(5 * n as u64 * n.trailing_zeros() as u64 / 2);
+            }
+            for j in (tid..n).step_by(64) {
+                ctx.st(dst, r * n + j, row_buf[j]);
+            }
+        });
     });
-    let r2 = gpu.launch(&cfg("cufft1d_pass2"), |t| {
-        let mut i = t.gid();
-        let len = rows * n;
-        while i < len {
-            let v = t.ld(dst, i);
-            t.st(dst, i, v);
-            t.flops(5 * n as u64 / 2);
-            i += total;
-        }
+    let r2 = gpu.launch_items(&cfg("cufft1d_pass2"), rows * n, |t, i| {
+        let v = t.ld(dst, i);
+        t.st(dst, i, v);
+        t.flops(5 * n as u64 / 2);
     });
     vec![r1, r2]
 }
@@ -152,30 +137,26 @@ fn run_multirow_axis(
         .mem_mut()
         .alloc(spill_elems * total)
         .expect("spill area fits");
-    let rep = gpu.launch(&cfg, |t| {
-        let mut scratch = vec![Complex32::ZERO; n];
-        let mut row_buf = vec![Complex32::ZERO; n];
+    let mut scratch = vec![Complex32::ZERO; n];
+    let mut row_buf = vec![Complex32::ZERO; n];
+    let rep = gpu.launch_items(&cfg, rows, |t, r| {
         let gid = t.gid();
-        let mut r = gid;
-        while r < rows {
-            let base = row_index(r);
-            for (j, v) in row_buf.iter_mut().enumerate() {
-                *v = t.ld(buf, base + j * stride);
-            }
-            // Spill the second half of the working set to local memory and
-            // reload it (one round trip), then transform.
-            for j in 0..spill_elems {
-                t.st(spill, j * total + gid, row_buf[spill_elems + j]);
-            }
-            for j in 0..spill_elems {
-                row_buf[spill_elems + j] = t.ld(spill, j * total + gid);
-            }
-            plan.execute(&mut row_buf, &mut scratch, dir);
-            t.flops(5 * n as u64 * n.trailing_zeros() as u64);
-            for (j, v) in row_buf.iter().enumerate() {
-                t.st(buf, base + j * stride, *v);
-            }
-            r += total;
+        let base = row_index(r);
+        for (j, v) in row_buf.iter_mut().enumerate() {
+            *v = t.ld(buf, base + j * stride);
+        }
+        // Spill the second half of the working set to local memory and
+        // reload it (one round trip), then transform.
+        for j in 0..spill_elems {
+            t.st(spill, j * total + gid, row_buf[spill_elems + j]);
+        }
+        for j in 0..spill_elems {
+            row_buf[spill_elems + j] = t.ld(spill, j * total + gid);
+        }
+        plan.execute(&mut row_buf, &mut scratch, dir);
+        t.flops(5 * n as u64 * n.trailing_zeros() as u64);
+        for (j, v) in row_buf.iter().enumerate() {
+            t.st(buf, base + j * stride, *v);
         }
     });
     gpu.mem_mut().free(spill);
@@ -273,14 +254,9 @@ impl CufftLikeFft {
             nominal_flops: 0,
             streams: 1,
         };
-        let total = grid * 64;
-        steps.push(gpu.launch(&cfg, |t| {
-            let mut i = t.gid();
-            while i < vol {
-                let val = t.ld(work, i);
-                t.st(v, i, val);
-                i += total;
-            }
+        steps.push(gpu.launch_items(&cfg, vol, |t, i| {
+            let val = t.ld(work, i);
+            t.st(v, i, val);
         }));
         gpu.span_end("cufft_copyback");
         gpu.span_end("cufft_like");

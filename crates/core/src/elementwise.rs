@@ -37,15 +37,10 @@ pub fn run_scale(gpu: &mut Gpu, buf: BufferId, len: usize, s: f32) -> KernelRepo
     let res = elementwise_resources();
     let grid = gpu.fill_grid(&res);
     let cfg = elementwise_cfg("scale", grid, true, 2 * len as u64);
-    let total = grid * res.threads_per_block;
-    gpu.launch(&cfg, |t| {
-        let mut i = t.gid();
-        while i < len {
-            let v = t.ld(buf, i);
-            t.st(buf, i, v.scale(s));
-            t.flops(2);
-            i += total;
-        }
+    gpu.launch_items(&cfg, len, |t, i| {
+        let v = t.ld(buf, i);
+        t.st(buf, i, v.scale(s));
+        t.flops(2);
     })
 }
 
@@ -64,17 +59,12 @@ pub fn run_pointwise_mul(
     let res = elementwise_resources();
     let grid = gpu.fill_grid(&res);
     let cfg = elementwise_cfg("pointwise_mul", grid, dst == a || dst == b, 8 * len as u64);
-    let total = grid * res.threads_per_block;
-    gpu.launch(&cfg, |t| {
-        let mut i = t.gid();
-        while i < len {
-            let va = t.ld(a, i);
-            let vb = t.ld(b, i);
-            let vb = if conj_b { vb.conj() } else { vb };
-            t.st(dst, i, (va * vb).scale(s));
-            t.flops(8);
-            i += total;
-        }
+    gpu.launch_items(&cfg, len, |t, i| {
+        let va = t.ld(a, i);
+        let vb = t.ld(b, i);
+        let vb = if conj_b { vb.conj() } else { vb };
+        t.st(dst, i, (va * vb).scale(s));
+        t.flops(8);
     })
 }
 
@@ -94,16 +84,11 @@ pub fn run_slab_twiddle(
     let res = elementwise_resources();
     let grid = gpu.fill_grid(&res);
     let cfg = elementwise_cfg("slab_twiddle", grid, true, 6 * len as u64);
-    let total = grid * res.threads_per_block;
-    gpu.launch(&cfg, |t| {
-        let mut i = t.gid();
-        while i < len {
-            let w = tw[i / plane];
-            let v = t.ld(buf, i);
-            t.st(buf, i, v * w);
-            t.flops(6);
-            i += total;
-        }
+    gpu.launch_items(&cfg, len, |t, i| {
+        let w = tw[i / plane];
+        let v = t.ld(buf, i);
+        t.st(buf, i, v * w);
+        t.flops(6);
     })
 }
 
@@ -127,6 +112,8 @@ pub fn run_argmax_norm(gpu: &mut Gpu, buf: BufferId, len: usize) -> (usize, f32,
     };
     let total = grid * res.threads_per_block;
     let mut best = (0usize, f32::MIN);
+    // The fold into `best` breaks ties by visit order, so this keeps its own
+    // thread-major loop instead of the round-major `launch_items`.
     let rep = gpu.launch(&cfg, |t| {
         let mut i = t.gid();
         while i < len {
@@ -151,6 +138,8 @@ pub fn run_energy(gpu: &mut Gpu, buf: BufferId, len: usize) -> (f32, KernelRepor
     let cfg = elementwise_cfg("energy", grid, false, 4 * len as u64);
     let total = grid * res.threads_per_block;
     let mut acc = 0.0f64;
+    // A floating-point sum depends on visit order: thread-major loop, as in
+    // `run_argmax_norm`.
     let rep = gpu.launch(&cfg, |t| {
         let mut i = t.gid();
         while i < len {
@@ -172,6 +161,7 @@ pub fn run_argmax_re(gpu: &mut Gpu, buf: BufferId, len: usize) -> (usize, f32, K
     let cfg = elementwise_cfg("argmax_re", grid, false, len as u64);
     let total = grid * res.threads_per_block;
     let mut best = (0usize, f32::MIN);
+    // Ties break by visit order: thread-major loop, as in `run_argmax_norm`.
     let rep = gpu.launch(&cfg, |t| {
         let mut i = t.gid();
         while i < len {

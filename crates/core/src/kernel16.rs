@@ -86,56 +86,51 @@ pub fn run_strided_pass(
     let grid = gpu.fill_grid(&res);
     let cfg = pass_config(pass, grid, name);
 
-    let total_threads = grid * res.threads_per_block;
     let flops_per_row = codelet_flops(n) as u64;
-    gpu.launch(&cfg, |t| {
+    gpu.launch_items(&cfg, rows, |t, r| {
         let mut buf = [Complex32::ZERO; 16];
-        let mut r = t.gid();
-        while r < rows {
-            // Row decomposition, X fastest so half-warps coalesce.
-            let x = r % in_view.nx;
-            let mut rest = r / in_view.nx;
-            let f1 = rest % in_view.extents[0];
-            rest /= in_view.extents[0];
-            let f2 = rest % in_view.extents[1];
-            rest /= in_view.extents[1];
-            let f3 = rest % in_view.extents[2];
+        // Row decomposition, X fastest so half-warps coalesce.
+        let x = r % in_view.nx;
+        let mut rest = r / in_view.nx;
+        let f1 = rest % in_view.extents[0];
+        rest /= in_view.extents[0];
+        let f2 = rest % in_view.extents[1];
+        rest /= in_view.extents[1];
+        let f3 = rest % in_view.extents[2];
 
-            // Gather the strided row (pattern D read).
-            for (j, v) in buf[..n].iter_mut().enumerate() {
-                *v = t.ld(src, in_view.index(x, [f1, f2, f3, j]));
-            }
+        // Gather the strided row (pattern D read).
+        for (j, v) in buf[..n].iter_mut().enumerate() {
+            *v = t.ld(src, in_view.index(x, [f1, f2, f3, j]));
+        }
 
-            // Register-resident small FFT.
-            fft_small(&mut buf[..n], dir);
-            t.flops(flops_per_row);
+        // Register-resident small FFT.
+        fft_small(&mut buf[..n], dir);
+        t.flops(flops_per_row);
 
-            // Inter-digit twiddle (first halves only): n2 is the input
-            // slot-3 digit f3.
-            if let Some(tw) = &inter {
-                let mut extra = 0u64;
-                for (k1, v) in buf[..n].iter_mut().enumerate() {
-                    if k1 != 0 && f3 != 0 {
-                        *v *= tw.get(k1, f3);
-                        extra += 6;
-                    }
-                }
-                t.flops(extra);
-            }
-
-            // Scatter with the digit relabelling of the five-step plan:
-            // first halves push the new digit into slot 1, second halves
-            // into slot 2 (write patterns A and B respectively).
-            if pass.first_half {
-                for (k, v) in buf[..n].iter().enumerate() {
-                    t.st(dst, out_view.index(x, [k, f1, f2, f3]), *v);
-                }
-            } else {
-                for (k, v) in buf[..n].iter().enumerate() {
-                    t.st(dst, out_view.index(x, [f1, k, f2, f3]), *v);
+        // Inter-digit twiddle (first halves only): n2 is the input
+        // slot-3 digit f3.
+        if let Some(tw) = &inter {
+            let mut extra = 0u64;
+            for (k1, v) in buf[..n].iter_mut().enumerate() {
+                if k1 != 0 && f3 != 0 {
+                    *v *= tw.get(k1, f3);
+                    extra += 6;
                 }
             }
-            r += total_threads;
+            t.flops(extra);
+        }
+
+        // Scatter with the digit relabelling of the five-step plan:
+        // first halves push the new digit into slot 1, second halves
+        // into slot 2 (write patterns A and B respectively).
+        if pass.first_half {
+            for (k, v) in buf[..n].iter().enumerate() {
+                t.st(dst, out_view.index(x, [k, f1, f2, f3]), *v);
+            }
+        } else {
+            for (k, v) in buf[..n].iter().enumerate() {
+                t.st(dst, out_view.index(x, [f1, k, f2, f3]), *v);
+            }
         }
     })
 }

@@ -42,15 +42,17 @@ pub struct Stage {
 
 impl Stage {
     /// Butterfly coordinates handled by thread `t` for its `b`-th butterfly.
+    /// `m` and `s` are powers of two (plans are), so the split is a shift
+    /// and a mask.
     #[inline]
     fn coords(&self, t: usize, b: usize, threads: usize) -> (usize, usize) {
         let beta = t + b * threads;
         if self.q_major {
             // beta = q * m + p
-            (beta % self.m, beta / self.m)
+            (beta & (self.m - 1), beta >> self.m.trailing_zeros())
         } else {
             // beta = p * s + q
-            (beta / self.s, beta % self.s)
+            (beta >> self.s.trailing_zeros(), beta & (self.s - 1))
         }
     }
 
@@ -64,12 +66,14 @@ impl Stage {
 /// Skews a shared word index: `w + c * (w / g)` — inserting `c` pad words
 /// after every `g`-word group. `(0, 0)` means no padding. The classic
 /// "+1 word per 16" padding is `(16, 1)`; some exchanges need a wider skew
-/// (e.g. `(16, 4)`), which the plan-time search below discovers.
+/// (e.g. `(16, 4)`), which the plan-time search below discovers. Groups
+/// are powers of two, so `w / g` is a shift.
 #[inline]
 fn pad(w: usize, p: (usize, usize)) -> usize {
-    match w.checked_div(p.0) {
-        Some(groups) => w + p.1 * groups,
-        None => w,
+    if p.0 == 0 {
+        w
+    } else {
+        w + p.1 * (w >> p.0.trailing_zeros())
     }
 }
 
@@ -164,7 +168,15 @@ impl FineFftPlan {
     /// Plans with a *forced* uniform pad skew on every exchange (bypassing
     /// the conflict search) — the a2 ablation's "no padding" configuration
     /// uses `(0, 0)` to measure what the paper's padding technique buys.
+    ///
+    /// # Panics
+    /// Panics unless the skew's group is 0 or a power of two.
     pub fn with_uniform_pad(n: usize, pad_skew: (usize, usize)) -> Self {
+        assert!(
+            pad_skew.0 == 0 || pad_skew.0.is_power_of_two(),
+            "pad group {} must be 0 or a power of two",
+            pad_skew.0
+        );
         let base = Self::new(n);
         let radices: Vec<usize> = base.stages.iter().map(|s| s.radix).collect();
         let assign = vec![false; radices.len()];
@@ -422,7 +434,7 @@ pub fn run_batched_fft(
                             fl += 16;
                             if p != 0 {
                                 for (r, v) in y.iter_mut().enumerate().skip(1) {
-                                    *v *= ctx.tex1d(tw, (r * p * tw_step) % n);
+                                    *v *= ctx.tex1d(tw, (r * p * tw_step) & (n - 1));
                                     fl += 6;
                                 }
                             }
@@ -432,7 +444,7 @@ pub fn run_batched_fft(
                             let mut y1 = a - bb;
                             fl += 4;
                             if p != 0 {
-                                y1 *= ctx.tex1d(tw, (p * tw_step) % n);
+                                y1 *= ctx.tex1d(tw, (p * tw_step) & (n - 1));
                                 fl += 6;
                             }
                             [a + bb, y1, Complex32::ZERO, Complex32::ZERO]

@@ -458,20 +458,15 @@ fn run_pack(
     let chunk = nx * y_loc * z_loc;
     let grid = gpu.fill_grid(&pack_cfg(plane, 1).resources);
     let cfg = pack_cfg(plane, grid);
-    let total = grid * 128;
-    gpu.launch(&cfg, |t| {
-        let mut i = t.gid();
-        while i < slab {
-            let d = i / chunk;
-            let r = i % chunk;
-            let col = r / z_loc; // y_l*nx + x
-            let zl = r % z_loc;
-            let y = d * y_loc + col / nx;
-            let x = col % nx;
-            let val = t.ld(v, zl * plane + y * nx + x);
-            t.st(w, i, val);
-            i += total;
-        }
+    gpu.launch_items(&cfg, slab, |t, i| {
+        let d = i / chunk;
+        let r = i % chunk;
+        let col = r / z_loc; // y_l*nx + x
+        let zl = r % z_loc;
+        let y = d * y_loc + col / nx;
+        let x = col % nx;
+        let val = t.ld(v, zl * plane + y * nx + x);
+        t.st(w, i, val);
     })
 }
 
@@ -497,18 +492,13 @@ fn run_unpack(
     let slab = chunk * n_gpus;
     let grid = gpu.fill_grid(&unpack_cfg(nz, 1).resources);
     let cfg = unpack_cfg(nz, grid);
-    let total = grid * 128;
-    gpu.launch(&cfg, |t| {
-        let mut i = t.gid();
-        while i < slab {
-            let s = i / chunk;
-            let r = i % chunk;
-            let col = r / z_loc;
-            let zl = r % z_loc;
-            let val = t.ld(w, i);
-            t.st(zmaj, col * nz + s * z_loc + zl, val);
-            i += total;
-        }
+    gpu.launch_items(&cfg, slab, |t, i| {
+        let s = i / chunk;
+        let r = i % chunk;
+        let col = r / z_loc;
+        let zl = r % z_loc;
+        let val = t.ld(w, i);
+        t.st(zmaj, col * nz + s * z_loc + zl, val);
     })
 }
 

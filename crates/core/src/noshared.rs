@@ -51,7 +51,6 @@ pub fn run_x_axis_noshared(
         shared_bytes_per_block: 0,
     };
     let grid = gpu.fill_grid(&res);
-    let total = grid * 64;
 
     // ---- pass 1: FFTs over the high digit n1 (length b) at fixed n2 ----
     // x = a*n1 + n2; output k1 stored back at the same interleaving
@@ -70,24 +69,20 @@ pub fn run_x_axis_noshared(
     let sub_rows = rows * a;
     let flops1 = codelet_flops(b) as u64;
     let inter1 = inter.clone();
-    let rep1 = gpu.launch(&cfg1, |t| {
+    let rep1 = gpu.launch_items(&cfg1, sub_rows, |t, r| {
         let mut buf = [Complex32::ZERO; 16];
-        let mut r = t.gid();
-        while r < sub_rows {
-            let n2 = r % a;
-            let row = r / a;
-            let base = row * nx;
-            for (n1, slot) in buf[..b].iter_mut().enumerate() {
-                *slot = t.ld(v, base + a * n1 + n2);
-            }
-            fft_small(&mut buf[..b], dir);
-            t.flops(flops1);
-            for (k1, val) in buf[..b].iter().enumerate() {
-                let tw = inter1.get(k1, n2);
-                let out = if k1 == 0 || n2 == 0 { *val } else { *val * tw };
-                t.st(work, base + n2 + a * k1, out);
-            }
-            r += total;
+        let n2 = r % a;
+        let row = r / a;
+        let base = row * nx;
+        for (n1, slot) in buf[..b].iter_mut().enumerate() {
+            *slot = t.ld(v, base + a * n1 + n2);
+        }
+        fft_small(&mut buf[..b], dir);
+        t.flops(flops1);
+        for (k1, val) in buf[..b].iter().enumerate() {
+            let tw = inter1.get(k1, n2);
+            let out = if k1 == 0 || n2 == 0 { *val } else { *val * tw };
+            t.st(work, base + n2 + a * k1, out);
         }
     });
 
@@ -114,26 +109,22 @@ pub fn run_x_axis_noshared(
     };
     let sub_rows2 = rows * b;
     let flops2 = codelet_flops(a) as u64;
-    let rep2 = gpu.launch(&cfg2, |t| {
+    let rep2 = gpu.launch_items(&cfg2, sub_rows2, |t, r| {
         let mut buf = [Complex32::ZERO; 16];
-        let mut r = t.gid();
-        while r < sub_rows2 {
-            let k1 = r % b;
-            let row = r / b;
-            let base = row * nx;
-            for (n2, slot) in buf[..a].iter_mut().enumerate() {
-                let idx = base + n2 + a * k1;
-                *slot = match tex {
-                    Some(texid) => t.tex1d(texid, idx),
-                    None => t.ld(work, idx),
-                };
-            }
-            fft_small(&mut buf[..a], dir);
-            t.flops(flops2);
-            for (k2, val) in buf[..a].iter().enumerate() {
-                t.st(v, base + k1 + b * k2, *val);
-            }
-            r += total;
+        let k1 = r % b;
+        let row = r / b;
+        let base = row * nx;
+        for (n2, slot) in buf[..a].iter_mut().enumerate() {
+            let idx = base + n2 + a * k1;
+            *slot = match tex {
+                Some(texid) => t.tex1d(texid, idx),
+                None => t.ld(work, idx),
+            };
+        }
+        fft_small(&mut buf[..a], dir);
+        t.flops(flops2);
+        for (k2, val) in buf[..a].iter().enumerate() {
+            t.st(v, base + k1 + b * k2, *val);
         }
     });
 

@@ -477,21 +477,16 @@ fn run_cross_plane_fft(
 ) -> KernelReport {
     let grid = gpu.fill_grid(&cross_plane_cfg(plane, slabs, 1).resources);
     let cfg = cross_plane_cfg(plane, slabs, grid);
-    let total = grid * 64;
     let fl = codelet_flops(slabs) as u64;
-    gpu.launch(&cfg, |t| {
+    gpu.launch_items(&cfg, plane, |t, r| {
         let mut buf16 = [Complex32::ZERO; 16];
-        let mut r = t.gid();
-        while r < plane {
-            for (j, v) in buf16[..slabs].iter_mut().enumerate() {
-                *v = t.ld(buf, r + j * plane);
-            }
-            fft_small(&mut buf16[..slabs], dir);
-            t.flops(fl);
-            for (j, v) in buf16[..slabs].iter().enumerate() {
-                t.st(buf, r + j * plane, *v);
-            }
-            r += total;
+        for (j, v) in buf16[..slabs].iter_mut().enumerate() {
+            *v = t.ld(buf, r + j * plane);
+        }
+        fft_small(&mut buf16[..slabs], dir);
+        t.flops(fl);
+        for (j, v) in buf16[..slabs].iter().enumerate() {
+            t.st(buf, r + j * plane, *v);
         }
     })
 }

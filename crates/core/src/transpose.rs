@@ -72,43 +72,39 @@ pub fn run_rotate_zxy(
     let tiles_total = tiles_x * tiles_z * ny;
     let rows_per_thread_pass = TILE / (64 / TILE); // 4 rows per sweep of 64 threads
 
-    gpu.launch_coop(&cfg, |blk| {
-        let mut tile = blk.block;
-        while tile < tiles_total {
-            let tx = tile % tiles_x;
-            let rest = tile / tiles_x;
-            let tz = rest % tiles_z;
-            let y = rest / tiles_z;
-            let x0 = tx * TILE;
-            let z0 = tz * TILE;
+    gpu.launch_coop_items(&cfg, tiles_total, |blk, tile| {
+        let tx = tile % tiles_x;
+        let rest = tile / tiles_x;
+        let tz = rest % tiles_z;
+        let y = rest / tiles_z;
+        let x0 = tx * TILE;
+        let z0 = tz * TILE;
 
-            // Gather: lane i reads x0+i (coalesced) for 4 z-rows per sweep.
-            blk.threads(|t, ctx| {
-                let i = t % TILE;
-                let j0 = (t / TILE) * rows_per_thread_pass;
-                for dj in 0..rows_per_thread_pass {
-                    let j = j0 + dj;
-                    let v = ctx.ld(src, (x0 + i) + nx * (y + ny * (z0 + j)));
-                    let w = j * (TILE + 1) + i;
-                    ctx.sh_write(w, v.re);
-                    ctx.sh_write(TILE * (TILE + 1) + w, v.im);
-                }
-            });
-            blk.sync();
-            // Scatter: lane i writes z0+i (coalesced) for 4 x-rows per sweep.
-            blk.threads(|t, ctx| {
-                let i = t % TILE;
-                let j0 = (t / TILE) * rows_per_thread_pass;
-                for dj in 0..rows_per_thread_pass {
-                    let j = j0 + dj; // x offset within tile
-                    let w = i * (TILE + 1) + j;
-                    let v = Complex32::new(ctx.sh_read(w), ctx.sh_read(TILE * (TILE + 1) + w));
-                    ctx.st(dst, (z0 + i) + nz * ((x0 + j) + nx * y), v);
-                }
-            });
-            blk.sync();
-            tile += blk.grid_dim;
-        }
+        // Gather: lane i reads x0+i (coalesced) for 4 z-rows per sweep.
+        blk.threads(|t, ctx| {
+            let i = t % TILE;
+            let j0 = (t / TILE) * rows_per_thread_pass;
+            for dj in 0..rows_per_thread_pass {
+                let j = j0 + dj;
+                let v = ctx.ld(src, (x0 + i) + nx * (y + ny * (z0 + j)));
+                let w = j * (TILE + 1) + i;
+                ctx.sh_write(w, v.re);
+                ctx.sh_write(TILE * (TILE + 1) + w, v.im);
+            }
+        });
+        blk.sync();
+        // Scatter: lane i writes z0+i (coalesced) for 4 x-rows per sweep.
+        blk.threads(|t, ctx| {
+            let i = t % TILE;
+            let j0 = (t / TILE) * rows_per_thread_pass;
+            for dj in 0..rows_per_thread_pass {
+                let j = j0 + dj; // x offset within tile
+                let w = i * (TILE + 1) + j;
+                let v = Complex32::new(ctx.sh_read(w), ctx.sh_read(TILE * (TILE + 1) + w));
+                ctx.st(dst, (z0 + i) + nz * ((x0 + j) + nx * y), v);
+            }
+        });
+        blk.sync();
     })
 }
 
@@ -139,41 +135,37 @@ pub fn run_transpose_2d(
     let tiles_total = tiles_x * tiles_y * planes;
     let rows_per_thread_pass = TILE / (64 / TILE);
 
-    gpu.launch_coop(&cfg, |blk| {
-        let mut tile = blk.block;
-        while tile < tiles_total {
-            let tx = tile % tiles_x;
-            let rest = tile / tiles_x;
-            let ty = rest % tiles_y;
-            let p = rest / tiles_y;
-            let x0 = tx * TILE;
-            let y0 = ty * TILE;
-            let in_base = nx * ny * p;
-            blk.threads(|t, ctx| {
-                let i = t % TILE;
-                let j0 = (t / TILE) * rows_per_thread_pass;
-                for dj in 0..rows_per_thread_pass {
-                    let j = j0 + dj;
-                    let v = ctx.ld(src, in_base + (x0 + i) + nx * (y0 + j));
-                    let w = j * (TILE + 1) + i;
-                    ctx.sh_write(w, v.re);
-                    ctx.sh_write(TILE * (TILE + 1) + w, v.im);
-                }
-            });
-            blk.sync();
-            blk.threads(|t, ctx| {
-                let i = t % TILE;
-                let j0 = (t / TILE) * rows_per_thread_pass;
-                for dj in 0..rows_per_thread_pass {
-                    let j = j0 + dj;
-                    let w = i * (TILE + 1) + j;
-                    let v = Complex32::new(ctx.sh_read(w), ctx.sh_read(TILE * (TILE + 1) + w));
-                    ctx.st(dst, in_base + (y0 + i) + ny * (x0 + j), v);
-                }
-            });
-            blk.sync();
-            tile += blk.grid_dim;
-        }
+    gpu.launch_coop_items(&cfg, tiles_total, |blk, tile| {
+        let tx = tile % tiles_x;
+        let rest = tile / tiles_x;
+        let ty = rest % tiles_y;
+        let p = rest / tiles_y;
+        let x0 = tx * TILE;
+        let y0 = ty * TILE;
+        let in_base = nx * ny * p;
+        blk.threads(|t, ctx| {
+            let i = t % TILE;
+            let j0 = (t / TILE) * rows_per_thread_pass;
+            for dj in 0..rows_per_thread_pass {
+                let j = j0 + dj;
+                let v = ctx.ld(src, in_base + (x0 + i) + nx * (y0 + j));
+                let w = j * (TILE + 1) + i;
+                ctx.sh_write(w, v.re);
+                ctx.sh_write(TILE * (TILE + 1) + w, v.im);
+            }
+        });
+        blk.sync();
+        blk.threads(|t, ctx| {
+            let i = t % TILE;
+            let j0 = (t / TILE) * rows_per_thread_pass;
+            for dj in 0..rows_per_thread_pass {
+                let j = j0 + dj;
+                let w = i * (TILE + 1) + j;
+                let v = Complex32::new(ctx.sh_read(w), ctx.sh_read(TILE * (TILE + 1) + w));
+                ctx.st(dst, in_base + (y0 + i) + ny * (x0 + j), v);
+            }
+        });
+        blk.sync();
     })
 }
 

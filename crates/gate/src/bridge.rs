@@ -24,7 +24,9 @@
 //! frame the release is waiting for. The merged order is therefore exactly
 //! the recorded schedule order regardless of thread or packet timing —
 //! which is the whole trick behind `--seed`-reproducible network load
-//! tests.
+//! tests. The merge can only wait for connections it knows, so a load that
+//! spans several connections registers all of them before any submits
+//! (`run_open_loop_net` connects every client first).
 
 use fft_serve::SubmitTemplate;
 use std::collections::BTreeMap;

@@ -82,10 +82,16 @@ fn deal(schedule: &[(f64, SubmitTemplate)], clients: usize) -> Vec<Slice> {
 }
 
 /// Streams one worker's slice through a windowed paced connection.
-fn stream_slice(addr: &str, name: &str, slice: Slice) -> std::io::Result<NetLoad> {
+/// Opens the paced connection that will stream `slice`, announcing its
+/// first arrival in the handshake.
+fn connect_slice(addr: &str, name: &str, slice: &Slice) -> std::io::Result<ServeClient> {
     let first_s = slice.first().map(|e| e.1);
     let mut client = ServeClient::connect(addr, name, Mode::Paced, first_s)?;
     client.set_timeout(Some(Duration::from_secs(30)))?;
+    Ok(client)
+}
+
+fn stream_slice(mut client: ServeClient, slice: Slice) -> std::io::Result<NetLoad> {
     let window = client.info().window.max(1) as usize;
     let mut load = NetLoad {
         offered: slice.len() as u64,
@@ -164,12 +170,18 @@ pub fn run_open_loop_net(
 ) -> std::io::Result<NetLoad> {
     let schedule = open_loop_templates(workload, requests, rate_rps, seed);
     let slices = deal(&schedule, clients);
+    // Every connection completes its handshake before any submit is sent:
+    // the bridge can only hold back for connections it knows, so a client
+    // still connecting while the others stream would see its earlier
+    // arrivals released behind later ones.
+    let connected = slices
+        .iter()
+        .enumerate()
+        .map(|(k, slice)| connect_slice(addr, &format!("loadnet-{k}"), slice))
+        .collect::<std::io::Result<Vec<_>>>()?;
     let mut handles = Vec::new();
-    for (k, slice) in slices.into_iter().enumerate() {
-        let addr = addr.to_string();
-        handles.push(std::thread::spawn(move || {
-            stream_slice(&addr, &format!("loadnet-{k}"), slice)
-        }));
+    for (client, slice) in connected.into_iter().zip(slices) {
+        handles.push(std::thread::spawn(move || stream_slice(client, slice)));
     }
     let mut total = NetLoad::default();
     let mut first_err = None;

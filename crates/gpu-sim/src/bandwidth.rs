@@ -45,24 +45,19 @@ pub fn run_stream_copy(
         nominal_flops: 0,
         streams,
     };
-    let total_threads = grid * 64;
     let per_stream = elems / streams;
-    gpu.launch(&cfg, |t| {
+    gpu.launch_items(&cfg, elems, |t, i| {
         // Half-warp-sized groups of consecutive threads walk consecutive
         // elements *within* one stream (so every access coalesces), while
         // successive groups rotate over the `streams` regions — keeping all
         // of them live at once, exactly the multirow-FFT traffic shape.
-        let mut i = t.gid();
-        while i < elems {
-            let group = i / 16;
-            let lane = i % 16;
-            let stream = group % streams;
-            let off = (group / streams) * 16 + lane;
-            let idx = stream * per_stream + off;
-            let v = t.ld(src, idx);
-            t.st(dst, idx, v);
-            i += total_threads;
-        }
+        let group = i / 16;
+        let lane = i % 16;
+        let stream = group % streams;
+        let off = (group / streams) * 16 + lane;
+        let idx = stream * per_stream + off;
+        let v = t.ld(src, idx);
+        t.st(dst, idx, v);
     })
 }
 
@@ -114,46 +109,41 @@ pub fn run_pattern_copy(
 
     // Enumerate rows x-fastest so half-warps touch consecutive addresses.
     let rows = view.len() / n;
-    let total_threads = grid * 64;
-    gpu.launch(&cfg, |t| {
-        let mut r = t.gid();
-        while r < rows {
-            // Decompose the row id into (x, the three fixed slots).
-            let x = r % view.nx;
-            let mut rest = r / view.nx;
-            let mut fixed = [0usize; 3];
-            for (k, slot) in (1..=4).filter(|&s| s != rs).enumerate() {
-                let e = view.extents[slot - 1];
-                fixed[k] = rest % e;
-                rest /= e;
-            }
-            // Gather along the read slot, scatter along the write slot with
-            // the running index preserved (a pure digit permutation).
-            for j in 0..n {
-                let mut s_in = [0usize; 4];
-                let mut k = 0;
-                for slot in 1..=4 {
-                    if slot == rs {
-                        s_in[slot - 1] = j;
-                    } else {
-                        s_in[slot - 1] = fixed[k];
-                        k += 1;
-                    }
+    gpu.launch_items(&cfg, rows, |t, r| {
+        // Decompose the row id into (x, the three fixed slots).
+        let x = r % view.nx;
+        let mut rest = r / view.nx;
+        let mut fixed = [0usize; 3];
+        for (k, slot) in (1..=4).filter(|&s| s != rs).enumerate() {
+            let e = view.extents[slot - 1];
+            fixed[k] = rest % e;
+            rest /= e;
+        }
+        // Gather along the read slot, scatter along the write slot with
+        // the running index preserved (a pure digit permutation).
+        for j in 0..n {
+            let mut s_in = [0usize; 4];
+            let mut k = 0;
+            for slot in 1..=4 {
+                if slot == rs {
+                    s_in[slot - 1] = j;
+                } else {
+                    s_in[slot - 1] = fixed[k];
+                    k += 1;
                 }
-                let v = t.ld(src, view.index(x, s_in));
-                let mut s_out = [0usize; 4];
-                let mut k = 0;
-                for slot in 1..=4 {
-                    if slot == ws {
-                        s_out[slot - 1] = j;
-                    } else {
-                        s_out[slot - 1] = fixed[k];
-                        k += 1;
-                    }
-                }
-                t.st(dst, view.index(x, s_out), v);
             }
-            r += total_threads;
+            let v = t.ld(src, view.index(x, s_in));
+            let mut s_out = [0usize; 4];
+            let mut k = 0;
+            for slot in 1..=4 {
+                if slot == ws {
+                    s_out[slot - 1] = j;
+                } else {
+                    s_out[slot - 1] = fixed[k];
+                    k += 1;
+                }
+            }
+            t.st(dst, view.index(x, s_out), v);
         }
     })
 }

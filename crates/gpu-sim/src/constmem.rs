@@ -62,10 +62,10 @@ impl ConstantBank {
 /// *distinct* index (a complex value is two words, fetched back to back —
 /// the factor 2 is charged here).
 pub fn broadcast_cycles(indices: &[usize]) -> u32 {
-    let mut distinct: Vec<usize> = indices.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    2 * distinct.len().max(1) as u32
+    let distinct = (0..indices.len())
+        .filter(|&i| !indices[..i].contains(&indices[i]))
+        .count();
+    2 * distinct.max(1) as u32
 }
 
 /// Extra cycles versus the ideal single broadcast.

@@ -51,6 +51,24 @@ struct Buffer {
     live: bool,
 }
 
+/// `len` zero elements from the allocator's zeroed path: large buffers come
+/// back as untouched zero pages, faulted in only where the device writes,
+/// instead of being filled one element at a time.
+fn zeroed(len: usize) -> Vec<Complex32> {
+    const {
+        assert!(size_of::<Complex32>() == size_of::<[f32; 2]>());
+        assert!(align_of::<Complex32>() == align_of::<[f32; 2]>());
+    }
+    let mut words = std::mem::ManuallyDrop::new(vec![[0.0f32; 2]; len]);
+    let (ptr, len, cap) = (words.as_mut_ptr(), words.len(), words.capacity());
+    // SAFETY: `Complex32` is `#[repr(C)]` with two `f32` fields, so it has
+    // the size and alignment of `[f32; 2]`, and all-zero bits are the valid
+    // value `Complex32::ZERO`. The allocation was made for `cap` elements of
+    // that same layout, and `words` is never dropped, so the new `Vec`
+    // becomes its sole owner.
+    unsafe { Vec::from_raw_parts(ptr.cast::<Complex32>(), len, cap) }
+}
+
 /// The device memory arena.
 pub struct DeviceMemory {
     capacity: u64,
@@ -153,7 +171,7 @@ impl DeviceMemory {
         self.used += bytes;
         self.buffers.push(Buffer {
             base,
-            data: vec![Complex32::ZERO; len],
+            data: zeroed(len),
             live: true,
         });
         if let Some(t) = &self.tracer {
@@ -387,5 +405,16 @@ mod tests {
         m.download(b, 4, &mut back);
         assert_eq!(host, back);
         assert_eq!(m.read(b, 0), Complex32::ZERO);
+    }
+
+    #[test]
+    fn fresh_buffers_read_zero() {
+        // Large enough for the allocator to hand back fresh zero pages.
+        let mut m = DeviceMemory::new(1 << 24);
+        for len in [1, 1000, 1 << 20] {
+            let b = m.alloc(len).unwrap();
+            assert!(m.as_slice(b).iter().all(|&z| z == Complex32::ZERO));
+            m.free(b);
+        }
     }
 }

@@ -121,25 +121,36 @@ impl SharedMem {
     }
 }
 
+/// Most banks the conflict helpers accept (16 on CUDA 1.x, 32 from 2.x on).
+pub const MAX_BANKS: usize = 32;
+
+/// Distinct words each bank serves in one half-warp op, counted on the
+/// stack: the quantity both the conflict degree and the heatmap derive from.
+fn distinct_words_per_bank(word_indices: &[usize], banks: usize) -> [u32; MAX_BANKS] {
+    assert!(
+        (1..=MAX_BANKS).contains(&banks),
+        "bank count {banks} outside 1..={MAX_BANKS}"
+    );
+    let mut per_bank = [0u32; MAX_BANKS];
+    for (i, &w) in word_indices.iter().enumerate() {
+        if !word_indices[..i].contains(&w) {
+            per_bank[w % banks] += 1;
+        }
+    }
+    per_bank
+}
+
 /// Serialization degree of a half-warp of shared accesses.
 ///
 /// Each bank serves one 32-bit word per cycle; lanes hitting different words
 /// in the same bank serialise. Lanes reading the *same* word broadcast in a
 /// single cycle (CUDA 1.x broadcast rule). Degree 1 means conflict-free.
+///
+/// # Panics
+/// Panics unless `1 <= banks <= MAX_BANKS`.
 pub fn bank_conflict_degree(word_indices: &[usize], banks: usize) -> u32 {
-    let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); banks];
-    for &w in word_indices {
-        let b = w % banks;
-        if !per_bank[b].contains(&w) {
-            per_bank[b].push(w);
-        }
-    }
-    per_bank
-        .iter()
-        .map(|v| v.len() as u32)
-        .max()
-        .unwrap_or(1)
-        .max(1)
+    let per_bank = distinct_words_per_bank(word_indices, banks);
+    per_bank.into_iter().max().unwrap_or(0).max(1)
 }
 
 /// Extra cycles (beyond the conflict-free baseline of 1) a half-warp access
@@ -152,22 +163,20 @@ pub fn conflict_penalty_cycles(word_indices: &[usize], banks: usize) -> u32 {
 /// bank `b` gains (distinct words hit in `b` − 1) serialisation cycles, so a
 /// conflict-free op contributes nothing and a fully serialised stride-16 op
 /// puts its whole penalty on one bank — the shape the paper's padding fixes.
-pub fn accumulate_bank_conflicts(word_indices: &[usize], banks: usize, heat: &mut Vec<u64>) {
+/// Returns the op's [`bank_conflict_degree`], so a caller needing both
+/// counts the banks once.
+///
+/// # Panics
+/// Panics unless `1 <= banks <= MAX_BANKS`.
+pub fn accumulate_bank_conflicts(word_indices: &[usize], banks: usize, heat: &mut Vec<u64>) -> u32 {
+    let per_bank = distinct_words_per_bank(word_indices, banks);
     if heat.len() < banks {
         heat.resize(banks, 0);
     }
-    let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); banks];
-    for &w in word_indices {
-        let b = w % banks;
-        if !per_bank[b].contains(&w) {
-            per_bank[b].push(w);
-        }
+    for (h, &c) in heat.iter_mut().zip(&per_bank[..banks]) {
+        *h += u64::from(c.saturating_sub(1));
     }
-    for (b, words) in per_bank.iter().enumerate() {
-        if words.len() > 1 {
-            heat[b] += (words.len() - 1) as u64;
-        }
-    }
+    per_bank.into_iter().max().unwrap_or(0).max(1)
 }
 
 #[cfg(test)]

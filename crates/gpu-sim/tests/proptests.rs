@@ -7,12 +7,15 @@
 use fft_math::layout::AccessPattern;
 use fft_math::rng::SplitMix64;
 use gpu_sim::coalesce;
+use gpu_sim::constmem::broadcast_cycles;
+use gpu_sim::dram::DRAM_ROW_BYTES;
 use gpu_sim::dram::{self, BandwidthQuery};
 use gpu_sim::occupancy::{occupancy, KernelResources};
 use gpu_sim::pcie::{transfer_time, Dir};
-use gpu_sim::shared::bank_conflict_degree;
+use gpu_sim::shared::{accumulate_bank_conflicts, bank_conflict_degree};
 use gpu_sim::spec::{DeviceSpec, CUDA1_ARCH};
-use gpu_sim::DeviceMemory;
+use gpu_sim::{DeviceMemory, Gpu, LaunchConfig};
+use std::collections::{BTreeMap, BTreeSet};
 
 const PATTERNS: [AccessPattern; 5] = [
     AccessPattern::A,
@@ -207,5 +210,128 @@ fn memory_accounting() {
         for (id, len) in &live {
             assert_eq!(mem.len(*id), *len);
         }
+    }
+}
+
+/// A random half-warp of `lanes` word indices, mixing the shapes the
+/// analysis meets: scattered words, a few words with duplicates, a full
+/// broadcast, and constant strides.
+fn random_halfwarp(rng: &mut SplitMix64, lanes: usize) -> Vec<usize> {
+    match rng.below(4) {
+        0 => (0..lanes).map(|_| rng.below(4096)).collect(),
+        1 => (0..lanes)
+            .map(|_| rng.below(4) * 16 + rng.below(2))
+            .collect(),
+        2 => vec![rng.below(4096); lanes],
+        _ => {
+            let (base, stride) = (rng.below(1024), rng.below(40));
+            (0..lanes).map(|k| base + k * stride).collect()
+        }
+    }
+}
+
+/// Distinct words per bank, the naive way: a set per bank.
+fn naive_bank_words(words: &[usize], banks: usize) -> Vec<usize> {
+    let mut per_bank = vec![BTreeSet::new(); banks];
+    for &w in words {
+        per_bank[w % banks].insert(w);
+    }
+    per_bank.iter().map(BTreeSet::len).collect()
+}
+
+/// The allocation-free bank and broadcast helpers agree with set-based
+/// references on random half-warps, for 16 and 32 banks and partial
+/// (inactive-tail) half-warps.
+#[test]
+fn analysis_helpers_match_naive_references() {
+    let mut rng = SplitMix64::new(0x6A11_0009);
+    for _ in 0..400 {
+        let banks = [16, 32][rng.below(2)];
+        let lanes = 1 + rng.below(banks);
+        let words = random_halfwarp(&mut rng, lanes);
+        let per_bank = naive_bank_words(&words, banks);
+
+        let degree = per_bank.iter().copied().max().unwrap_or(0).max(1);
+        assert_eq!(bank_conflict_degree(&words, banks) as usize, degree);
+
+        let mut heat = vec![0u64; banks];
+        heat[0] = 3; // accumulates onto what is there
+        let got = accumulate_bank_conflicts(&words, banks, &mut heat);
+        assert_eq!(got as usize, degree);
+        for (b, &n) in per_bank.iter().enumerate() {
+            let prior = if b == 0 { 3 } else { 0 };
+            assert_eq!(heat[b], prior + n.saturating_sub(1) as u64, "bank {b}");
+        }
+
+        let distinct: BTreeSet<usize> = words.iter().copied().collect();
+        assert_eq!(broadcast_cycles(&words) as usize, 2 * distinct.len().max(1));
+    }
+    assert_eq!(broadcast_cycles(&[]), 2);
+}
+
+/// The sampled stride histogram and distinct-row counts of a traced launch
+/// agree with a map-based reference computed from the addresses the kernel
+/// issued: per half-warp, the jump between consecutive ordinals' lowest
+/// addresses (zero jumps excluded), and every DRAM row any lane touched.
+#[test]
+fn sampled_strides_and_rows_match_naive_reference() {
+    let mut rng = SplitMix64::new(0x6A11_000A);
+    let n = 1 << 16;
+    for _ in 0..12 {
+        let mut gpu = Gpu::new(DeviceSpec::gts8800());
+        let half_warp = gpu.spec().arch.half_warp;
+        let (blocks, threads) = (1 + rng.below(3), 16 * (1 + rng.below(4)));
+        let ordinals = 1 + rng.below(12);
+        let buf = gpu.mem_mut().alloc(n).unwrap();
+        // idx[o][gid]: element each thread loads (and stores, reversed) at
+        // ordinal o, in half-warp-shaped groups.
+        let idx: Vec<Vec<usize>> = (0..ordinals)
+            .map(|_| {
+                (0..blocks * threads / half_warp)
+                    .flat_map(|_| random_halfwarp(&mut rng, half_warp))
+                    .map(|w| w * 7 % n)
+                    .collect()
+            })
+            .collect();
+        let cfg = LaunchConfig::copy("sampled", blocks, threads);
+        let rep = gpu.launch(&cfg, |t| {
+            let g = t.gid();
+            for row in &idx {
+                let v = t.ld(buf, row[g]);
+                t.st(buf, row[row.len() - 1 - g], v);
+            }
+        });
+
+        let addr = |i: usize| gpu.mem().addr(buf, i);
+        let mut strides = [BTreeMap::new(), BTreeMap::new()];
+        let mut rows = [BTreeSet::new(), BTreeSet::new()];
+        for b in 0..blocks.min(gpu.trace_blocks) {
+            for hw in (0..threads).step_by(half_warp) {
+                let mut prev = [None, None];
+                for row in &idx {
+                    let gids = (b * threads + hw..b * threads + hw + half_warp).collect::<Vec<_>>();
+                    let side = [
+                        gids.iter().map(|&g| addr(row[g])).collect::<Vec<_>>(),
+                        gids.iter().map(|&g| addr(row[row.len() - 1 - g])).collect(),
+                    ];
+                    for (s, addrs) in side.iter().enumerate() {
+                        let base = *addrs.iter().min().unwrap();
+                        if let Some(p) = prev[s] {
+                            let d: u64 = base.abs_diff(p);
+                            if d > 0 {
+                                *strides[s].entry(d).or_insert(0u64) += 1;
+                            }
+                        }
+                        prev[s] = Some(base);
+                        rows[s].extend(addrs.iter().map(|a| a / DRAM_ROW_BYTES));
+                    }
+                }
+            }
+        }
+        let hist = |m: &BTreeMap<u64, u64>| m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>();
+        assert_eq!(rep.stats.sampled_load_strides, hist(&strides[0]));
+        assert_eq!(rep.stats.sampled_store_strides, hist(&strides[1]));
+        assert_eq!(rep.stats.sampled_load_rows, rows[0].len() as u64);
+        assert_eq!(rep.stats.sampled_store_rows, rows[1].len() as u64);
     }
 }

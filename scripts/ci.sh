@@ -14,6 +14,11 @@ cargo fmt --all -- --check
 # surviving a migration) to errors here.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+# The standalone perfbench package (its own workspace, see BENCHMARK.json)
+# calls the gpu-sim/bifft/serve/gate APIs directly; build and test it here so
+# an API change cannot break the benchmark unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Benchmark-regression gate: the quick grid (64³, all algorithms × cards)
 # against the committed baseline. All figures are modelled/simulated, so
 # the comparison is exact and machine-independent; this also prints the
