@@ -246,7 +246,7 @@ mod tests {
         // same (input-view, output-view) roles swapped is pass 1 of the
         // split-swapped plan run on different digits; the cheap check here
         // is numerical: forward pass energy is conserved (unitary x len).
-        let out = gpu.mem().as_slice(b);
+        let out = gpu.mem_mut().as_slice(b);
         let e_in: f64 = host.iter().map(|z| z.norm_sqr() as f64).sum();
         let e_out: f64 =
             out.iter().map(|z| z.norm_sqr() as f64).sum::<f64>() / passes[0].fft_len as f64;

@@ -353,10 +353,11 @@ pub fn run_batched_fft(
         Direction::Inverse => Complex32::mul_i,
     };
 
+    // Per-thread register state, persisted across phases by the block. One
+    // pair serves every block: a block writes each slot before reading it.
+    let mut vals = vec![[Complex32::ZERO; 4]; threads];
+    let mut next = vec![[Complex32::ZERO; 4]; threads];
     gpu.launch_coop(&cfg, |blk| {
-        // Per-thread register state, persisted across phases by the block.
-        let mut vals = vec![[Complex32::ZERO; 4]; threads];
-        let mut next = vec![[Complex32::ZERO; 4]; threads];
         let mut row = blk.block;
         while row < rows {
             let base = row * n;

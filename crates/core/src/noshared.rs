@@ -90,7 +90,7 @@ pub fn run_x_axis_noshared(
     // Gathers w = n2 + a*k1 (lane stride a: uncoalescable); scatters the
     // natural order x = k1 + b*k2 (lanes consecutive in k1: coalesced).
     let tex = (variant == XExchange::Texture).then(|| {
-        let snapshot = gpu.mem().as_slice(work).to_vec();
+        let snapshot = gpu.mem_mut().as_slice(work).to_vec();
         gpu.bind_texture(snapshot, TexAccess::Strided)
     });
     let cfg2 = LaunchConfig {

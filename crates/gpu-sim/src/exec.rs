@@ -30,7 +30,7 @@ use crate::dram::DRAM_ROW_BYTES;
 use crate::memory::{BufferId, DeviceMemory, ELEM_BYTES};
 use crate::occupancy::{occupancy, KernelResources, Occupancy};
 use crate::pcie::{transfer_time, Dir, PcieTimeline, TransferReport};
-use crate::shared::{accumulate_bank_conflicts, SharedMem};
+use crate::shared::{accumulate_bank_conflicts, SharedMem, MAX_LANES};
 use crate::spec::DeviceSpec;
 use crate::stream::{EventId, StreamEngine, StreamId};
 use crate::timing::{time_kernel, KernelClass, KernelTiming};
@@ -295,9 +295,6 @@ pub struct KernelReport {
 // Trace machinery
 // ---------------------------------------------------------------------------
 
-/// Widest half-warp the sampled analysis gathers on the stack.
-const MAX_LANES: usize = 32;
-
 #[derive(Default)]
 struct ThreadTrace {
     loads: Vec<u64>,
@@ -306,6 +303,11 @@ struct ThreadTrace {
     consts: Vec<usize>,
 }
 
+/// Entries per access stream a pooled trace keeps storage for: a small
+/// launch reuses its trace outright, and a large one gives back what it grew.
+const TRACE_KEEP: usize = 256;
+
+#[derive(Default)]
 struct BlockTrace {
     threads: Vec<ThreadTrace>,
     /// Base address of the last analysed load and store ordinal, per
@@ -338,6 +340,38 @@ impl SampleAccum {
         self.load_rows.clear();
         self.store_rows.clear();
     }
+}
+
+/// Per-block launch state retired by earlier launches, kept by the device so
+/// a launch reuses storage instead of allocating it per block. Everything
+/// handed out is reset to its fresh state first, so no launch sees another's
+/// traces, shared contents, race provenance or counters.
+#[derive(Default)]
+struct BlockPool {
+    /// Traces of the traced blocks (the first `trace_blocks` of a grid).
+    traces: Vec<BlockTrace>,
+    /// Retired shared memories.
+    shared: Vec<SharedMem>,
+    /// A cooperative launch's blocks between their first and last item.
+    live: Vec<Option<SharedMem>>,
+}
+
+/// Fresh traces for blocks `0..n` of `threads` threads each, taken from
+/// the pool's `traces`.
+fn fresh_traces(
+    traces: &mut Vec<BlockTrace>,
+    n: usize,
+    threads: usize,
+    half_warp: usize,
+) -> &mut [BlockTrace] {
+    if traces.len() < n {
+        traces.resize_with(n, BlockTrace::default);
+    }
+    let traces = &mut traces[..n];
+    for bt in traces.iter_mut() {
+        bt.reset(threads, half_warp);
+    }
+    traces
 }
 
 /// Sorted `(value, count)` histogram of `v`.
@@ -384,10 +418,36 @@ fn sample_halfwarp(
 }
 
 impl BlockTrace {
-    fn new(threads: usize, half_warp: usize) -> Self {
-        BlockTrace {
-            threads: (0..threads).map(|_| ThreadTrace::default()).collect(),
-            prev_bases: vec![[None; 2]; threads.div_ceil(half_warp)],
+    /// Readies the trace for a fresh block of `threads` threads: every
+    /// stream emptied (its storage kept) and no stride sample carried over.
+    fn reset(&mut self, threads: usize, half_warp: usize) {
+        self.threads.resize_with(threads, ThreadTrace::default);
+        for t in &mut self.threads {
+            t.loads.clear();
+            t.stores.clear();
+            t.shared.clear();
+            t.consts.clear();
+        }
+        self.prev_bases.clear();
+        self.prev_bases
+            .resize(threads.div_ceil(half_warp), [None; 2]);
+    }
+
+    /// Frees every stream that grew past [`TRACE_KEEP`] entries, so the
+    /// pool does not hold a large launch's trace memory between launches.
+    /// (Freeing, not shrinking, lets the allocator return the memory
+    /// instead of stranding it behind the shrunk remainders.)
+    fn trim(&mut self) {
+        fn release<T>(v: &mut Vec<T>) {
+            if v.capacity() > TRACE_KEEP {
+                *v = Vec::new();
+            }
+        }
+        for t in &mut self.threads {
+            release(&mut t.loads);
+            release(&mut t.stores);
+            release(&mut t.shared);
+            release(&mut t.consts);
         }
     }
 
@@ -777,6 +837,8 @@ pub struct Gpu {
     checker: Option<SharedChecker>,
     /// Sample scratch reused by every launch (see [`SampleAccum`]).
     samples: SampleAccum,
+    /// Block state reused by every launch (see [`BlockPool`]).
+    pool: BlockPool,
 }
 
 impl Gpu {
@@ -796,6 +858,7 @@ impl Gpu {
             sink: None,
             checker: None,
             samples: SampleAccum::default(),
+            pool: BlockPool::default(),
         }
     }
 
@@ -1344,9 +1407,9 @@ impl Gpu {
         let checker = self.checker.as_deref();
         let (half_warp, banks) = (self.spec.arch.half_warp, self.spec.arch.shared_banks);
         let mut samples = std::mem::take(&mut self.samples);
-        let mut traces: Vec<BlockTrace> = (0..self.trace_blocks.min(cfg.grid_blocks))
-            .map(|_| BlockTrace::new(bd, half_warp))
-            .collect();
+        let mut pool = std::mem::take(&mut self.pool);
+        let traced = self.trace_blocks.min(cfg.grid_blocks);
+        let traces = fresh_traces(&mut pool.traces, traced, bd, half_warp);
         for round in (0..items).step_by(total) {
             for (gid, item) in (round..items.min(round + total)).enumerate() {
                 let (block, tid) = (gid / bd, gid % bd);
@@ -1366,15 +1429,17 @@ impl Gpu {
                 };
                 body(&mut ctx, item);
             }
-            for bt in &mut traces {
+            for bt in traces.iter_mut() {
                 bt.analyze(half_warp, banks, &mut stats, &mut samples, false);
             }
         }
-        for bt in &mut traces {
+        for bt in traces.iter_mut() {
             bt.analyze(half_warp, banks, &mut stats, &mut samples, true);
+            bt.trim();
         }
         samples.fold_into(&mut stats);
         self.samples = samples;
+        self.pool = pool;
         Ok(self.finish(cfg, occ, stats))
     }
 
@@ -1446,21 +1511,26 @@ impl Gpu {
         }
         let checker = self.checker.as_deref();
         let (half_warp, banks) = (self.spec.arch.half_warp, self.spec.arch.shared_banks);
-        // Blocks with items still to run; a block's state is created at its
-        // first item and retired after its last.
-        let mut live: Vec<Option<(SharedMem, Option<BlockTrace>)>> =
-            (0..grid).map(|_| None).collect();
+        let (shared_bytes, shared_cap) = (
+            cfg.resources.shared_bytes_per_block,
+            self.spec.arch.shared_mem_per_sm,
+        );
+        let mut pool = std::mem::take(&mut self.pool);
+        let traced = self.trace_blocks.min(grid).min(items);
+        let traces = fresh_traces(&mut pool.traces, traced, bd, half_warp);
+        let (spare, live) = (&mut pool.shared, &mut pool.live);
+        // Blocks with items still to run; a block's shared memory is taken
+        // from the pool at its first item and returned after its last.
+        live.clear();
+        live.resize_with(grid, || None);
         for round in (0..items).step_by(grid) {
             for (block, item) in (round..items.min(round + grid)).enumerate() {
-                let (mut shared, mut trace) = live[block].take().unwrap_or_else(|| {
-                    (
-                        SharedMem::new(
-                            cfg.resources.shared_bytes_per_block,
-                            self.spec.arch.shared_mem_per_sm,
-                            banks,
-                        ),
-                        (block < self.trace_blocks).then(|| BlockTrace::new(bd, half_warp)),
-                    )
+                let mut shared = live[block].take().unwrap_or_else(|| match spare.pop() {
+                    Some(mut sh) => {
+                        sh.reset(shared_bytes, shared_cap, banks);
+                        sh
+                    }
+                    None => SharedMem::new(shared_bytes, shared_cap, banks),
                 });
                 let mut bc = BlockCtx {
                     mem: &mut self.mem,
@@ -1468,7 +1538,7 @@ impl Gpu {
                     constants: &mut self.constants,
                     shared: &mut shared,
                     stats: &mut stats,
-                    trace: trace.as_mut(),
+                    trace: traces.get_mut(block),
                     kernel: cfg.name,
                     checker,
                     block,
@@ -1477,16 +1547,21 @@ impl Gpu {
                 };
                 body(&mut bc, item);
                 let done = item + grid >= items;
-                if let Some(bt) = &mut trace {
+                if let Some(bt) = traces.get_mut(block) {
                     bt.analyze(half_warp, banks, &mut stats, &mut samples, done);
+                    if done {
+                        bt.trim();
+                    }
                 }
                 if done {
                     stats.shared_races += shared.race_count();
+                    spare.push(shared);
                 } else {
-                    live[block] = Some((shared, trace));
+                    live[block] = Some(shared);
                 }
             }
         }
+        self.pool = pool;
         samples.fold_into(&mut stats);
         self.samples = samples;
         Ok(self.finish(cfg, occ, stats))

@@ -45,28 +45,48 @@ impl BufferId {
 /// reclaims them on the next [`DeviceMemory::alloc`]/[`DeviceMemory::reclaim`].
 pub type FreeQueue = Rc<RefCell<Vec<BufferId>>>;
 
+/// One allocation. `len` is its logical size, charged in full against the
+/// card's capacity; `data` backs only the prefix written so far, and every
+/// element past it reads as zero. Host memory then follows what the device
+/// writes, not what it allocates.
 struct Buffer {
     base: u64,
+    len: usize,
     data: Vec<Complex32>,
     live: bool,
 }
 
-/// `len` zero elements from the allocator's zeroed path: large buffers come
-/// back as untouched zero pages, faulted in only where the device writes,
-/// instead of being filled one element at a time.
-fn zeroed(len: usize) -> Vec<Complex32> {
-    const {
-        assert!(size_of::<Complex32>() == size_of::<[f32; 2]>());
-        assert!(align_of::<Complex32>() == align_of::<[f32; 2]>());
+impl Buffer {
+    /// Panics unless `end <= len`, naming the buffer.
+    #[inline]
+    fn check_end(&self, id: BufferId, end: usize) {
+        assert!(
+            end <= self.len,
+            "access to element {} of {id:?} out of bounds (len {})",
+            end - 1,
+            self.len
+        );
     }
-    let mut words = std::mem::ManuallyDrop::new(vec![[0.0f32; 2]; len]);
-    let (ptr, len, cap) = (words.as_mut_ptr(), words.len(), words.capacity());
-    // SAFETY: `Complex32` is `#[repr(C)]` with two `f32` fields, so it has
-    // the size and alignment of `[f32; 2]`, and all-zero bits are the valid
-    // value `Complex32::ZERO`. The allocation was made for `cap` elements of
-    // that same layout, and `words` is never dropped, so the new `Vec`
-    // becomes its sole owner.
-    unsafe { Vec::from_raw_parts(ptr.cast::<Complex32>(), len, cap) }
+
+    /// Backs the prefix up to `end` (zero-filled), so `data[..end]` exists.
+    #[inline]
+    fn back_to(&mut self, end: usize) {
+        if self.data.len() < end {
+            self.data.resize(end, Complex32::ZERO);
+        }
+    }
+
+    /// Element `idx`: zero past the backed prefix.
+    #[inline]
+    fn get(&self, id: BufferId, idx: usize) -> Complex32 {
+        match self.data.get(idx) {
+            Some(&v) => v,
+            None => {
+                self.check_end(id, idx + 1);
+                Complex32::ZERO
+            }
+        }
+    }
 }
 
 /// The device memory arena.
@@ -103,7 +123,7 @@ impl DeviceMemory {
             let mut c = c.borrow_mut();
             for (i, b) in self.buffers.iter().enumerate() {
                 if b.live {
-                    c.on_alloc(BufferId(i), b.data.len(), true);
+                    c.on_alloc(BufferId(i), b.len, true);
                 }
             }
         }
@@ -142,9 +162,19 @@ impl DeviceMemory {
             .borrow()
             .iter()
             .filter(|id| self.buffers[id.0].live)
-            .map(|id| self.buffers[id.0].data.len() as u64 * ELEM_BYTES)
+            .map(|id| self.buffers[id.0].len as u64 * ELEM_BYTES)
             .sum();
         self.used - pending
+    }
+
+    /// Host bytes backing buffer contents: the prefixes of the live buffers
+    /// written so far. Compare with [`DeviceMemory::used_bytes`], the
+    /// modelled card's charge.
+    pub fn backed_bytes(&self) -> u64 {
+        self.buffers
+            .iter()
+            .map(|b| b.data.len() as u64 * ELEM_BYTES)
+            .sum()
     }
 
     /// Total capacity in bytes.
@@ -171,7 +201,8 @@ impl DeviceMemory {
         self.used += bytes;
         self.buffers.push(Buffer {
             base,
-            data: zeroed(len),
+            len,
+            data: Vec::new(),
             live: true,
         });
         if let Some(t) = &self.tracer {
@@ -184,7 +215,7 @@ impl DeviceMemory {
         let id = BufferId(self.buffers.len() - 1);
         if let Some(c) = &self.checker {
             // Fresh allocations are *uninitialised*: cudaMalloc makes no
-            // content promise, even though the simulator zero-fills.
+            // content promise, even though the simulator reads zero.
             c.borrow_mut().on_alloc(id, len, false);
         }
         Ok(id)
@@ -195,8 +226,10 @@ impl DeviceMemory {
         let b = &mut self.buffers[id.0];
         assert!(b.live, "double free of {id:?}");
         b.live = false;
-        let bytes = b.data.len() as u64 * ELEM_BYTES;
+        let bytes = b.len as u64 * ELEM_BYTES;
         self.used -= bytes;
+        // Later accesses through the stale handle are out of bounds.
+        b.len = 0;
         b.data = Vec::new();
         if let Some(c) = &self.checker {
             c.borrow_mut().on_free(id);
@@ -214,7 +247,7 @@ impl DeviceMemory {
     pub fn len(&self, id: BufferId) -> usize {
         let b = &self.buffers[id.0];
         assert!(b.live, "use after free of {id:?}");
-        b.data.len()
+        b.len
     }
 
     /// True when no buffer is currently live (pending frees count as dead).
@@ -228,19 +261,25 @@ impl DeviceMemory {
         self.buffers[id.0].base + idx as u64 * ELEM_BYTES
     }
 
-    /// Reads an element (functional path).
+    /// Reads an element (functional path). Elements never written read as
+    /// zero.
     #[inline]
     pub fn read(&self, id: BufferId, idx: usize) -> Complex32 {
-        self.buffers[id.0].data[idx]
+        self.buffers[id.0].get(id, idx)
     }
 
-    /// Writes an element (functional path).
+    /// Writes an element (functional path), backing the buffer up to it.
     #[inline]
     pub fn write(&mut self, id: BufferId, idx: usize, v: Complex32) {
         if let Some(c) = &self.checker {
             c.borrow_mut().on_write_elem(id, idx);
         }
-        self.buffers[id.0].data[idx] = v;
+        let b = &mut self.buffers[id.0];
+        if idx >= b.data.len() {
+            b.check_end(id, idx + 1);
+            b.back_to(idx + 1);
+        }
+        b.data[idx] = v;
     }
 
     /// Host-side bulk copy into a buffer (the data plane of an H2D transfer).
@@ -251,32 +290,43 @@ impl DeviceMemory {
         }
         let b = &mut self.buffers[id.0];
         assert!(b.live, "use after free");
-        b.data[offset..offset + host.len()].copy_from_slice(host);
+        let end = offset + host.len();
+        b.check_end(id, end);
+        b.back_to(end);
+        b.data[offset..end].copy_from_slice(host);
     }
 
     /// Host-side bulk copy out of a buffer (D2H).
     pub fn download(&self, id: BufferId, offset: usize, host: &mut [Complex32]) {
         let b = &self.buffers[id.0];
         assert!(b.live, "use after free");
-        host.copy_from_slice(&b.data[offset..offset + host.len()]);
+        b.check_end(id, offset + host.len());
+        let backed = b.data.get(offset..).unwrap_or_default();
+        let n = backed.len().min(host.len());
+        host[..n].copy_from_slice(&backed[..n]);
+        host[n..].fill(Complex32::ZERO);
     }
 
     /// Direct slice view for verification helpers (not a kernel path).
-    pub fn as_slice(&self, id: BufferId) -> &[Complex32] {
-        let b = &self.buffers[id.0];
+    /// Backs the whole buffer first.
+    pub fn as_slice(&mut self, id: BufferId) -> &[Complex32] {
+        let b = &mut self.buffers[id.0];
         assert!(b.live, "use after free");
+        b.back_to(b.len);
         &b.data
     }
 
-    /// Direct mutable view for device-side initialisation helpers. The
-    /// checker conservatively treats the whole buffer as initialised
-    /// afterwards (it cannot see which elements the caller writes).
+    /// Direct mutable view for device-side initialisation helpers, backing
+    /// the whole buffer. The checker conservatively treats the whole buffer
+    /// as initialised afterwards (it cannot see which elements the caller
+    /// writes).
     pub fn as_mut_slice(&mut self, id: BufferId) -> &mut [Complex32] {
         if let Some(c) = &self.checker {
             c.borrow_mut().on_host_write_all(id);
         }
         let b = &mut self.buffers[id.0];
         assert!(b.live, "use after free");
+        b.back_to(b.len);
         &mut b.data
     }
 }
@@ -409,11 +459,13 @@ mod tests {
 
     #[test]
     fn fresh_buffers_read_zero() {
-        // Large enough for the allocator to hand back fresh zero pages.
         let mut m = DeviceMemory::new(1 << 24);
         for len in [1, 1000, 1 << 20] {
             let b = m.alloc(len).unwrap();
+            assert_eq!(m.read(b, len - 1), Complex32::ZERO);
+            assert_eq!(m.backed_bytes(), 0, "reads back nothing");
             assert!(m.as_slice(b).iter().all(|&z| z == Complex32::ZERO));
+            assert_eq!(m.backed_bytes(), len as u64 * ELEM_BYTES);
             m.free(b);
         }
     }

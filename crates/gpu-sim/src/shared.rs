@@ -38,20 +38,41 @@ impl SharedMem {
     /// [`crate::spec::ArchConstants`] allows — enforcing §3's observation
     /// that a 256-block double buffer simply does not fit.
     pub fn new(bytes: usize, capacity_bytes: usize, banks: usize) -> Self {
+        let mut m = SharedMem {
+            words: Vec::new(),
+            banks,
+            phase: 0,
+            last_writer: Vec::new(),
+            reads: 0,
+            writes: 0,
+            races: 0,
+        };
+        m.reset(bytes, capacity_bytes, banks);
+        m
+    }
+
+    /// Turns this memory into a fresh [`SharedMem::new`] of the given shape,
+    /// keeping its storage: words zeroed, provenance cleared, phase and
+    /// counters back to 0. The executor reuses retired blocks' memories this
+    /// way instead of allocating one per block per launch.
+    ///
+    /// # Panics
+    /// As [`SharedMem::new`].
+    pub(crate) fn reset(&mut self, bytes: usize, capacity_bytes: usize, banks: usize) {
         assert!(
             bytes <= capacity_bytes,
             "shared allocation of {bytes} B exceeds the {capacity_bytes} B SM capacity"
         );
         let n = bytes / WORD_BYTES;
-        SharedMem {
-            words: vec![0.0; n],
-            banks,
-            phase: 0,
-            last_writer: vec![None; n],
-            reads: 0,
-            writes: 0,
-            races: 0,
-        }
+        self.words.clear();
+        self.words.resize(n, 0.0);
+        self.last_writer.clear();
+        self.last_writer.resize(n, None);
+        self.banks = banks;
+        self.phase = 0;
+        self.reads = 0;
+        self.writes = 0;
+        self.races = 0;
     }
 
     /// Number of 32-bit words allocated.
@@ -92,13 +113,6 @@ impl SharedMem {
         self.phase += 1;
     }
 
-    /// Resets contents and provenance for kernel re-launch, keeping stats.
-    pub fn clear(&mut self) {
-        self.words.fill(0.0);
-        self.last_writer.fill(None);
-        self.phase = 0;
-    }
-
     /// Total reads performed.
     pub fn read_count(&self) -> u64 {
         self.reads
@@ -124,6 +138,9 @@ impl SharedMem {
 /// Most banks the conflict helpers accept (16 on CUDA 1.x, 32 from 2.x on).
 pub const MAX_BANKS: usize = 32;
 
+/// Most lanes one shared-memory op may carry (a 32-thread warp).
+pub const MAX_LANES: usize = 32;
+
 /// Distinct words each bank serves in one half-warp op, counted on the
 /// stack: the quantity both the conflict degree and the heatmap derive from.
 fn distinct_words_per_bank(word_indices: &[usize], banks: usize) -> [u32; MAX_BANKS] {
@@ -131,11 +148,18 @@ fn distinct_words_per_bank(word_indices: &[usize], banks: usize) -> [u32; MAX_BA
         (1..=MAX_BANKS).contains(&banks),
         "bank count {banks} outside 1..={MAX_BANKS}"
     );
+    assert!(
+        word_indices.len() <= MAX_LANES,
+        "{} lanes exceed {MAX_LANES}",
+        word_indices.len()
+    );
+    let mut sorted = [0usize; MAX_LANES];
+    let sorted = &mut sorted[..word_indices.len()];
+    sorted.copy_from_slice(word_indices);
+    sorted.sort_unstable();
     let mut per_bank = [0u32; MAX_BANKS];
-    for (i, &w) in word_indices.iter().enumerate() {
-        if !word_indices[..i].contains(&w) {
-            per_bank[w % banks] += 1;
-        }
+    for run in sorted.chunk_by(|a, b| a == b) {
+        per_bank[run[0] % banks] += 1;
     }
     per_bank
 }
@@ -147,7 +171,8 @@ fn distinct_words_per_bank(word_indices: &[usize], banks: usize) -> [u32; MAX_BA
 /// single cycle (CUDA 1.x broadcast rule). Degree 1 means conflict-free.
 ///
 /// # Panics
-/// Panics unless `1 <= banks <= MAX_BANKS`.
+/// Panics unless `1 <= banks <= MAX_BANKS` and at most [`MAX_LANES`] words
+/// are given.
 pub fn bank_conflict_degree(word_indices: &[usize], banks: usize) -> u32 {
     let per_bank = distinct_words_per_bank(word_indices, banks);
     per_bank.into_iter().max().unwrap_or(0).max(1)
@@ -167,7 +192,8 @@ pub fn conflict_penalty_cycles(word_indices: &[usize], banks: usize) -> u32 {
 /// counts the banks once.
 ///
 /// # Panics
-/// Panics unless `1 <= banks <= MAX_BANKS`.
+/// Panics unless `1 <= banks <= MAX_BANKS` and at most [`MAX_LANES`] words
+/// are given.
 pub fn accumulate_bank_conflicts(word_indices: &[usize], banks: usize, heat: &mut Vec<u64>) -> u32 {
     let per_bank = distinct_words_per_bank(word_indices, banks);
     if heat.len() < banks {
@@ -283,12 +309,21 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_contents_not_stats() {
+    fn reset_restores_a_fresh_memory() {
         let mut m = mem();
         m.write(0, 1, 5.0);
-        m.clear();
-        assert_eq!(m.read(0, 1), 0.0);
-        assert_eq!(m.write_count(), 1);
-        assert_eq!(m.read_count(), 1);
+        let _ = m.read(1, 1);
+        m.barrier();
+        m.reset(64, 16 * 1024, 32);
+        assert_eq!(m.len_words(), 16);
+        assert_eq!(m.banks(), 32);
+        assert_eq!((m.read_count(), m.write_count(), m.race_count()), (0, 0, 0));
+        // Contents zeroed and provenance cleared: a cross-thread read in
+        // phase 0 of word 1 is no race.
+        assert_eq!(m.read(3, 1), 0.0);
+        assert_eq!(m.race_count(), 0);
+        m.write(0, 2, 1.0);
+        let _ = m.read(1, 2);
+        assert_eq!(m.race_count(), 1, "phase restarts at 0");
     }
 }

@@ -44,7 +44,7 @@ fn seeded_oob_store_is_caught() {
     assert!(d.index >= n);
     assert_eq!(d.occurrences, 16, "all 16 threads collapse onto one diag");
     // The suppressed stores never corrupted the arena.
-    assert_eq!(gpu.mem().as_slice(buf).len(), n);
+    assert_eq!(gpu.mem_mut().as_slice(buf).len(), n);
 
     // The fixed kernel is clean.
     let mut gpu2 = Gpu::new(DeviceSpec::gt8800());
@@ -86,6 +86,50 @@ fn seeded_uninitialized_read_is_caught() {
     gpu2.mem_mut().upload(buf2, 0, &signal(n));
     gpu2.launch(&LaunchConfig::copy("init_read", 1, 16), |t| {
         let _ = t.ld(buf2, t.gid());
+    });
+    assert!(gpu2.check_report().unwrap().clean());
+}
+
+/// Reading zero from an unbacked element does not make it initialised: past
+/// an uploaded prefix, and below kernel stores that backed the buffer up to
+/// a later element, a load of a never-written element is still an
+/// uninitialized-read, and it reads zero.
+#[test]
+fn never_written_elements_of_a_lazy_buffer_are_uninitialised() {
+    let n = 1 << 16;
+    let mut gpu = Gpu::new(DeviceSpec::gts8800());
+    gpu.check_enable();
+    let buf = gpu.mem_mut().alloc(n).unwrap();
+    gpu.mem_mut().upload(buf, 0, &signal(16));
+    let mut seen = Vec::new();
+    // Past the uploaded head, where nothing is backed.
+    gpu.launch(&LaunchConfig::copy("lazy_unbacked", 1, 16), |t| {
+        seen.push(t.ld(buf, 100 * (t.tid + 1)));
+    });
+    // Below stores that back the buffer up to its last element.
+    gpu.launch(&LaunchConfig::copy("lazy_backed", 1, 16), |t| {
+        t.st(buf, n - 1 - t.tid, Complex32::new(1.0, 0.0));
+        seen.push(t.ld(buf, 100 * (t.tid + 1)));
+    });
+    assert_eq!(seen.len(), 32);
+    assert!(seen.iter().all(|&v| v == Complex32::ZERO));
+    let rep = gpu.check_report().unwrap();
+    for kernel in ["lazy_unbacked", "lazy_backed"] {
+        let d = rep
+            .access
+            .iter()
+            .find(|d| d.kind == AccessKind::UninitRead && d.kernel == kernel)
+            .unwrap_or_else(|| panic!("an uninitialized-read diagnostic in {kernel}"));
+        assert_eq!(d.buffer, buf.index());
+        assert_eq!(d.occurrences, 16);
+    }
+    // The uploaded head and the stored element are initialised.
+    let mut gpu2 = Gpu::new(DeviceSpec::gts8800());
+    gpu2.check_enable();
+    let buf2 = gpu2.mem_mut().alloc(n).unwrap();
+    gpu2.mem_mut().upload(buf2, 0, &signal(16));
+    gpu2.launch(&LaunchConfig::copy("lazy_head", 1, 16), |t| {
+        let _ = t.ld(buf2, t.tid);
     });
     assert!(gpu2.check_report().unwrap().clean());
 }

@@ -154,6 +154,9 @@ pub struct Lane {
     stream: Option<StreamId>,
     src: BufferId,
     dst: BufferId,
+    /// Trace labels of the lane's H2D and D2H staging copies, built once.
+    label_up: String,
+    label_down: String,
     /// When the lane's last batch completes, simulated seconds.
     pub busy_until_s: f64,
 }
@@ -408,7 +411,7 @@ impl Card {
         }
         let n_lanes = streams_per_card.max(1);
         let mut lanes = Vec::with_capacity(n_lanes);
-        for _ in 0..n_lanes {
+        for lane_idx in 0..n_lanes {
             let stream = (streams_per_card > 0).then(|| gpu.stream_create());
             let src = gpu.mem_mut().alloc(slot_elems)?;
             let dst = gpu.mem_mut().alloc(slot_elems)?;
@@ -416,6 +419,8 @@ impl Card {
                 stream,
                 src,
                 dst,
+                label_up: format!("serve_h2d_c{index}l{lane_idx}"),
+                label_down: format!("serve_d2h_c{index}l{lane_idx}"),
                 busy_until_s: 0.0,
             });
         }
@@ -499,7 +504,10 @@ impl Card {
     /// transfers are still modeled on the old stream/buffers, so reusing
     /// either would race them. The old buffers stay allocated for the same
     /// reason — preemption trades a staging slot of device memory for the
-    /// reclaimed lane time.
+    /// reclaimed lane time. They stay charged to the modelled card but cost
+    /// no host memory beyond the elements already written into them (device
+    /// buffers are backed only where written). The lane keeps its index and
+    /// so its transfer labels.
     ///
     /// # Errors
     /// [`FftError::Alloc`] when the card cannot stage a fresh buffer pair;
@@ -587,8 +595,7 @@ impl Card {
         self.gpu.span_begin(&span);
         let plan = self.cache.batch1d(&mut self.gpu, n)?;
         let plan_ready_s = self.gpu.clock_s();
-        let label_up = format!("serve_h2d_c{}l{}", self.index, lane_idx);
-        let label_down = format!("serve_d2h_c{}l{}", self.index, lane_idx);
+        let (label_up, label_down) = (&lane.label_up, &lane.label_down);
         let mut out = vec![Complex32::ZERO; total];
         // The phase stamps are pure reads of state the dispatch already
         // created (stream-ready probes, the host clock) — recording them
@@ -602,23 +609,23 @@ impl Card {
                     .stream_ready_s(s)
                     .max(self.gpu.copy_engine_free_s(PcieDir::H2D))
                     .max(self.gpu.clock_s());
-                self.gpu.memcpy_h2d_async(s, src, 0, &host, 1, &label_up);
+                self.gpu.memcpy_h2d_async(s, src, 0, &host, 1, label_up);
                 let h2d = self.gpu.stream_ready_s(s);
                 self.gpu
                     .with_stream(s, |g| plan.execute(g, src, dst, rows, dir));
                 let compute = self.gpu.stream_ready_s(s);
                 self.gpu
-                    .memcpy_d2h_async(s, dst, 0, &mut out, 1, &label_down);
+                    .memcpy_d2h_async(s, dst, 0, &mut out, 1, label_down);
                 (h2d_start, h2d, compute, self.gpu.stream_ready_s(s))
             }
             None => {
                 let h2d_start = self.gpu.clock_s().max(self.gpu.pcie_busy_until_s());
-                self.gpu.pcie_transfer(PcieDir::H2D, bytes, 1, &label_up);
+                self.gpu.pcie_transfer(PcieDir::H2D, bytes, 1, label_up);
                 self.gpu.mem_mut().upload(src, 0, &host);
                 let h2d = self.gpu.clock_s();
                 plan.execute(&mut self.gpu, src, dst, rows, dir);
                 let compute = self.gpu.clock_s();
-                self.gpu.pcie_transfer(PcieDir::D2H, bytes, 1, &label_down);
+                self.gpu.pcie_transfer(PcieDir::D2H, bytes, 1, label_down);
                 self.gpu.mem().download(dst, 0, &mut out);
                 (h2d_start, h2d, compute, self.gpu.clock_s())
             }

@@ -71,14 +71,24 @@ impl MetricsRegistry {
 
     /// Adds `by` to counter `name` (creating it at zero first).
     pub fn add(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        // Look up before inserting: the key is allocated once, not per bump.
+        match self.counters.get_mut(name) {
+            Some(c) => *c += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Sets counter `name` to `v`, clamped to never decrease — the mirror
     /// path for monotone values maintained outside the registry.
     pub fn set_counter(&mut self, name: &str, v: u64) {
-        let e = self.counters.entry(name.to_string()).or_insert(0);
-        *e = (*e).max(v);
+        match self.counters.get_mut(name) {
+            Some(c) => *c = (*c).max(v),
+            None => {
+                self.counters.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Current value of counter `name` (0 when never touched).
@@ -88,7 +98,12 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `v`.
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Current value of gauge `name` (0.0 when never set).

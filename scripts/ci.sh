@@ -19,6 +19,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # an API change cannot break the benchmark unnoticed.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# Functional smokes of the two serve workloads: perfbench exits non-zero
+# unless every output matches the oracle and same-seed (and, for gate-small,
+# wire) reports are byte-identical.
+for w in serve-small gate-small; do
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0
+done
 # Benchmark-regression gate: the quick grid (64³, all algorithms × cards)
 # against the committed baseline. All figures are modelled/simulated, so
 # the comparison is exact and machine-independent; this also prints the
