@@ -13,8 +13,8 @@
 //! Every strided pass reads pattern D and writes pattern A or B — never the
 //! catastrophic C/D x C/D combinations of Tables 3–4.
 
-use crate::kernel16::{coarse_resources, pass_config, run_strided_pass};
-use crate::kernel256::{batched_config, bind_twiddle_texture, run_batched_fft, FineFftPlan};
+use crate::kernel16::{coarse_resources, pass_config, replay_strided_pass};
+use crate::kernel256::{batched_config, bind_twiddle_texture, replay_batched_fft, FineFftPlan};
 use crate::report::RunReport;
 use fft_math::flops::nominal_flops_3d;
 use fft_math::layout::FiveStepPlanLayout;
@@ -157,7 +157,7 @@ impl FiveStepFft {
         let mut dst = work;
         for ((pass, name), span) in passes.iter().zip(names).zip(spans) {
             gpu.span_begin(span);
-            steps.push(run_strided_pass(gpu, src, dst, pass, dir, name));
+            steps.push(replay_strided_pass(gpu, src, dst, pass, dir, name));
             gpu.span_end(span);
             std::mem::swap(&mut src, &mut dst);
         }
@@ -169,7 +169,7 @@ impl FiveStepFft {
         };
         let rows = l.ny * l.nz;
         gpu.span_begin("x_fft_shared");
-        steps.push(run_batched_fft(
+        steps.push(replay_batched_fft(
             gpu, &self.fine, v, v, rows, dir, tw, "step5_x",
         ));
         gpu.span_end("x_fft_shared");

@@ -14,10 +14,12 @@
 
 use fft_math::codelets::{codelet_flops, fft_small};
 use fft_math::flops::nominal_flops_1d;
-use fft_math::layout::StridedPass;
+use fft_math::layout::{StridedPass, View5};
 use fft_math::twiddle::{Direction, InterTwiddle};
 use fft_math::Complex32;
-use gpu_sim::{BufferId, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig};
+use gpu_sim::{
+    BufferId, DeviceMemory, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig,
+};
 
 /// Register demand of the coarse kernel for an `n`-point per-thread FFT.
 ///
@@ -53,6 +55,74 @@ pub fn pass_config(pass: &StridedPass, grid: usize, name: &'static str) -> Launc
     }
 }
 
+/// The coarse pass's work split: row `r`'s `(x, f1, f2, f3)` coordinates in
+/// the input view, X fastest so half-warps coalesce.
+#[inline]
+fn row_coords(in_view: &View5, r: usize) -> (usize, [usize; 3]) {
+    let x = r % in_view.nx;
+    let mut rest = r / in_view.nx;
+    let f1 = rest % in_view.extents[0];
+    rest /= in_view.extents[0];
+    let f2 = rest % in_view.extents[1];
+    rest /= in_view.extents[1];
+    let f3 = rest % in_view.extents[2];
+    (x, [f1, f2, f3])
+}
+
+/// Output index of bin `k` of row `(x, f)`: the digit relabelling of the
+/// five-step plan pushes the new digit into slot 1 for first halves and
+/// slot 2 for second halves (write patterns A and B respectively).
+#[inline]
+fn out_index(pass: &StridedPass, x: usize, [f1, f2, f3]: [usize; 3], k: usize) -> usize {
+    if pass.first_half {
+        pass.output.index(x, [k, f1, f2, f3])
+    } else {
+        pass.output.index(x, [f1, k, f2, f3])
+    }
+}
+
+/// The register-resident arithmetic of one row: the small FFT, then for
+/// first halves the inter-digit twiddle, whose `n2` is the input slot-3
+/// digit `f3`. Returns the twiddle's FLOPs. The simulated body and the
+/// native executor both call this.
+#[inline]
+fn coarse_row(
+    row: &mut [Complex32],
+    dir: Direction,
+    inter: Option<&InterTwiddle>,
+    f3: usize,
+) -> u64 {
+    fft_small(row, dir);
+    let mut extra = 0u64;
+    if let Some(tw) = inter {
+        for (k1, v) in row.iter_mut().enumerate() {
+            if k1 != 0 && f3 != 0 {
+                *v *= tw.get(k1, f3);
+                extra += 6;
+            }
+        }
+    }
+    extra
+}
+
+/// Inter-digit twiddles for first halves: `W_axis^{k1 * n2}` where `n2` is
+/// the input slot-3 digit (extent `axis_len / fft_len`).
+fn inter_twiddle(pass: &StridedPass, dir: Direction) -> Option<InterTwiddle> {
+    let n = pass.fft_len;
+    pass.first_half
+        .then(|| InterTwiddle::new(n, pass.axis_len / n, dir))
+}
+
+/// The launch of one strided pass on `gpu`.
+fn pass_launch(gpu: &Gpu, pass: &StridedPass, name: &'static str) -> LaunchConfig {
+    assert!(
+        pass.fft_len <= 16,
+        "coarse kernel is register-resident: fft_len must be <= 16"
+    );
+    let grid = gpu.fill_grid(&coarse_resources(pass.fft_len));
+    pass_config(pass, grid, name)
+}
+
 /// Executes one strided pass (`src` → `dst`) on the device.
 ///
 /// `pass` carries the 5-D views, FFT length, and declared access patterns
@@ -67,72 +137,117 @@ pub fn run_strided_pass(
     dir: Direction,
     name: &'static str,
 ) -> KernelReport {
+    let cfg = pass_launch(gpu, pass, name);
+    simulate_strided_pass(gpu, &cfg, src, dst, pass, dir)
+}
+
+/// [`run_strided_pass`] through [`Gpu::launch_replay`]: the first pass of a
+/// shape is simulated, and every later one computes the same rows in plain
+/// loops and reuses its report. Outputs and report are bit-identical to
+/// [`run_strided_pass`]'s.
+pub fn replay_strided_pass(
+    gpu: &mut Gpu,
+    src: BufferId,
+    dst: BufferId,
+    pass: &StridedPass,
+    dir: Direction,
+    name: &'static str,
+) -> KernelReport {
+    let cfg = pass_launch(gpu, pass, name);
+    // As for the row FFT, the direction changes only the values computed.
+    let (i, o) = (pass.input, pass.output);
+    let shape = [
+        pass.step,
+        i.nx,
+        i.extents[0],
+        i.extents[1],
+        i.extents[2],
+        i.extents[3],
+        o.nx,
+        o.extents[0],
+        o.extents[1],
+        o.extents[2],
+        o.extents[3],
+        pass.fft_len,
+        pass.axis_len,
+        pass.first_half as usize,
+    ]
+    .map(|w| w as u64);
+    gpu.launch_replay(
+        &cfg,
+        &[src, dst],
+        &shape,
+        |g| simulate_strided_pass(g, &cfg, src, dst, pass, dir),
+        |mem, _| native_strided_pass(mem, src, dst, pass, dir),
+    )
+}
+
+/// The simulated pass: one thread per row, gathered and scattered through
+/// global memory.
+fn simulate_strided_pass(
+    gpu: &mut Gpu,
+    cfg: &LaunchConfig,
+    src: BufferId,
+    dst: BufferId,
+    pass: &StridedPass,
+    dir: Direction,
+) -> KernelReport {
     let n = pass.fft_len;
-    assert!(
-        n <= 16,
-        "coarse kernel is register-resident: fft_len must be <= 16"
-    );
     let in_view = pass.input;
-    let out_view = pass.output;
     let rows = in_view.len() / n;
-
-    // Inter-digit twiddles for first halves: W_axis^{k1 * n2} where
-    // n2 is the input slot-3 digit (extent axis_len / fft_len).
-    let inter = pass
-        .first_half
-        .then(|| InterTwiddle::new(n, pass.axis_len / n, dir));
-
-    let res = coarse_resources(n);
-    let grid = gpu.fill_grid(&res);
-    let cfg = pass_config(pass, grid, name);
-
+    let inter = inter_twiddle(pass, dir);
     let flops_per_row = codelet_flops(n) as u64;
-    gpu.launch_items(&cfg, rows, |t, r| {
+    gpu.launch_items(cfg, rows, |t, r| {
         let mut buf = [Complex32::ZERO; 16];
-        // Row decomposition, X fastest so half-warps coalesce.
-        let x = r % in_view.nx;
-        let mut rest = r / in_view.nx;
-        let f1 = rest % in_view.extents[0];
-        rest /= in_view.extents[0];
-        let f2 = rest % in_view.extents[1];
-        rest /= in_view.extents[1];
-        let f3 = rest % in_view.extents[2];
-
+        let (x, f) = row_coords(&in_view, r);
         // Gather the strided row (pattern D read).
         for (j, v) in buf[..n].iter_mut().enumerate() {
-            *v = t.ld(src, in_view.index(x, [f1, f2, f3, j]));
+            *v = t.ld(src, in_view.index(x, [f[0], f[1], f[2], j]));
         }
-
-        // Register-resident small FFT.
-        fft_small(&mut buf[..n], dir);
-        t.flops(flops_per_row);
-
-        // Inter-digit twiddle (first halves only): n2 is the input
-        // slot-3 digit f3.
-        if let Some(tw) = &inter {
-            let mut extra = 0u64;
-            for (k1, v) in buf[..n].iter_mut().enumerate() {
-                if k1 != 0 && f3 != 0 {
-                    *v *= tw.get(k1, f3);
-                    extra += 6;
-                }
-            }
-            t.flops(extra);
-        }
-
-        // Scatter with the digit relabelling of the five-step plan:
-        // first halves push the new digit into slot 1, second halves
-        // into slot 2 (write patterns A and B respectively).
-        if pass.first_half {
-            for (k, v) in buf[..n].iter().enumerate() {
-                t.st(dst, out_view.index(x, [k, f1, f2, f3]), *v);
-            }
-        } else {
-            for (k, v) in buf[..n].iter().enumerate() {
-                t.st(dst, out_view.index(x, [f1, k, f2, f3]), *v);
-            }
+        let extra = coarse_row(&mut buf[..n], dir, inter.as_ref(), f[2]);
+        t.flops(flops_per_row + extra);
+        for (k, v) in buf[..n].iter().enumerate() {
+            t.st(dst, out_index(pass, x, f, k), *v);
         }
     })
+}
+
+/// The native pass: the same rows, in the same order, gathered and
+/// scattered in plain loops. Both views are linear in every digit, so each
+/// row's elements sit at a fixed stride from its first.
+fn native_strided_pass(
+    mem: &mut DeviceMemory,
+    src: BufferId,
+    dst: BufferId,
+    pass: &StridedPass,
+    dir: Direction,
+) {
+    let n = pass.fft_len;
+    let in_view = pass.input;
+    let inter = inter_twiddle(pass, dir);
+    let in_stride = in_view.slot_stride(4);
+    let out_stride = out_index(pass, 0, [0; 3], 1);
+    let (src, dst) = mem.src_dst(src, dst, pass.output.len());
+    let mut buf = [Complex32::ZERO; 16];
+    let [e1, e2, e3, _] = in_view.extents;
+    for f3 in 0..e3 {
+        for f2 in 0..e2 {
+            for f1 in 0..e1 {
+                for x in 0..in_view.nx {
+                    let f = [f1, f2, f3];
+                    let from = in_view.index(x, [f1, f2, f3, 0]);
+                    for (j, v) in buf[..n].iter_mut().enumerate() {
+                        *v = src.get(from + j * in_stride);
+                    }
+                    coarse_row(&mut buf[..n], dir, inter.as_ref(), f3);
+                    let to = out_index(pass, x, f, 0);
+                    for (k, v) in buf[..n].iter().enumerate() {
+                        dst[to + k * out_stride] = *v;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

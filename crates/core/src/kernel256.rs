@@ -23,7 +23,8 @@ use fft_math::twiddle::{Direction, TwiddleTable};
 use fft_math::Complex32;
 use gpu_sim::shared::bank_conflict_degree;
 use gpu_sim::{
-    BufferId, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig, TexAccess, TextureId,
+    BufferId, DeviceMemory, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig,
+    TexAccess, TextureId,
 };
 
 /// One Stockham stage of the decomposition.
@@ -223,6 +224,18 @@ impl FineFftPlan {
         &self.stages
     }
 
+    /// Appends what a launch's addresses, counts and branches read of the
+    /// plan: its length, every stage and every exchange's pad skew.
+    fn shape_words(&self, out: &mut Vec<u64>) {
+        out.push(self.n as u64);
+        for st in &self.stages {
+            out.extend([st.radix, st.m, st.s, st.q_major as usize].map(|w| w as u64));
+        }
+        for &(group, skew) in &self.pads {
+            out.extend([group as u64, skew as u64]);
+        }
+    }
+
     /// Launch resources: `n/4` threads, 4 complex values + temporaries in
     /// registers, the padded real-part staging array in shared memory.
     pub fn resources(&self) -> KernelResources {
@@ -323,6 +336,63 @@ pub fn batched_config(
     }
 }
 
+/// One twiddled butterfly of stage `st` at sub-transform `p`: the radix-4
+/// butterfly on `x` (or the radix-2 tail on `x[..2]`), then every output
+/// `r > 0` times `W_n^{r·p·tw_step}`, fetched through `tw`. Returns the
+/// outputs and the FLOPs the kernel charges for them. The simulated body and
+/// the native executor both call this, so their arithmetic is one copy.
+#[inline(always)]
+fn butterfly(
+    st: &Stage,
+    p: usize,
+    n: usize,
+    dir: Direction,
+    x: &[Complex32],
+    mut tw: impl FnMut(usize) -> Complex32,
+) -> ([Complex32; 4], u64) {
+    let tw_step = n / (st.m * st.radix); // index scale into W_n
+    if st.radix == 4 {
+        let (a, b, c, d) = (x[0], x[1], x[2], x[3]);
+        let t0 = a + c;
+        let t1 = a - c;
+        let t2 = b + d;
+        let t3 = match dir {
+            Direction::Forward => (b - d).mul_neg_i(),
+            Direction::Inverse => (b - d).mul_i(),
+        };
+        let mut y = [t0 + t2, t1 + t3, t0 - t2, t1 - t3];
+        let mut fl = 16;
+        if p != 0 {
+            for (r, v) in y.iter_mut().enumerate().skip(1) {
+                *v *= tw((r * p * tw_step) & (n - 1));
+                fl += 6;
+            }
+        }
+        (y, fl)
+    } else {
+        let (a, b) = (x[0], x[1]);
+        let mut y1 = a - b;
+        let mut fl = 4;
+        if p != 0 {
+            y1 *= tw((p * tw_step) & (n - 1));
+            fl += 6;
+        }
+        ([a + b, y1, Complex32::ZERO, Complex32::ZERO], fl)
+    }
+}
+
+/// The launch of a batched row-FFT pass over `rows` rows on `gpu`.
+fn batched_launch(
+    gpu: &Gpu,
+    plan: &FineFftPlan,
+    rows: usize,
+    in_place: bool,
+    name: &'static str,
+) -> LaunchConfig {
+    let grid = gpu.fill_grid(&plan.resources()).min(rows.max(1));
+    batched_config(plan, rows, grid, in_place, name)
+}
+
 /// Runs `rows` consecutive `n`-point FFTs: row `r` occupies elements
 /// `[r*n, (r+1)*n)` of `src` and lands in the same range of `dst` (which may
 /// equal `src` for the in-place step 5).
@@ -340,24 +410,64 @@ pub fn run_batched_fft(
     tw: TextureId,
     name: &'static str,
 ) -> KernelReport {
+    let cfg = batched_launch(gpu, plan, rows, src == dst, name);
+    simulate_batched_fft(gpu, &cfg, plan, src, dst, rows, dir, tw)
+}
+
+/// [`run_batched_fft`] through [`Gpu::launch_replay`]: the first pass of a
+/// shape is simulated, and every later one runs the same butterflies in
+/// plain loops and reuses its report. Outputs and report are bit-identical
+/// to [`run_batched_fft`]'s.
+#[allow(clippy::too_many_arguments)]
+pub fn replay_batched_fft(
+    gpu: &mut Gpu,
+    plan: &FineFftPlan,
+    src: BufferId,
+    dst: BufferId,
+    rows: usize,
+    dir: Direction,
+    tw: TextureId,
+    name: &'static str,
+) -> KernelReport {
+    let cfg = batched_launch(gpu, plan, rows, src == dst, name);
+    // The direction picks only the arithmetic (the rotation's sign and the
+    // twiddles' values), never an address, count or branch a counter sees,
+    // so an inverse pass replays its forward twin's report.
+    let mut shape = vec![rows as u64, gpu.texture_access(tw) as u64];
+    plan.shape_words(&mut shape);
+    gpu.launch_replay(
+        &cfg,
+        &[src, dst],
+        &shape,
+        |g| simulate_batched_fft(g, &cfg, plan, src, dst, rows, dir, tw),
+        |mem, tex| native_batched_fft(mem, tex.data(tw), plan, src, dst, rows, dir),
+    )
+}
+
+/// The simulated batched pass: one cooperative block per row, stages
+/// exchanged through padded shared memory.
+#[allow(clippy::too_many_arguments)]
+fn simulate_batched_fft(
+    gpu: &mut Gpu,
+    cfg: &LaunchConfig,
+    plan: &FineFftPlan,
+    src: BufferId,
+    dst: BufferId,
+    rows: usize,
+    dir: Direction,
+    tw: TextureId,
+) -> KernelReport {
     let n = plan.n;
     let threads = plan.threads;
-    let res = plan.resources();
-    let grid = gpu.fill_grid(&res).min(rows.max(1));
-    let cfg = batched_config(plan, rows, grid, src == dst, name);
-
-    let stages = plan.stages.clone();
-    let pads = plan.pads.clone();
-    let rot = match dir {
-        Direction::Forward => Complex32::mul_neg_i as fn(Complex32) -> Complex32,
-        Direction::Inverse => Complex32::mul_i,
-    };
+    let grid = cfg.grid_blocks;
+    let stages = &plan.stages;
+    let pads = &plan.pads;
 
     // Per-thread register state, persisted across phases by the block. One
     // pair serves every block: a block writes each slot before reading it.
     let mut vals = vec![[Complex32::ZERO; 4]; threads];
     let mut next = vec![[Complex32::ZERO; 4]; threads];
-    gpu.launch_coop(&cfg, |blk| {
+    gpu.launch_coop(cfg, |blk| {
         let mut row = blk.block;
         while row < rows {
             let base = row * n;
@@ -414,42 +524,12 @@ pub fn run_batched_fft(
 
                 // --- butterflies + twiddles ---
                 let last = si == stages.len() - 1;
-                let tw_step = n / (st.m * st.radix); // index scale into W_n
                 blk.threads(|t, ctx| {
                     for b in 0..bpt {
                         let (p, q) = st.coords(t, b, threads);
                         let io = b * st.radix;
-                        let mut fl = 0u64;
-                        let out: [Complex32; 4] = if st.radix == 4 {
-                            let (a, bb, c, d) = (
-                                vals[t][io],
-                                vals[t][io + 1],
-                                vals[t][io + 2],
-                                vals[t][io + 3],
-                            );
-                            let t0 = a + c;
-                            let t1 = a - c;
-                            let t2 = bb + d;
-                            let t3 = rot(bb - d);
-                            let mut y = [t0 + t2, t1 + t3, t0 - t2, t1 - t3];
-                            fl += 16;
-                            if p != 0 {
-                                for (r, v) in y.iter_mut().enumerate().skip(1) {
-                                    *v *= ctx.tex1d(tw, (r * p * tw_step) & (n - 1));
-                                    fl += 6;
-                                }
-                            }
-                            y
-                        } else {
-                            let (a, bb) = (vals[t][io], vals[t][io + 1]);
-                            let mut y1 = a - bb;
-                            fl += 4;
-                            if p != 0 {
-                                y1 *= ctx.tex1d(tw, (p * tw_step) & (n - 1));
-                                fl += 6;
-                            }
-                            [a + bb, y1, Complex32::ZERO, Complex32::ZERO]
-                        };
+                        let x = &vals[t][io..io + st.radix];
+                        let (out, fl) = butterfly(st, p, n, dir, x, |i| ctx.tex1d(tw, i));
                         ctx.flops(fl);
                         if last {
                             for (r, v) in out.iter().enumerate().take(st.radix) {
@@ -468,6 +548,63 @@ pub fn run_batched_fft(
             row += grid;
         }
     })
+}
+
+/// The native batched pass: each row runs the plan's Stockham stages in
+/// plain loops, with the twiddles read from the bound texture's contents.
+#[allow(clippy::too_many_arguments)]
+fn native_batched_fft(
+    mem: &mut DeviceMemory,
+    tw: &[Complex32],
+    plan: &FineFftPlan,
+    src: BufferId,
+    dst: BufferId,
+    rows: usize,
+    dir: Direction,
+) {
+    let n = plan.n;
+    let (mut x, mut y) = (vec![Complex32::ZERO; n], vec![Complex32::ZERO; n]);
+    if src == dst {
+        for row in mem.backed_mut(dst, rows * n).chunks_exact_mut(n) {
+            x.copy_from_slice(row);
+            native_row(plan, dir, tw, &mut x, &mut y);
+            row.copy_from_slice(&x);
+        }
+    } else {
+        let (src, dst) = mem.src_dst(src, dst, rows * n);
+        for (r, row) in dst.chunks_exact_mut(n).enumerate() {
+            src.read(r * n, &mut x);
+            native_row(plan, dir, tw, &mut x, &mut y);
+            row.copy_from_slice(&x);
+        }
+    }
+}
+
+/// Transforms the row in `x` through every stage of `plan`, ping-ponging
+/// with the scratch `y`: stage inputs and outputs sit at the same indices
+/// the simulated kernel's loads, shared exchanges and stores use.
+fn native_row(
+    plan: &FineFftPlan,
+    dir: Direction,
+    tw: &[Complex32],
+    x: &mut Vec<Complex32>,
+    y: &mut Vec<Complex32>,
+) {
+    for st in &plan.stages {
+        for p in 0..st.m {
+            for q in 0..st.s {
+                let mut inp = [Complex32::ZERO; 4];
+                for (k, v) in inp[..st.radix].iter_mut().enumerate() {
+                    *v = x[q + st.s * (p + k * st.m)];
+                }
+                let (out, _) = butterfly(st, p, plan.n, dir, &inp[..st.radix], |i| tw[i]);
+                for (r, v) in out[..st.radix].iter().enumerate() {
+                    y[q + st.s * (st.radix * p + r)] = *v;
+                }
+            }
+        }
+        std::mem::swap(x, y);
+    }
 }
 
 #[cfg(test)]

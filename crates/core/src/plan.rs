@@ -203,18 +203,10 @@ impl From<AllocError> for FftError {
 }
 
 /// RAII ownership of a plan's device buffers: on drop, the ids are queued on
-/// the arena's deferred-free queue (see [`gpu_sim::FreeQueue`]), so the
-/// memory is returned even if the plan is never explicitly released.
+/// the arena's deferred-free queue (see [`gpu_sim::FreeQueue`]).
 struct BufferGuard {
     ids: Vec<BufferId>,
     queue: FreeQueue,
-}
-
-impl BufferGuard {
-    /// Takes the ids out, disarming the drop path (for explicit release).
-    fn disarm(&mut self) -> Vec<BufferId> {
-        std::mem::take(&mut self.ids)
-    }
 }
 
 impl Drop for BufferGuard {
@@ -236,7 +228,8 @@ pub struct Fft3d {
     v: BufferId,
     work: BufferId,
     dims: (usize, usize, usize),
-    guard: BufferGuard,
+    /// Held only for its `Drop`, which frees `v` and `work`.
+    _guard: BufferGuard,
 }
 
 /// Builder for [`Fft3d`] (see [`Fft3d::builder`]).
@@ -318,16 +311,15 @@ impl Fft3dBuilder {
                 })
             }
         };
-        let guard = BufferGuard {
-            ids: vec![v, work],
-            queue: gpu.mem().free_queue(),
-        };
         Ok(Fft3d {
             inner,
             v,
             work,
             dims: (nx, ny, nz),
-            guard,
+            _guard: BufferGuard {
+                ids: vec![v, work],
+                queue: gpu.mem().free_queue(),
+            },
         })
     }
 }
@@ -349,31 +341,6 @@ impl Fft3d {
     /// checker reports, which cite buffers by id.
     pub fn buffers(&self) -> (BufferId, BufferId) {
         (self.v, self.work)
-    }
-
-    /// Plans a transform with the chosen algorithm and allocates its device
-    /// buffers.
-    ///
-    /// # Errors
-    /// Returns the allocation error when the volume does not fit on the
-    /// card.
-    ///
-    /// # Panics
-    /// On unsupported dimensions or algorithms (the builder reports those as
-    /// typed errors instead — use it).
-    #[deprecated(since = "0.2.0", note = "use Fft3d::builder(nx, ny, nz).build(gpu)")]
-    pub fn new(
-        gpu: &mut Gpu,
-        algorithm: Algorithm,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-    ) -> Result<Self, AllocError> {
-        match Fft3d::builder(nx, ny, nz).algorithm(algorithm).build(gpu) {
-            Ok(p) => Ok(p),
-            Err(FftError::Alloc(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// The algorithm behind this plan.
@@ -436,16 +403,6 @@ impl Fft3d {
                 (out, rep)
             }
         })
-    }
-
-    /// Frees the plan's device buffers immediately. Dropping the plan has
-    /// the same effect (deferred to the allocator's next reclaim), so this
-    /// is only needed to make the release point explicit.
-    #[deprecated(since = "0.2.0", note = "dropping the plan frees its buffers")]
-    pub fn release(mut self, gpu: &mut Gpu) {
-        for id in self.guard.disarm() {
-            gpu.mem_mut().free(id);
-        }
     }
 }
 
@@ -525,17 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn release_returns_memory() {
-        let mut gpu = Gpu::new(DeviceSpec::gt8800());
-        let before = gpu.mem().used_bytes();
-        let plan = Fft3d::builder(16, 16, 16).build(&mut gpu).unwrap();
-        assert!(gpu.mem().used_bytes() > before);
-        #[allow(deprecated)]
-        plan.release(&mut gpu);
-        assert_eq!(gpu.mem().used_bytes(), before);
-    }
-
-    #[test]
     fn dropping_plan_frees_buffers() {
         let mut gpu = Gpu::new(DeviceSpec::gt8800());
         let before = gpu.mem().used_bytes();
@@ -543,6 +489,7 @@ mod tests {
         let held = gpu.mem().used_bytes();
         assert!(held > before);
         drop(plan);
+        assert_eq!(gpu.mem().used_bytes(), before);
         // The guard queued the buffers: they no longer count as used and the
         // next allocation can take the whole card again.
         assert_eq!(gpu.mem().used_bytes(), before);
@@ -595,20 +542,6 @@ mod tests {
         // Errors display something actionable.
         let msg = format!("{}", FftError::UnsupportedSize { axis: 'z', n: 7 });
         assert!(msg.contains("power of two"));
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        #[allow(deprecated)]
-        {
-            let mut gpu = Gpu::new(DeviceSpec::gt8800());
-            let plan = Fft3d::new(&mut gpu, Algorithm::FiveStep, 16, 16, 16).unwrap();
-            let host = volume(plan.volume(), 77);
-            let (out, _) = plan.transform(&mut gpu, &host, Direction::Forward).unwrap();
-            assert_eq!(out.len(), host.len());
-            plan.release(&mut gpu);
-            assert_eq!(gpu.mem().used_bytes(), 0);
-        }
     }
 
     #[test]

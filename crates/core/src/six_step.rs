@@ -11,9 +11,9 @@
 //! paper's Table 6 shows exactly this, and it is why the five-step
 //! algorithm wins by ~2x despite doing slightly more arithmetic.
 
-use crate::kernel256::{batched_config, bind_twiddle_texture, run_batched_fft, FineFftPlan};
+use crate::kernel256::{batched_config, bind_twiddle_texture, replay_batched_fft, FineFftPlan};
 use crate::report::RunReport;
-use crate::transpose::{run_rotate_zxy, transpose_config, transpose_resources};
+use crate::transpose::{replay_rotate_zxy, transpose_config, transpose_resources};
 use fft_math::flops::nominal_flops_3d;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
@@ -125,7 +125,7 @@ impl SixStepFft {
 
         // 1: X-axis FFTs, (x,y,z) rows are contiguous.
         gpu.span_begin("x_fft");
-        steps.push(run_batched_fft(
+        steps.push(replay_batched_fft(
             gpu,
             &self.fine_x,
             v,
@@ -138,11 +138,11 @@ impl SixStepFft {
         gpu.span_end("x_fft");
         // 2: (x,y,z) -> (z,x,y).
         gpu.span_begin("transpose_a");
-        steps.push(run_rotate_zxy(gpu, work, v, nx, ny, nz, "transpose_zxy"));
+        steps.push(replay_rotate_zxy(gpu, work, v, nx, ny, nz, "transpose_zxy"));
         gpu.span_end("transpose_a");
         // 3: Z-axis FFTs, now contiguous.
         gpu.span_begin("z_fft");
-        steps.push(run_batched_fft(
+        steps.push(replay_batched_fft(
             gpu,
             &self.fine_z,
             v,
@@ -155,11 +155,11 @@ impl SixStepFft {
         gpu.span_end("z_fft");
         // 4: (z,x,y) -> (y,z,x).
         gpu.span_begin("transpose_b");
-        steps.push(run_rotate_zxy(gpu, work, v, nz, nx, ny, "transpose_yzx"));
+        steps.push(replay_rotate_zxy(gpu, work, v, nz, nx, ny, "transpose_yzx"));
         gpu.span_end("transpose_b");
         // 5: Y-axis FFTs.
         gpu.span_begin("y_fft");
-        steps.push(run_batched_fft(
+        steps.push(replay_batched_fft(
             gpu,
             &self.fine_y,
             v,
@@ -172,7 +172,7 @@ impl SixStepFft {
         gpu.span_end("y_fft");
         // 6: (y,z,x) -> (x,y,z).
         gpu.span_begin("transpose_c");
-        steps.push(run_rotate_zxy(gpu, work, v, ny, nz, nx, "transpose_xyz"));
+        steps.push(replay_rotate_zxy(gpu, work, v, ny, nz, nx, "transpose_xyz"));
         gpu.span_end("transpose_c");
         gpu.span_end("six_step");
 

@@ -45,6 +45,55 @@ pub fn transpose_config(streams: usize, grid: usize, name: &'static str) -> Laun
     }
 }
 
+/// The rotation `(x, y, z) → (z, x, y)` of an `nx x ny x nz` volume, as
+/// source and destination indices.
+#[derive(Clone, Copy)]
+struct Rotation {
+    nx: usize,
+    ny: usize,
+    nz: usize,
+}
+
+impl Rotation {
+    #[inline]
+    fn src(&self, x: usize, y: usize, z: usize) -> usize {
+        x + self.nx * (y + self.ny * z)
+    }
+
+    #[inline]
+    fn dst(&self, x: usize, y: usize, z: usize) -> usize {
+        z + self.nz * (x + self.nx * y)
+    }
+
+    /// Tile `tile`'s `(x0, y, z0)` corner: X tiles fastest, then Z tiles,
+    /// then Y planes.
+    #[inline]
+    fn tile(&self, tile: usize) -> (usize, usize, usize) {
+        let tiles_x = self.nx / TILE;
+        let tiles_z = self.nz / TILE;
+        let rest = tile / tiles_x;
+        (
+            (tile % tiles_x) * TILE,
+            rest / tiles_z,
+            (rest % tiles_z) * TILE,
+        )
+    }
+
+    fn tiles(&self) -> usize {
+        (self.nx / TILE) * (self.nz / TILE) * self.ny
+    }
+}
+
+/// The launch of a rotation on `gpu`.
+fn rotate_launch(gpu: &Gpu, rot: Rotation, name: &'static str) -> LaunchConfig {
+    assert!(
+        rot.nx.is_multiple_of(TILE) && rot.nz.is_multiple_of(TILE),
+        "transpose dims must be multiples of the {TILE}-wide tile"
+    );
+    let grid = gpu.fill_grid(&transpose_resources());
+    transpose_config(rot.nz.max(rot.ny), grid, name)
+}
+
 /// Rotates `(x, y, z) → (z, x, y)`: `dst[z + nz*(x + nx*y)] = src[x + nx*(y + ny*z)]`.
 ///
 /// Dimensions must be multiples of [`TILE`].
@@ -57,28 +106,58 @@ pub fn run_rotate_zxy(
     nz: usize,
     name: &'static str,
 ) -> KernelReport {
-    assert!(
-        nx.is_multiple_of(TILE) && nz.is_multiple_of(TILE),
-        "transpose dims must be multiples of the {TILE}-wide tile"
-    );
-    // 64 threads handle a 16x16 tile in four 16-lane sweeps; the tile lives
-    // in shared memory with a pad word per row to kill bank conflicts.
-    let res = transpose_resources();
-    let grid = gpu.fill_grid(&res);
-    let cfg = transpose_config(nz.max(ny), grid, name);
+    let rot = Rotation { nx, ny, nz };
+    let cfg = rotate_launch(gpu, rot, name);
+    simulate_rotate(gpu, &cfg, src, dst, rot)
+}
 
-    let tiles_x = nx / TILE;
-    let tiles_z = nz / TILE;
-    let tiles_total = tiles_x * tiles_z * ny;
+/// [`run_rotate_zxy`] through [`Gpu::launch_replay`]: the first rotation of
+/// a shape is simulated, and every later one permutes the volume in plain
+/// loops and reuses its report. Outputs and report are bit-identical to
+/// [`run_rotate_zxy`]'s.
+pub fn replay_rotate_zxy(
+    gpu: &mut Gpu,
+    src: BufferId,
+    dst: BufferId,
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    name: &'static str,
+) -> KernelReport {
+    let rot = Rotation { nx, ny, nz };
+    let cfg = rotate_launch(gpu, rot, name);
+    gpu.launch_replay(
+        &cfg,
+        &[src, dst],
+        &[nx as u64, ny as u64, nz as u64],
+        |g| simulate_rotate(g, &cfg, src, dst, rot),
+        |mem, _| {
+            let (src, dst) = mem.src_dst(src, dst, nx * ny * nz);
+            for tile in 0..rot.tiles() {
+                let (x0, y, z0) = rot.tile(tile);
+                for z in z0..z0 + TILE {
+                    for x in x0..x0 + TILE {
+                        dst[rot.dst(x, y, z)] = src.get(rot.src(x, y, z));
+                    }
+                }
+            }
+        },
+    )
+}
+
+/// The simulated rotation: 64 threads move a 16x16 tile in four 16-lane
+/// sweeps; the tile lives in shared memory with a pad word per row to kill
+/// bank conflicts.
+fn simulate_rotate(
+    gpu: &mut Gpu,
+    cfg: &LaunchConfig,
+    src: BufferId,
+    dst: BufferId,
+    rot: Rotation,
+) -> KernelReport {
     let rows_per_thread_pass = TILE / (64 / TILE); // 4 rows per sweep of 64 threads
-
-    gpu.launch_coop_items(&cfg, tiles_total, |blk, tile| {
-        let tx = tile % tiles_x;
-        let rest = tile / tiles_x;
-        let tz = rest % tiles_z;
-        let y = rest / tiles_z;
-        let x0 = tx * TILE;
-        let z0 = tz * TILE;
+    gpu.launch_coop_items(cfg, rot.tiles(), |blk, tile| {
+        let (x0, y, z0) = rot.tile(tile);
 
         // Gather: lane i reads x0+i (coalesced) for 4 z-rows per sweep.
         blk.threads(|t, ctx| {
@@ -86,7 +165,7 @@ pub fn run_rotate_zxy(
             let j0 = (t / TILE) * rows_per_thread_pass;
             for dj in 0..rows_per_thread_pass {
                 let j = j0 + dj;
-                let v = ctx.ld(src, (x0 + i) + nx * (y + ny * (z0 + j)));
+                let v = ctx.ld(src, rot.src(x0 + i, y, z0 + j));
                 let w = j * (TILE + 1) + i;
                 ctx.sh_write(w, v.re);
                 ctx.sh_write(TILE * (TILE + 1) + w, v.im);
@@ -101,7 +180,7 @@ pub fn run_rotate_zxy(
                 let j = j0 + dj; // x offset within tile
                 let w = i * (TILE + 1) + j;
                 let v = Complex32::new(ctx.sh_read(w), ctx.sh_read(TILE * (TILE + 1) + w));
-                ctx.st(dst, (z0 + i) + nz * ((x0 + j) + nx * y), v);
+                ctx.st(dst, rot.dst(x0 + j, y, z0 + i), v);
             }
         });
         blk.sync();

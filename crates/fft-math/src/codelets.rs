@@ -16,6 +16,7 @@
 
 use crate::complex::Complex32;
 use crate::twiddle::{twiddle, Direction};
+use std::sync::OnceLock;
 
 /// In-place 2-point FFT (a single butterfly). Direction is irrelevant at N=2.
 #[inline(always)]
@@ -89,6 +90,17 @@ fn w8(k: usize, dir: Direction) -> Complex32 {
     }
 }
 
+/// `W_16^e`: [`twiddle`]'s value, computed once per process and direction,
+/// since the 16-point codelet needs eight of them per call.
+#[inline]
+fn w16(e: usize, dir: Direction) -> Complex32 {
+    static TABLE: OnceLock<[[Complex32; 16]; 2]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        [Direction::Forward, Direction::Inverse].map(|d| std::array::from_fn(|e| twiddle(e, 16, d)))
+    });
+    table[dir as usize][e]
+}
+
 /// In-place 16-point FFT, natural order in and out.
 ///
 /// Implemented as the 4 x 4 Cooley–Tukey decomposition the paper's
@@ -116,7 +128,7 @@ pub fn fft16(d: &mut [Complex32; 16], dir: Direction) {
                 (4, Direction::Forward) | (12, Direction::Inverse) => col[n2][k1].mul_neg_i(),
                 (12, Direction::Forward) | (4, Direction::Inverse) => col[n2][k1].mul_i(),
                 (8, _) => -col[n2][k1],
-                _ => col[n2][k1] * twiddle(e, 16, dir),
+                _ => col[n2][k1] * w16(e, dir),
             };
         }
     }

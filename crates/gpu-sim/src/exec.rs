@@ -18,6 +18,12 @@
 //! do not depend on this order: each thread records its own accesses in
 //! program order, whatever ran in between.
 //!
+//! A data-oblivious kernel's whole [`KernelReport`] depends only on its
+//! launch shape and buffer addresses, not on the values it moves. Such a
+//! kernel can go through [`Gpu::launch_replay`]: the first launch of a
+//! shape is simulated and its counters recorded, and every later launch of
+//! that shape moves the data with a plain native loop and reuses them.
+//!
 //! Half-warp grouping relies on the kernels being lane-uniform (every thread
 //! of a half-warp performs the same sequence of access *ordinals*), which
 //! holds for all SIMD-style FFT kernels here; the analysis asserts the
@@ -38,6 +44,7 @@ use crate::trace::{Recorder, SharedSink, SimClock, TraceEvent, Tracer};
 use fft_math::layout::AccessPattern;
 use fft_math::Complex32;
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// How many thread blocks are traced at full address fidelity.
@@ -68,7 +75,7 @@ struct Texture {
 }
 
 /// Launch-time description of a kernel, consumed by the timing model.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     /// Kernel name for reports.
     pub name: &'static str,
@@ -113,7 +120,7 @@ impl LaunchConfig {
 }
 
 /// Aggregate counters of one kernel launch.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct KernelStats {
     /// Global loads (elements).
     pub loads: u64,
@@ -279,7 +286,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Full result of one launch: counters, occupancy and modelled timing.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelReport {
     /// Kernel name.
     pub name: &'static str,
@@ -584,6 +591,44 @@ fn drain_ordinals<T: Copy + Default>(
     }
 }
 
+/// What a recorded launch's report depends on besides the device: the
+/// configuration, the traced-block count, the base address of every buffer
+/// the kernel names and the caller's shape words.
+#[derive(PartialEq, Eq, Hash)]
+struct ReplayKey {
+    cfg: LaunchConfig,
+    trace_blocks: usize,
+    bases: Vec<u64>,
+    shape: Vec<u64>,
+}
+
+/// A recorded launch: the buffers it named and the counters it measured.
+struct Recorded {
+    bufs: Vec<BufferId>,
+    stats: KernelStats,
+}
+
+/// The launches [`Gpu::launch_replay`] has recorded.
+#[derive(Default)]
+struct ReplayTable {
+    entries: HashMap<ReplayKey, Recorded>,
+    /// [`DeviceMemory::frees`] when entries naming a freed buffer were last
+    /// dropped.
+    frees_seen: u64,
+}
+
+/// The bound textures, as a native executor of [`Gpu::launch_replay`]
+/// reads them.
+#[derive(Clone, Copy)]
+pub struct Textures<'a>(&'a [Texture]);
+
+impl<'a> Textures<'a> {
+    /// The contents of a bound texture.
+    pub fn data(&self, tex: TextureId) -> &'a [Complex32] {
+        &self.0[tex.0].data
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Thread / block contexts
 // ---------------------------------------------------------------------------
@@ -839,6 +884,11 @@ pub struct Gpu {
     samples: SampleAccum,
     /// Block state reused by every launch (see [`BlockPool`]).
     pool: BlockPool,
+    /// Launches recorded by [`Gpu::launch_replay`].
+    replays: ReplayTable,
+    /// Kernel launches so far, and how many of them were replayed.
+    launches: u64,
+    replayed: u64,
 }
 
 impl Gpu {
@@ -859,6 +909,9 @@ impl Gpu {
             checker: None,
             samples: SampleAccum::default(),
             pool: BlockPool::default(),
+            replays: ReplayTable::default(),
+            launches: 0,
+            replayed: 0,
         }
     }
 
@@ -1290,6 +1343,12 @@ impl Gpu {
         TextureId(self.textures.len() - 1)
     }
 
+    /// How a bound texture is accessed (a native executor's replay key names
+    /// it, since it selects the counter a fetch charges).
+    pub fn texture_access(&self, tex: TextureId) -> TexAccess {
+        self.textures[tex.0].access
+    }
+
     /// Binds a constant-memory table (§3.2 twiddle option 2; 64 KB segment).
     pub fn bind_constant(&mut self, data: Vec<Complex32>) -> ConstId {
         self.constants.push(ConstantBank::new(data));
@@ -1567,7 +1626,78 @@ impl Gpu {
         Ok(self.finish(cfg, occ, stats))
     }
 
+    /// Launches a data-oblivious kernel whose report is a pure function of
+    /// `cfg`, [`Gpu::trace_blocks`], the addresses of `bufs` and the
+    /// caller's `shape` words, which must cover everything the kernel body's
+    /// addresses, counts and branches read.
+    ///
+    /// The first launch of a shape runs `simulate`, which must make exactly
+    /// this one launch of `cfg`, and records its [`KernelStats`]. A later
+    /// launch of the same shape runs `native` instead: plain loops over the
+    /// device memory and the bound textures that must leave every buffer
+    /// exactly as the simulated body would, backing none further than it
+    /// writes. The recorded counters then go through the same timing,
+    /// stream scheduling, clock and trace events as a simulated launch, so
+    /// the report and everything observable match bit for bit.
+    ///
+    /// With the checker on ([`Gpu::check_enable`]) every launch is simulated
+    /// and nothing is recorded. Recorded launches that name a freed buffer
+    /// are dropped: the allocator never reuses an address, so they could
+    /// not be replayed again.
+    ///
+    /// # Panics
+    /// Panics (naming the kernel) when the configuration violates a device
+    /// limit.
+    pub fn launch_replay(
+        &mut self,
+        cfg: &LaunchConfig,
+        bufs: &[BufferId],
+        shape: &[u64],
+        simulate: impl FnOnce(&mut Gpu) -> KernelReport,
+        native: impl FnOnce(&mut DeviceMemory, Textures<'_>),
+    ) -> KernelReport {
+        if self.checker.is_some() {
+            return simulate(self);
+        }
+        if self.mem.frees() != self.replays.frees_seen {
+            let mem = &self.mem;
+            self.replays
+                .entries
+                .retain(|_, rec| rec.bufs.iter().all(|&b| mem.is_live(b)));
+            self.replays.frees_seen = mem.frees();
+        }
+        let key = ReplayKey {
+            cfg: *cfg,
+            trace_blocks: self.trace_blocks,
+            bases: bufs.iter().map(|&b| self.mem.addr(b, 0)).collect(),
+            shape: shape.to_vec(),
+        };
+        if let Some(rec) = self.replays.entries.get(&key) {
+            let stats = rec.stats.clone();
+            self.validate_launch(cfg).unwrap_or_else(|e| panic!("{e}"));
+            native(&mut self.mem, Textures(&self.textures));
+            self.replayed += 1;
+            let occ = occupancy(&self.spec.arch, &cfg.resources);
+            return self.finish(cfg, occ, stats);
+        }
+        let report = simulate(self);
+        debug_assert_eq!(report.name, cfg.name, "simulate launched another kernel");
+        let rec = Recorded {
+            bufs: bufs.to_vec(),
+            stats: report.stats.clone(),
+        };
+        self.replays.entries.insert(key, rec);
+        report
+    }
+
+    /// Kernel launches so far and, of those, how many
+    /// [`Gpu::launch_replay`] replayed natively.
+    pub fn launch_counts(&self) -> (u64, u64) {
+        (self.launches, self.replayed)
+    }
+
     fn finish(&mut self, cfg: &LaunchConfig, occ: Occupancy, stats: KernelStats) -> KernelReport {
+        self.launches += 1;
         let timing = time_kernel(&self.spec, cfg, &occ, &stats);
         let now = self.clock.get();
         let (start_s, end_s) = match self.active_stream {
@@ -2081,6 +2211,113 @@ mod tests {
             t.st(a, t.gid(), v);
         });
         assert_eq!(g.clock_s(), r1.timing.time_s + r2.timing.time_s);
+    }
+
+    /// A copy of `n` elements `src` → `dst` through [`Gpu::launch_replay`],
+    /// or through a plain launch of the same configuration.
+    fn copy(g: &mut Gpu, src: BufferId, dst: BufferId, n: usize, replay: bool) -> KernelReport {
+        let cfg = LaunchConfig::copy("replay_copy", 4, 64);
+        let simulate = |g: &mut Gpu| {
+            g.launch_items(&cfg, n, |t, i| {
+                let v = t.ld(src, i);
+                t.st(dst, i, v);
+            })
+        };
+        if !replay {
+            return simulate(g);
+        }
+        g.launch_replay(&cfg, &[src, dst], &[n as u64], simulate, |mem, _| {
+            let (s, d) = mem.src_dst(src, dst, n);
+            for (i, v) in d.iter_mut().enumerate() {
+                *v = s.get(i);
+            }
+        })
+    }
+
+    #[test]
+    fn replay_table_stays_bounded_under_alloc_free_churn() {
+        let mut g = gpu();
+        let n = 1024;
+        let host: Vec<Complex32> = (0..n).map(|i| c32(i as f32, 1.0)).collect();
+        for _ in 0..50 {
+            let src = g.mem_mut().alloc(n).unwrap();
+            let dst = g.mem_mut().alloc(n).unwrap();
+            g.mem_mut().upload(src, 0, &host);
+            let first = copy(&mut g, src, dst, n, true);
+            let second = copy(&mut g, src, dst, n, true);
+            assert_eq!(first, second);
+            assert_eq!(g.mem().read(dst, 7), c32(7.0, 1.0));
+            // Only this round's launch is recorded: earlier rounds named
+            // buffers that are freed now.
+            assert_eq!(g.replays.entries.len(), 1);
+            g.mem_mut().free(src);
+            g.mem_mut().free(dst);
+        }
+        assert_eq!(g.launch_counts(), (100, 50));
+    }
+
+    #[test]
+    fn another_trace_blocks_is_another_shape() {
+        let mut g = gpu();
+        let n = 1024;
+        let src = g.mem_mut().alloc(n).unwrap();
+        let dst = g.mem_mut().alloc(n).unwrap();
+        g.mem_mut().upload(src, 0, &vec![c32(1.0, 0.0); n]);
+        let traced = copy(&mut g, src, dst, n, true);
+        g.trace_blocks = 0;
+        let untraced = copy(&mut g, src, dst, n, true);
+        assert_eq!(g.launch_counts(), (2, 0));
+        assert_eq!(untraced.stats.sampled_load_halfwarps, 0);
+        assert!(traced.stats.sampled_load_halfwarps > 0);
+    }
+
+    #[test]
+    fn checked_launches_are_never_replayed() {
+        let run = |replay: bool| {
+            let mut g = gpu();
+            g.check_enable();
+            let n = 512;
+            let src = g.mem_mut().alloc(n).unwrap();
+            let dst = g.mem_mut().alloc(n).unwrap();
+            // The tail of `src` is never written: every copy reads it
+            // uninitialised, so the check report has something to say.
+            g.mem_mut().upload(src, 0, &vec![c32(1.0, 2.0); n - 32]);
+            let reps = [0, 1].map(|_| copy(&mut g, src, dst, n, replay));
+            assert!(g.replays.entries.is_empty());
+            (reps, g.launch_counts(), format!("{:?}", g.check_report()))
+        };
+        let (replayed, counts, report) = run(true);
+        let (plain, _, plain_report) = run(false);
+        assert_eq!(replayed, plain);
+        assert_eq!(counts, (2, 0));
+        assert!(report.contains("Uninit"), "{report}");
+        assert_eq!(report, plain_report);
+    }
+
+    #[test]
+    fn recorder_sees_the_same_events_on_hit_and_miss() {
+        let events = |replay: bool| {
+            let mut g = gpu();
+            let rec = g.install_recorder();
+            let n = 2048;
+            let src = g.mem_mut().alloc(n).unwrap();
+            let dst = g.mem_mut().alloc(n).unwrap();
+            g.mem_mut().upload(src, 0, &vec![c32(3.0, 4.0); n]);
+            let s = g.stream_create();
+            for _ in 0..2 {
+                copy(&mut g, src, dst, n, replay);
+                g.with_stream(s, |g| copy(g, src, dst, n, replay));
+            }
+            g.synchronize();
+            let counts = g.launch_counts();
+            (
+                counts,
+                format!("{:?}", rec.borrow_mut().take_trace().events),
+            )
+        };
+        let (counts, replayed) = events(true);
+        assert_eq!(counts, (4, 3), "a miss, then three hits");
+        assert_eq!(replayed, events(false).1);
     }
 
     #[test]

@@ -44,9 +44,9 @@ pub use analysis::{
 pub use check::{AccessDiag, AccessKind, CheckReport, HazardDiag, HazardKind};
 pub use exec::{
     ConstId, Gpu, KernelReport, KernelStats, LaunchConfig, SimError, TexAccess, TextureId,
-    ThreadCtx,
+    Textures, ThreadCtx,
 };
-pub use memory::{AllocError, BufferId, DeviceMemory, FreeQueue};
+pub use memory::{AllocError, Backed, BufferId, DeviceMemory, FreeQueue};
 pub use occupancy::{occupancy, KernelResources, Occupancy};
 pub use spec::{DeviceSpec, PcieGen};
 pub use stream::{EventId, StreamId};

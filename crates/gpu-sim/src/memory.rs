@@ -95,6 +95,8 @@ pub struct DeviceMemory {
     used: u64,
     next_base: u64,
     buffers: Vec<Buffer>,
+    /// Buffers freed so far (recorded launches naming one are dropped).
+    frees: u64,
     pending_free: FreeQueue,
     tracer: Option<Tracer>,
     checker: Option<SharedChecker>,
@@ -108,6 +110,7 @@ impl DeviceMemory {
             used: 0,
             next_base: ALLOC_ALIGN,
             buffers: Vec::new(),
+            frees: 0,
             pending_free: Rc::new(RefCell::new(Vec::new())),
             tracer: None,
             checker: None,
@@ -226,6 +229,7 @@ impl DeviceMemory {
         let b = &mut self.buffers[id.0];
         assert!(b.live, "double free of {id:?}");
         b.live = false;
+        self.frees += 1;
         let bytes = b.len as u64 * ELEM_BYTES;
         self.used -= bytes;
         // Later accesses through the stale handle are out of bounds.
@@ -248,6 +252,17 @@ impl DeviceMemory {
         let b = &self.buffers[id.0];
         assert!(b.live, "use after free of {id:?}");
         b.len
+    }
+
+    /// False once the buffer has been freed (a queued deferred free still
+    /// counts as live until it is reclaimed).
+    pub(crate) fn is_live(&self, id: BufferId) -> bool {
+        self.buffers[id.0].live
+    }
+
+    /// Number of buffers freed so far.
+    pub(crate) fn frees(&self) -> u64 {
+        self.frees
     }
 
     /// True when no buffer is currently live (pending frees count as dead).
@@ -301,10 +316,45 @@ impl DeviceMemory {
         let b = &self.buffers[id.0];
         assert!(b.live, "use after free");
         b.check_end(id, offset + host.len());
-        let backed = b.data.get(offset..).unwrap_or_default();
-        let n = backed.len().min(host.len());
-        host[..n].copy_from_slice(&backed[..n]);
-        host[n..].fill(Complex32::ZERO);
+        Backed(&b.data).read(offset, host);
+    }
+
+    /// The two views a native executor moving data from `src` to a distinct
+    /// `dst` works on: `src` as [`Backed`], and `dst[..dst_end]`, backed up
+    /// to `dst_end` as the element-wise stores of a simulated launch writing
+    /// that far would leave it. The checker does not see writes through
+    /// this view (or [`DeviceMemory::backed_mut`]'s): native executors run
+    /// only with it off.
+    pub fn src_dst(
+        &mut self,
+        src: BufferId,
+        dst: BufferId,
+        dst_end: usize,
+    ) -> (Backed<'_>, &mut [Complex32]) {
+        assert_ne!(src, dst, "src_dst needs two distinct buffers");
+        assert!(self.buffers[src.0].live, "use after free of {src:?}");
+        let d = &mut self.buffers[dst.0];
+        assert!(d.live, "use after free of {dst:?}");
+        d.check_end(dst, dst_end);
+        d.back_to(dst_end);
+        let (s, d) = if src.0 < dst.0 {
+            let (lo, hi) = self.buffers.split_at_mut(dst.0);
+            (&lo[src.0], &mut hi[0])
+        } else {
+            let (lo, hi) = self.buffers.split_at_mut(src.0);
+            (&hi[0], &mut lo[dst.0])
+        };
+        (Backed(&s.data), &mut d.data[..dst_end])
+    }
+
+    /// `id[..end]`, backed up to `end`: the view of a native executor that
+    /// transforms a buffer in place.
+    pub fn backed_mut(&mut self, id: BufferId, end: usize) -> &mut [Complex32] {
+        let b = &mut self.buffers[id.0];
+        assert!(b.live, "use after free of {id:?}");
+        b.check_end(id, end);
+        b.back_to(end);
+        &mut b.data[..end]
     }
 
     /// Direct slice view for verification helpers (not a kernel path).
@@ -328,6 +378,29 @@ impl DeviceMemory {
         assert!(b.live, "use after free");
         b.back_to(b.len);
         &mut b.data
+    }
+}
+
+/// A buffer's contents as a native executor reads them: the backed prefix,
+/// with every element past it reading as zero. It does not know the
+/// buffer's length, so it suits only index sets a simulated launch has
+/// already bounds-checked.
+#[derive(Clone, Copy)]
+pub struct Backed<'a>(&'a [Complex32]);
+
+impl Backed<'_> {
+    /// Element `idx`.
+    #[inline]
+    pub fn get(&self, idx: usize) -> Complex32 {
+        self.0.get(idx).copied().unwrap_or(Complex32::ZERO)
+    }
+
+    /// Copies the elements from `offset` on into `out`.
+    pub fn read(&self, offset: usize, out: &mut [Complex32]) {
+        let backed = self.0.get(offset..).unwrap_or_default();
+        let n = backed.len().min(out.len());
+        out[..n].copy_from_slice(&backed[..n]);
+        out[n..].fill(Complex32::ZERO);
     }
 }
 

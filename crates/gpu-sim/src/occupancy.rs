@@ -11,7 +11,7 @@
 use crate::spec::ArchConstants;
 
 /// Per-block resource demands of a kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KernelResources {
     /// Threads per block.
     pub threads_per_block: usize,

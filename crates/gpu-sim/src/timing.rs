@@ -38,7 +38,7 @@ pub const KERNEL_LAUNCH_OVERHEAD_S: f64 = 10e-6;
 
 /// Timing family of a kernel (selects the compute-efficiency constant and
 /// the bandwidth composition rule).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Pure data movement (Tables 3–4 microbenchmarks, transfers).
     Copy,
@@ -74,7 +74,7 @@ impl KernelClass {
 }
 
 /// Modelled timing of one kernel launch.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KernelTiming {
     /// Total modelled wall time, seconds.
     pub time_s: f64,
