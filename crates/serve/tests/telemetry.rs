@@ -68,6 +68,48 @@ fn smoke_prometheus_matches_committed_golden() {
     );
 }
 
+/// Runs the `fft-serve` binary with `args` plus `--json` and returns the
+/// report it wrote.
+fn cli_report(args: &[&str], name: &str) -> String {
+    let path = format!("{}/{name}.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fft-serve"))
+        .args(args)
+        .args(["--json", &path])
+        .output()
+        .expect("run fft-serve");
+    assert!(out.status.success(), "fft-serve {args:?} failed: {out:?}");
+    std::fs::read_to_string(&path).expect("read report")
+}
+
+/// `fft-serve --smoke --workload pipeline`'s report is pinned byte-for-byte:
+/// DAG admission, the shared queue, whole-card placement and residency all
+/// show up in it. Regenerate with `BLESS=1`.
+#[test]
+fn pipeline_smoke_report_matches_committed_golden() {
+    check_golden(
+        &cli_report(&["--smoke", "--workload", "pipeline"], "pipeline_smoke"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/pipeline_smoke_report.json"
+        ),
+        "pipeline smoke report",
+    );
+}
+
+/// Same pin for the multi-tenant preemption smoke
+/// (`fft-serve --smoke --tenants 3 --preempt`).
+#[test]
+fn qos_smoke_report_matches_committed_golden() {
+    check_golden(
+        &cli_report(&["--smoke", "--tenants", "3", "--preempt"], "qos_smoke"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/qos_smoke_report.json"
+        ),
+        "multi-tenant smoke report",
+    );
+}
+
 /// The acceptance criterion: two smoke runs with the same seed emit
 /// bit-identical metrics documents (series and all), and the document
 /// validates with an ok SLO verdict.
