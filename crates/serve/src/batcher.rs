@@ -75,9 +75,9 @@ pub fn key_of_spec(spec: &crate::request::RequestSpec, default_algo: Algorithm) 
 }
 
 /// Builds the batch key of one pending request under the service default
-/// algorithm.
-pub fn key_of(p: &Pending, default_algo: Algorithm) -> BatchKey {
-    key_of_spec(&p.spec, default_algo)
+/// algorithm; `None` for a pipeline, which never coalesces.
+pub fn key_of(p: &Pending, default_algo: Algorithm) -> Option<BatchKey> {
+    p.transform().map(|spec| key_of_spec(spec, default_algo))
 }
 
 /// Caps the batcher adapts within.
@@ -93,22 +93,24 @@ pub struct BatchLimits {
     pub latency_budget_s: f64,
 }
 
-/// EWMA estimator of per-element service seconds, per batch key.
+/// EWMA estimator of per-element service seconds, per key: a
+/// [`BatchKey`] for batches, a [`crate::pipeline::StageKind`] for the
+/// stages of a pipeline DAG.
 ///
 /// Seeded with a pessimistic PCIe-round-trip guess so admission control is
-/// conservative before the first observation; every completed batch then
-/// pulls the estimate toward measured reality (alpha 0.3). Entirely
-/// deterministic — same request sequence, same estimates.
+/// conservative before the first observation; every completed batch or
+/// stage then pulls the estimate toward measured reality (alpha 0.3).
+/// Entirely deterministic — same request sequence, same estimates.
 #[derive(Debug)]
-pub struct Estimator {
-    per_elem_s: BTreeMap<BatchKey, f64>,
+pub struct Estimator<K> {
+    per_elem_s: BTreeMap<K, f64>,
     /// Fixed per-launch overhead guess, seconds (PCIe latency both ways).
     overhead_s: f64,
 }
 
 /// Same as [`Estimator::new`] — a derived default would zero `overhead_s`
 /// and silently skew every estimate.
-impl Default for Estimator {
+impl<K: Ord + Copy> Default for Estimator<K> {
     fn default() -> Self {
         Estimator::new()
     }
@@ -117,7 +119,7 @@ impl Default for Estimator {
 /// The seed guess: 8 payload bytes each way over ~2 GB/s effective PCIe.
 const SEED_PER_ELEM_S: f64 = 8.0e-9;
 
-impl Estimator {
+impl<K: Ord + Copy> Estimator<K> {
     /// A fresh estimator with the default per-launch overhead guess.
     pub fn new() -> Self {
         Estimator {
@@ -127,7 +129,7 @@ impl Estimator {
     }
 
     /// Expected service seconds for `elems` payload elements under `key`.
-    pub fn estimate_s(&self, key: BatchKey, elems: usize) -> f64 {
+    pub fn estimate_s(&self, key: K, elems: usize) -> f64 {
         let per = self
             .per_elem_s
             .get(&key)
@@ -136,8 +138,8 @@ impl Estimator {
         self.overhead_s + per * elems as f64
     }
 
-    /// Folds a measured batch service time into the estimate.
-    pub fn observe(&mut self, key: BatchKey, elems: usize, service_s: f64) {
+    /// Folds a measured service time into the estimate.
+    pub fn observe(&mut self, key: K, elems: usize, service_s: f64) {
         if elems == 0 {
             return;
         }
@@ -147,7 +149,8 @@ impl Estimator {
     }
 }
 
-/// Forms the next batch from the queue head, or `None` on an empty queue.
+/// Forms the next batch from the first queued transform, or `None` when no
+/// transform waits. Pipelines are skipped: they never coalesce.
 ///
 /// `skip` names batch keys that currently cannot be placed (e.g. a volume
 /// needing a fully idle card while only one lane is free); the head-of-line
@@ -158,26 +161,26 @@ impl Estimator {
 pub fn form_batch(
     queue: &mut SubmitQueue,
     limits: &BatchLimits,
-    est: &Estimator,
+    est: &Estimator<BatchKey>,
     default_algo: Algorithm,
     skip: &[BatchKey],
     now_s: f64,
     log: &mut LifecycleLog,
 ) -> Option<Batch> {
-    // Find the first queued request whose key is not skipped.
-    let head = queue
+    // Find the first queued transform whose key is not skipped.
+    let key = queue
         .iter()
-        .find(|p| !skip.contains(&key_of(p, default_algo)))?;
-    let key = key_of(head, default_algo);
+        .filter_map(|p| key_of(p, default_algo))
+        .find(|k| !skip.contains(k))?;
 
     // Grow the member list while every cap holds.
     let mut ids = Vec::new();
     let mut elems = 0usize;
     for p in queue.iter() {
-        if key_of(p, default_algo) != key {
+        if key_of(p, default_algo) != Some(key) {
             continue;
         }
-        let e = p.spec.shape.elems();
+        let e = p.spec().shape.elems();
         let grown = elems + e;
         let within_caps = ids.len() < limits.max_requests
             && (ids.is_empty() || grown <= limits.max_elems)
@@ -205,7 +208,7 @@ pub fn form_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::Pending;
+    use crate::queue::{Pending, Work};
     use crate::request::{Priority, RequestId, RequestSpec, Shape};
     use fft_math::twiddle::Direction;
 
@@ -220,7 +223,11 @@ mod tests {
     fn push_rows(q: &mut SubmitQueue, id: u64, n: usize, rows: usize) {
         q.push(Pending {
             id: RequestId(id),
-            spec: RequestSpec::seeded(Shape::Rows1d { n, rows }, Direction::Forward, id),
+            work: Work::Transform(RequestSpec::seeded(
+                Shape::Rows1d { n, rows },
+                Direction::Forward,
+                id,
+            )),
             arrival_s: id as f64 * 1e-6,
             vft: id as f64 * 1e-6,
         });
@@ -314,16 +321,18 @@ mod tests {
         let mut q = SubmitQueue::new(16);
         q.push(Pending {
             id: RequestId(0),
-            spec: RequestSpec::seeded(
-                Shape::Volume {
-                    nx: 16,
-                    ny: 16,
-                    nz: 16,
-                },
-                Direction::Forward,
-                0,
-            )
-            .priority(Priority::High),
+            work: Work::Transform(
+                RequestSpec::seeded(
+                    Shape::Volume {
+                        nx: 16,
+                        ny: 16,
+                        nz: 16,
+                    },
+                    Direction::Forward,
+                    0,
+                )
+                .priority(Priority::High),
+            ),
             arrival_s: 0.0,
             vft: 0.0,
         });

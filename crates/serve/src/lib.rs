@@ -51,8 +51,7 @@ pub use loadgen::{
     SubmitTemplate, Workload,
 };
 pub use pipeline::{
-    Operand, PipeEstimator, PipelineRequest, PipelineStage, PointwiseOp, ReduceOp, SeededPipeline,
-    StageKind,
+    Operand, PipelineRequest, PipelineStage, PointwiseOp, ReduceOp, SeededPipeline, StageKind,
 };
 pub use qos::{jain_index, QosConfig, QuotaKind, TenantId, TenantPolicy};
 pub use report::{LatencyStats, ServeReport};

@@ -28,7 +28,7 @@ pub const MAX_STAGES: usize = 32;
 pub const MAX_INPUTS: usize = 8;
 
 /// Pointwise (elementwise) stage flavours.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PointwiseOp {
     /// `dst[i] = src[i] * src2[i] * scale`.
     Multiply,
@@ -39,7 +39,7 @@ pub enum PointwiseOp {
 }
 
 /// On-card reduction flavours — only the reduced scalar crosses the bus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReduceOp {
     /// Index and value of the largest `|v|²`.
     ArgMax,
@@ -47,8 +47,9 @@ pub enum ReduceOp {
     Energy,
 }
 
-/// What one pipeline stage computes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What one pipeline stage computes (also the key of the service's
+/// per-stage EWMA service-time estimate).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StageKind {
     /// Forward five-step 3-D FFT (in place on the operand's slot).
     Forward,
@@ -62,22 +63,6 @@ pub enum StageKind {
 }
 
 impl StageKind {
-    /// Number of distinct stage kinds (the estimator's table size).
-    pub const COUNT: usize = 7;
-
-    /// Dense index for per-kind accounting tables.
-    pub fn index(self) -> usize {
-        match self {
-            StageKind::Forward => 0,
-            StageKind::Inverse => 1,
-            StageKind::Pointwise(PointwiseOp::Multiply) => 2,
-            StageKind::Pointwise(PointwiseOp::Scale) => 3,
-            StageKind::Pointwise(PointwiseOp::ConjMultiply) => 4,
-            StageKind::Reduce(ReduceOp::ArgMax) => 5,
-            StageKind::Reduce(ReduceOp::Energy) => 6,
-        }
-    }
-
     /// Stable lowercase label — the wire encoding and estimator key.
     pub fn label(self) -> &'static str {
         match self {
@@ -529,57 +514,10 @@ pub fn docking_stages(elems: usize) -> Vec<PipelineStage> {
     v
 }
 
-/// EWMA service-time estimator keyed by stage kind — the pipeline twin of
-/// the batcher's per-shape estimator, with the same constants. Admission
-/// costs the **entire DAG** with it (the first-stage-only estimate is the
-/// bug ISSUE 10's small fix removes).
-#[derive(Clone, Debug)]
-pub struct PipeEstimator {
-    per_elem_s: [f64; StageKind::COUNT],
-    overhead_s: f64,
-    alpha: f64,
-}
-
-impl Default for PipeEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PipeEstimator {
-    /// Seeds every kind with the batcher's cold-start throughput guess.
-    pub fn new() -> Self {
-        PipeEstimator {
-            per_elem_s: [8.0e-9; StageKind::COUNT],
-            overhead_s: 20.0e-6,
-            alpha: 0.3,
-        }
-    }
-
-    /// Expected service time of one stage over `elems` elements.
-    pub fn stage_s(&self, kind: StageKind, elems: usize) -> f64 {
-        self.overhead_s + self.per_elem_s[kind.index()] * elems as f64
-    }
-
-    /// Expected service time of the whole DAG — the sum over its stages.
-    pub fn estimate_s(&self, stages: &[PipelineStage], elems: usize) -> f64 {
-        stages.iter().map(|st| self.stage_s(st.kind, elems)).sum()
-    }
-
-    /// Folds one observed stage service time into the per-kind EWMA.
-    pub fn observe(&mut self, kind: StageKind, service_s: f64, elems: usize) {
-        if elems == 0 {
-            return;
-        }
-        let sample = (service_s - self.overhead_s).max(0.0) / elems as f64;
-        let cell = &mut self.per_elem_s[kind.index()];
-        *cell = self.alpha * sample + (1.0 - self.alpha) * *cell;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::Estimator;
 
     fn conv_pipe() -> SeededPipeline {
         SeededPipeline {
@@ -785,26 +723,26 @@ mod tests {
 
     #[test]
     fn estimator_costs_the_full_dag() {
-        let est = PipeEstimator::new();
+        let est = Estimator::<StageKind>::new();
         let stages = convolution_stages(4096);
-        let whole = est.estimate_s(&stages, 4096);
-        let first = est.stage_s(stages[0].kind, 4096);
+        let whole: f64 = stages.iter().map(|st| est.estimate_s(st.kind, 4096)).sum();
+        let first = est.estimate_s(stages[0].kind, 4096);
         assert!(whole > 3.9 * first, "DAG cost {whole} vs one stage {first}");
     }
 
     #[test]
     fn estimator_learns_per_kind() {
-        let mut est = PipeEstimator::new();
-        let before = est.stage_s(StageKind::Forward, 4096);
+        let mut est = Estimator::new();
+        let before = est.estimate_s(StageKind::Forward, 4096);
         for _ in 0..20 {
-            est.observe(StageKind::Forward, 1.0e-3, 4096);
+            est.observe(StageKind::Forward, 4096, 1.0e-3);
         }
-        let after = est.stage_s(StageKind::Forward, 4096);
+        let after = est.estimate_s(StageKind::Forward, 4096);
         assert!(after > before);
         // Other kinds untouched.
         assert_eq!(
-            est.stage_s(StageKind::Inverse, 4096),
-            PipeEstimator::new().stage_s(StageKind::Inverse, 4096)
+            est.estimate_s(StageKind::Inverse, 4096),
+            Estimator::new().estimate_s(StageKind::Inverse, 4096)
         );
     }
 }

@@ -3,7 +3,9 @@
 //! Admission control lives in the service (it needs the backlog estimator);
 //! the queue itself enforces the capacity bound, keeps arrivals in
 //! (priority, virtual finish time, arrival, id) dispatch order, and tracks
-//! the depth statistics the [`crate::report::ServeReport`] publishes.
+//! the depth statistics the [`crate::report::ServeReport`] publishes. Single
+//! transforms and pipeline DAGs wait in the same queue, one entry each, and
+//! rank by the same key.
 //!
 //! The virtual finish time is the weighted-fair-queueing rank the service
 //! assigns at admission (see [`crate::qos`]): within a priority class,
@@ -11,22 +13,73 @@
 //! the vft is strictly increasing in admission order, so the order
 //! degenerates to the historical (priority, arrival, id).
 
-use crate::request::{RequestId, RequestSpec};
+use crate::pipeline::PipelineRequest;
+use crate::qos::TenantId;
+use crate::request::{Priority, RequestId, RequestSpec};
 use crate::telemetry::{LifecycleLog, Stage};
 use std::cmp::Ordering;
+
+/// What one queue entry asks the fleet to run.
+#[derive(Clone, Debug)]
+pub(crate) enum Work {
+    /// One transform; co-shaped transforms coalesce into batches.
+    Transform(RequestSpec),
+    /// A whole DAG, placed as one unit on a fully idle card.
+    Pipeline(PipelineRequest),
+}
 
 /// One admitted request waiting for dispatch.
 #[derive(Clone, Debug)]
 pub struct Pending {
     /// The id assigned at submission.
     pub id: RequestId,
-    /// The request.
-    pub spec: RequestSpec,
+    /// What the entry runs: a transform or a whole DAG.
+    pub(crate) work: Work,
     /// Simulated arrival time, seconds.
     pub arrival_s: f64,
     /// Weighted-fair-queueing virtual finish time, assigned once at
     /// admission and kept across preemption requeues.
     pub vft: f64,
+}
+
+impl Pending {
+    /// The transform this entry carries, or `None` for a pipeline.
+    pub(crate) fn transform(&self) -> Option<&RequestSpec> {
+        match &self.work {
+            Work::Transform(spec) => Some(spec),
+            Work::Pipeline(_) => None,
+        }
+    }
+
+    /// The transform of a batch member.
+    ///
+    /// # Panics
+    /// On a pipeline entry: batches only ever hold transforms.
+    pub(crate) fn spec(&self) -> &RequestSpec {
+        self.transform().expect("batches hold transforms only")
+    }
+
+    fn fields(&self) -> (Priority, TenantId, Option<f64>) {
+        match &self.work {
+            Work::Transform(s) => (s.priority, s.tenant, s.deadline_s),
+            Work::Pipeline(p) => (p.priority, p.tenant, p.deadline_s),
+        }
+    }
+
+    /// Scheduling priority, either kind.
+    pub(crate) fn priority(&self) -> Priority {
+        self.fields().0
+    }
+
+    /// The tenant billed, either kind.
+    pub(crate) fn tenant(&self) -> TenantId {
+        self.fields().1
+    }
+
+    /// Latency budget from arrival, either kind.
+    pub(crate) fn deadline_s(&self) -> Option<f64> {
+        self.fields().2
+    }
 }
 
 /// Dispatch order: priority class first, then WFQ virtual finish time,
@@ -35,9 +88,8 @@ pub struct Pending {
 /// requeues relative to virtual time) order totally instead of by their
 /// sign-magnitude bit representation.
 fn rank(a: &Pending, b: &Pending) -> Ordering {
-    a.spec
-        .priority
-        .cmp(&b.spec.priority)
+    a.priority()
+        .cmp(&b.priority())
         .then_with(|| a.vft.total_cmp(&b.vft))
         .then_with(|| a.arrival_s.total_cmp(&b.arrival_s))
         .then_with(|| a.id.cmp(&b.id))
@@ -170,14 +222,16 @@ impl SubmitQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Priority, Shape};
+    use crate::request::Shape;
     use fft_math::twiddle::Direction;
 
     fn pending(id: u64, arrival: f64, prio: Priority) -> Pending {
         Pending {
             id: RequestId(id),
-            spec: RequestSpec::seeded(Shape::Rows1d { n: 64, rows: 1 }, Direction::Forward, id)
-                .priority(prio),
+            work: Work::Transform(
+                RequestSpec::seeded(Shape::Rows1d { n: 64, rows: 1 }, Direction::Forward, id)
+                    .priority(prio),
+            ),
             arrival_s: arrival,
             vft: arrival,
         }

@@ -151,9 +151,11 @@ pub struct ServeReport {
     pub goodput_gbs: f64,
     /// Completed requests per simulated second.
     pub achieved_rps: f64,
-    /// Deepest the submission queue got.
+    /// Deepest the submission queue got, waiting pipeline DAGs included
+    /// (one entry each, as in the capacity bound).
     pub queue_max_depth: usize,
-    /// Mean queue depth sampled at each dispatch.
+    /// Mean queue depth sampled at each batch formation, waiting pipeline
+    /// DAGs included.
     pub queue_mean_depth: f64,
     /// Histogram of launch batch sizes (batch size -> launches).
     pub batch_histogram: BTreeMap<usize, u64>,

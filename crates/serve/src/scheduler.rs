@@ -161,23 +161,32 @@ pub struct Lane {
     pub busy_until_s: f64,
 }
 
-/// What a finished rows-batch dispatch reports back. The phase times are
-/// pure observations of the stream/clock state the dispatch already
-/// produced — reading them never advances the simulation.
-pub struct RowsOutcome {
-    /// When the batch's plan was ready (cache hit: immediately; miss: after
-    /// the build), simulated seconds.
+/// When one dispatched unit's phases ended, simulated seconds — the record
+/// every dispatch path hands the lifecycle log. Each time is a pure
+/// observation of stream/clock state the dispatch already produced;
+/// reading them never advances the simulation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Phases {
+    /// When the unit's plan was ready (cache hit: immediately; miss: after
+    /// the build).
     pub plan_ready_s: f64,
-    /// When the batch's H2D staging *starts* moving bytes — the engine
+    /// When the first H2D staging *starts* moving bytes — the engine
     /// model's `max(stream ready, copy engine free, host clock)` — so the
     /// ledger can split staging-slot wait from transfer time.
     pub h2d_start_s: f64,
-    /// When the batch's H2D staging lands, simulated seconds.
+    /// When the last upward transfer landed.
     pub h2d_done_s: f64,
-    /// When the batched kernel finishes, simulated seconds.
+    /// When the unit's kernels finished.
     pub compute_done_s: f64,
-    /// When the batch's D2H lands, simulated seconds.
+    /// When the result download landed — the unit's completion.
     pub completion_s: f64,
+}
+
+/// What a finished rows-batch dispatch reports back.
+pub struct RowsOutcome {
+    /// The batch's phase times (one batch = one D2H, so every member
+    /// completes together).
+    pub(crate) phases: Phases,
     /// The sim-prof span that wraps the launch (lifecycle cross-link).
     pub span: String,
     /// Per-request outputs (same order as the batch), when kept.
@@ -186,42 +195,24 @@ pub struct RowsOutcome {
 
 /// What a finished volume-batch dispatch reports back.
 pub struct VolumesOutcome {
-    /// When the batch's plan was ready (shared by every member), simulated
-    /// seconds.
-    pub plan_ready_s: f64,
-    /// Per-request H2D start times (batch order): when the link began the
-    /// member's upload, after any queued transfers drained.
-    pub h2d_starts_s: Vec<f64>,
-    /// Per-request H2D completion times (batch order).
-    pub h2d_done_s: Vec<f64>,
-    /// Per-request transform completion times (batch order).
-    pub compute_done_s: Vec<f64>,
-    /// Per-request completion times (the batch executes back-to-back on
-    /// the card, so members finish at different times).
-    pub completions_s: Vec<f64>,
+    /// Per-request phase times (batch order): the batch executes
+    /// back-to-back on the card, so members finish at different times.
+    pub(crate) phases: Vec<Phases>,
     /// The sim-prof span that wraps the launch (lifecycle cross-link).
     pub span: String,
     /// Per-request outputs, when kept.
     pub outputs: Option<Vec<Vec<Complex32>>>,
 }
 
-/// What a finished pipeline dispatch reports back. Like the other outcome
-/// structs, every phase time is a pure observation of state the dispatch
-/// already produced.
+/// What a finished pipeline dispatch reports back.
 pub struct PipelineOutcome {
-    /// When the pipeline engine (both FFT plans + scratch) was ready.
-    pub plan_ready_s: f64,
-    /// When the first input upload began moving bytes.
-    pub h2d_start_s: f64,
-    /// When the last upward transfer (input upload or spill reload) landed.
-    pub h2d_done_s: f64,
-    /// When the last stage's kernels finished.
-    pub compute_done_s: f64,
+    /// The run's phase times: first input upload start, last upward
+    /// transfer (input upload or spill reload), last stage's kernels,
+    /// result download.
+    pub(crate) phases: Phases,
     /// When each stage's kernels finished, stage order — the boundaries
     /// the service's per-stage-kind EWMA estimator learns from.
     pub stage_done_s: Vec<f64>,
-    /// When the result download landed — the pipeline's completion.
-    pub completion_s: f64,
     /// Bytes that actually crossed PCIe upward (inputs + spill reloads).
     pub h2d_bytes: u64,
     /// Bytes that actually crossed PCIe downward (result + spills).
@@ -229,8 +220,6 @@ pub struct PipelineOutcome {
     /// Seconds of stage compute whose operands were *all* served from
     /// device-resident slots — the attribution ledger's `resident` split.
     pub resident_s: f64,
-    /// This run's residency counters.
-    pub residency: ResidencyStats,
     /// The sim-prof span that wraps the run (lifecycle cross-link).
     pub span: String,
     /// The final stage's value in natural order — a full volume, or for a
@@ -256,7 +245,7 @@ struct Slot {
 /// Transfer/residency bookkeeping one pipeline run threads through the
 /// slot helpers (free functions, so the plan borrow on the cache can stay
 /// alive across them).
-struct PipeRun {
+struct PipeRun<'a> {
     vol: usize,
     bytes: u64,
     stats: ResidencyStats,
@@ -265,11 +254,11 @@ struct PipeRun {
     h2d_start_s: Option<f64>,
     h2d_done_s: f64,
     tick: u64,
-    label_up: String,
-    label_down: String,
+    label_up: &'a str,
+    label_down: &'a str,
 }
 
-impl PipeRun {
+impl PipeRun<'_> {
     /// Ensures slot `i` is device-resident, uploading (and spilling others
     /// under pressure) as needed; returns its buffer.
     fn touch(
@@ -293,7 +282,7 @@ impl PipeRun {
             .expect("a non-resident slot holds a host copy");
         let start = gpu.clock_s().max(gpu.pcie_busy_until_s());
         self.h2d_start_s.get_or_insert(start);
-        gpu.pcie_transfer(PcieDir::H2D, self.bytes, 1, &self.label_up);
+        gpu.pcie_transfer(PcieDir::H2D, self.bytes, 1, self.label_up);
         gpu.mem_mut().upload(b, 0, &host);
         self.h2d_done_s = gpu.clock_s();
         self.h2d_bytes += self.bytes;
@@ -325,7 +314,7 @@ impl PipeRun {
                     };
                     let buf = slots[j].buf.take().expect("victim is resident");
                     let mut host = vec![Complex32::ZERO; self.vol];
-                    gpu.pcie_transfer(PcieDir::D2H, self.bytes, 1, &self.label_down);
+                    gpu.pcie_transfer(PcieDir::D2H, self.bytes, 1, self.label_down);
                     gpu.mem().download(buf, 0, &mut host);
                     gpu.mem_mut().free(buf);
                     slots[j].host = Some(host);
@@ -393,6 +382,10 @@ pub struct Card {
     slot_elems: usize,
     residency: ResidencyStats,
     recorder: Option<Rc<RefCell<Recorder>>>,
+    /// Trace labels of the whole-card staging copies (volume H2D/D2H,
+    /// pipeline H2D/D2H), built once.
+    vol_labels: (String, String),
+    pipe_labels: (String, String),
 }
 
 impl Card {
@@ -432,6 +425,14 @@ impl Card {
             slot_elems,
             residency: ResidencyStats::default(),
             recorder: None,
+            vol_labels: (
+                format!("serve_vol_h2d_c{index}"),
+                format!("serve_vol_d2h_c{index}"),
+            ),
+            pipe_labels: (
+                format!("serve_pipe_h2d_c{index}"),
+                format!("serve_pipe_d2h_c{index}"),
+            ),
         })
     }
 
@@ -582,11 +583,8 @@ impl Card {
     ) -> Result<RowsOutcome, FftError> {
         let total: usize = payloads.iter().map(|p| p.len()).sum();
         let rows = total / n;
-        let mut host = Vec::with_capacity(total);
-        for p in payloads {
-            debug_assert_eq!(p.len() % n, 0);
-            host.extend_from_slice(p);
-        }
+        debug_assert!(payloads.iter().all(|p| p.len() % n == 0));
+        let host = payloads.concat();
         let lane = &self.lanes[lane_idx];
         let (src, dst, stream) = (lane.src, lane.dst, lane.stream);
         let bytes = total as u64 * 8;
@@ -642,11 +640,13 @@ impl Card {
             cut
         });
         Ok(RowsOutcome {
-            plan_ready_s,
-            h2d_start_s,
-            h2d_done_s,
-            compute_done_s,
-            completion_s,
+            phases: Phases {
+                plan_ready_s,
+                h2d_start_s,
+                h2d_done_s,
+                compute_done_s,
+                completion_s,
+            },
             span,
             outputs,
         })
@@ -677,32 +677,30 @@ impl Card {
         let span = format!("serve_vol_{}x{}x{}_c{}", dims.0, dims.1, dims.2, self.index);
         self.gpu.span_begin(&span);
         let bytes = (dims.0 * dims.1 * dims.2) as u64 * 8;
-        let label_up = format!("serve_vol_h2d_c{}", self.index);
-        let label_down = format!("serve_vol_d2h_c{}", self.index);
-        let mut h2d_starts = Vec::with_capacity(payloads.len());
-        let mut h2d_done = Vec::with_capacity(payloads.len());
-        let mut compute_done = Vec::with_capacity(payloads.len());
-        let mut completions = Vec::with_capacity(payloads.len());
+        let (label_up, label_down) = &self.vol_labels;
+        let mut phases = Vec::with_capacity(payloads.len());
         let mut outputs = keep_outputs.then(Vec::new);
         for payload in payloads {
-            h2d_starts.push(self.gpu.clock_s().max(self.gpu.pcie_busy_until_s()));
-            self.gpu.pcie_transfer(PcieDir::H2D, bytes, 1, &label_up);
-            h2d_done.push(self.gpu.clock_s());
+            let h2d_start_s = self.gpu.clock_s().max(self.gpu.pcie_busy_until_s());
+            self.gpu.pcie_transfer(PcieDir::H2D, bytes, 1, label_up);
+            let h2d_done_s = self.gpu.clock_s();
             let (out, _rep) = plan.transform(&mut self.gpu, payload, dir)?;
-            compute_done.push(self.gpu.clock_s());
-            self.gpu.pcie_transfer(PcieDir::D2H, bytes, 1, &label_down);
-            completions.push(self.gpu.clock_s());
+            let compute_done_s = self.gpu.clock_s();
+            self.gpu.pcie_transfer(PcieDir::D2H, bytes, 1, label_down);
+            phases.push(Phases {
+                plan_ready_s,
+                h2d_start_s,
+                h2d_done_s,
+                compute_done_s,
+                completion_s: self.gpu.clock_s(),
+            });
             if let Some(o) = &mut outputs {
                 o.push(out);
             }
         }
         self.gpu.span_end(&span);
         Ok(Some(VolumesOutcome {
-            plan_ready_s,
-            h2d_starts_s: h2d_starts,
-            h2d_done_s: h2d_done,
-            compute_done_s: compute_done,
-            completions_s: completions,
+            phases,
             span,
             outputs,
         }))
@@ -758,8 +756,8 @@ impl Card {
             h2d_start_s: None,
             h2d_done_s: plan_ready_s,
             tick: 0,
-            label_up: format!("serve_pipe_h2d_c{}", self.index),
-            label_down: format!("serve_pipe_d2h_c{}", self.index),
+            label_up: &self.pipe_labels.0,
+            label_down: &self.pipe_labels.1,
         };
         let (in_refs, st_refs) = consumer_counts(inputs.len(), stages);
         let mut slots: Vec<Slot> = inputs
@@ -884,7 +882,7 @@ impl Card {
         // Result download: the final stage's value (8 bytes for a reduce).
         let last = slots.len() - 1;
         let output = if let Some((ri, rv)) = reduce_result {
-            gpu.pcie_transfer(PcieDir::D2H, 8, 1, &run.label_down);
+            gpu.pcie_transfer(PcieDir::D2H, 8, 1, run.label_down);
             run.d2h_bytes += 8;
             slots[last].refs -= 1;
             vec![
@@ -894,7 +892,7 @@ impl Card {
         } else {
             let b = run.touch(gpu, &mut slots, last, &[last])?;
             let mut packed = vec![Complex32::ZERO; vol];
-            gpu.pcie_transfer(PcieDir::D2H, run.bytes, 1, &run.label_down);
+            gpu.pcie_transfer(PcieDir::D2H, run.bytes, 1, run.label_down);
             gpu.mem().download(b, 0, &mut packed);
             run.d2h_bytes += run.bytes;
             let natural = if slots[last].out_layout {
@@ -926,16 +924,17 @@ impl Card {
         );
         self.residency.absorb(run.stats);
         Ok(PipelineOutcome {
-            plan_ready_s,
-            h2d_start_s: run.h2d_start_s.unwrap_or(plan_ready_s),
-            h2d_done_s: run.h2d_done_s,
-            compute_done_s,
+            phases: Phases {
+                plan_ready_s,
+                h2d_start_s: run.h2d_start_s.unwrap_or(plan_ready_s),
+                h2d_done_s: run.h2d_done_s,
+                compute_done_s,
+                completion_s,
+            },
             stage_done_s,
-            completion_s,
             h2d_bytes: run.h2d_bytes,
             d2h_bytes: run.d2h_bytes,
             resident_s,
-            residency: run.stats,
             span,
             output,
         })
@@ -969,17 +968,18 @@ mod tests {
             .unwrap();
         // Lane 1's upload overlaps lane 0's compute: it finishes before the
         // serial sum of both batches would.
-        assert!(rb.completion_s > ra.completion_s);
-        for r in [&ra, &rb] {
-            assert!(r.h2d_done_s <= r.compute_done_s);
-            assert!(r.compute_done_s <= r.completion_s);
+        let (pa, pb) = (ra.phases, rb.phases);
+        assert!(pb.completion_s > pa.completion_s);
+        for p in [pa, pb] {
+            assert!(p.h2d_done_s <= p.compute_done_s);
+            assert!(p.compute_done_s <= p.completion_s);
         }
         assert_eq!(ra.span, "serve_rows_256x8_c0l0");
-        let serial = 2.0 * ra.completion_s;
+        let serial = 2.0 * pa.completion_s;
         assert!(
-            rb.completion_s < serial,
+            pb.completion_s < serial,
             "overlap: {} vs serial {serial}",
-            rb.completion_s
+            pb.completion_s
         );
         for (payload, outcome) in [(&a, &ra), (&b, &rb)] {
             let out = &outcome.outputs.as_ref().unwrap()[0];
@@ -1001,10 +1001,17 @@ mod tests {
             .dispatch_rows(0, 256, &[&a], Direction::Forward, 0.0, false)
             .unwrap();
         let r2 = card
-            .dispatch_rows(0, 256, &[&a], Direction::Forward, r1.completion_s, false)
+            .dispatch_rows(
+                0,
+                256,
+                &[&a],
+                Direction::Forward,
+                r1.phases.completion_s,
+                false,
+            )
             .unwrap();
-        let d1 = r1.completion_s;
-        let d2 = r2.completion_s - r1.completion_s;
+        let d1 = r1.phases.completion_s;
+        let d2 = r2.phases.completion_s - r1.phases.completion_s;
         assert!((d1 - d2).abs() < 0.05 * d1, "equal batches take equal time");
     }
 
@@ -1027,11 +1034,11 @@ mod tests {
             )
             .unwrap()
             .expect("16^3 fits");
-        assert_eq!(got.completions_s.len(), 2);
-        assert!(got.completions_s[0] < got.completions_s[1]);
-        for i in 0..2 {
-            assert!(got.h2d_done_s[i] <= got.compute_done_s[i]);
-            assert!(got.compute_done_s[i] <= got.completions_s[i]);
+        assert_eq!(got.phases.len(), 2);
+        assert!(got.phases[0].completion_s < got.phases[1].completion_s);
+        for p in &got.phases {
+            assert!(p.h2d_done_s <= p.compute_done_s);
+            assert!(p.compute_done_s <= p.completion_s);
         }
         assert_eq!(got.span, "serve_vol_16x16x16_c0");
         assert_eq!(card.cache_stats().misses, 1, "one plan for two transforms");

@@ -19,12 +19,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # an API change cannot break the benchmark unnoticed.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-# Functional smokes of paper-kernel and the two serve workloads: perfbench
+# Functional smokes of paper-kernel and the serve workloads: perfbench
 # exits non-zero unless every output matches the oracle and same-seed (and,
 # for gate-small, wire) reports are byte-identical. paper-kernel's 1 s run
 # transforms each plan twice, so the second five-step and six-step
 # transforms replay their launches natively and are checked like the first.
-for w in paper-kernel serve-small gate-small; do
+# serve-pipeline is the one workload that runs DAGs, volumes and the shared
+# single/DAG queue through those checks.
+for w in paper-kernel serve-small serve-pipeline gate-small; do
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 1 --trace 0
 done
