@@ -356,6 +356,9 @@ pub struct FftService {
     /// lane is still in its abort window).
     preempt_reserved_s: Option<f64>,
     telemetry: Telemetry,
+    /// Each card's compute and copy-engine utilization gauge names, built
+    /// once.
+    util_gauges: Vec<(String, String)>,
     /// In-deadline payload bytes, both directions (the goodput numerator).
     good_bytes: u64,
     /// Earliest arrival / latest completion among recorded completions —
@@ -396,8 +399,12 @@ impl FftService {
         let n = cfg.n_gpus;
         let telemetry = Telemetry::new(cfg.tick_s);
         let qos = QosBook::new(cfg.qos.clone());
+        let util_gauges = (0..n)
+            .map(|i| (names::card_compute_util(i), names::card_copy_util(i)))
+            .collect();
         Ok(FftService {
             telemetry,
+            util_gauges,
             qos,
             cfg,
             cards,
@@ -1402,11 +1409,6 @@ impl FftService {
             misses += stats.misses;
         }
         let goodput = self.goodput_gbs();
-        let utils: Vec<(f64, f64)> = self
-            .cards
-            .iter()
-            .map(|c| (c.utilization(now), c.copy_utilization(now)))
-            .collect();
         let dropped = self.telemetry.lifecycle.dropped();
         let reg = &mut self.telemetry.registry;
         reg.set_counter(names::LIFECYCLE_DROPPED, dropped);
@@ -1422,9 +1424,9 @@ impl FftService {
         );
         reg.set_counter(names::PLAN_HITS, hits);
         reg.set_counter(names::PLAN_MISSES, misses);
-        for (i, (compute, copy)) in utils.iter().enumerate() {
-            reg.set_gauge(&names::card_compute_util(i), *compute);
-            reg.set_gauge(&names::card_copy_util(i), *copy);
+        for (card, (compute, copy)) in self.cards.iter().zip(&self.util_gauges) {
+            reg.set_gauge(compute, card.utilization(now));
+            reg.set_gauge(copy, card.copy_utilization(now));
         }
     }
 
