@@ -11,13 +11,13 @@
 //!   GT200, async transfer overlap), carried out.
 //! * [`profile`] — the sim-prof driver behind the `profile` binary: traced
 //!   runs, Chrome-trace/metrics export, metrics-file diffing.
-//! * [`mod@bench`] — the `bifft-bench` harness behind the `bench` binary:
+//! * [`mod@bench`] — the harness behind the `bifft-bench` binary:
 //!   roofline + pattern-audit grid runs, `BENCH_*.json` export, and the
 //!   `--check` regression gate CI runs.
 //!
 //! Run `cargo run --release -p fft-bench --bin report` for the full output,
 //! `cargo run --release -p fft-bench --bin profile -- --algo five-step --n 64`
-//! for a traced run, `cargo run --release -p fft-bench --bin bench` for a
+//! for a traced run, `cargo run --release -p fft-bench --bin bifft-bench` for a
 //! bench artefact, or `cargo bench` for the Criterion benchmarks.
 
 #![warn(missing_docs)]

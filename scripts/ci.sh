@@ -30,24 +30,17 @@ for w in paper-kernel serve-small serve-pipeline gate-small; do
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 1 --trace 0
 done
-# Benchmark-regression gate: the quick grid (64³, all algorithms × cards)
-# against the committed baseline. All figures are modelled/simulated, so
-# the comparison is exact and machine-independent; this also prints the
-# per-kernel roofline + pattern-audit tables. Since bench schema v5 the
-# gate also covers the latency-attribution verdicts (conservation, time
-# shares, tail driver); since v6 it also gates the multi-tenant fairness
-# index (absolute drift + the 0.95 floor); since v7 it also gates the
-# pipeline section (stage throughput, resident-hit fraction, PCIe bytes
-# saved vs a staged replay). Refresh the baseline with
-#   cargo run --release --bin bench -- --quick --out crates/bench/baselines/bench-quick.json
+# Benchmark-regression gate: the quick grid (64³, all algorithms × cards,
+# and every serving-derived section) against the committed baseline, with
+# every cell under the validation layer (DESIGN.md §11). All figures are
+# modelled, so the comparison is exact and machine-independent; checking is
+# purely functional, so it gates the same timings as an unchecked run. What
+# each section gates is its field table in crates/bench/src/bench.rs
+# (DESIGN.md §10). Fails on a gated regression or any hazard diagnostic.
+# Refresh the baseline with
+#   cargo run --release -p fft-bench --bin bifft-bench -- --quick --out crates/bench/baselines/bench-quick.json
 cargo run --release -p fft-bench --bin bifft-bench --offline -- \
-    --quick --check crates/bench/baselines/bench-quick.json
-# Checked quick grid: the same cells under the cuda-memcheck/racecheck-style
-# validation layer (DESIGN.md §11). Purely functional — timings are
-# unaffected — and fails on any OOB/uninit/use-after-free or stream-hazard
-# diagnostic anywhere in the grid.
-cargo run --release -p fft-bench --bin bifft-bench --offline -- \
-    --quick --check-hazards --out /dev/null
+    --quick --check-hazards --check crates/bench/baselines/bench-quick.json
 # Serving smoke: a small deterministic fft-serve load run with every card
 # under the same validation layer. Exits non-zero on any hazard diagnostic
 # anywhere in the serving stack (DESIGN.md §12). The run also writes its
