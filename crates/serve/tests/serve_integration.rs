@@ -170,6 +170,15 @@ fn oversized_volume_routes_to_sharder() {
     let c = &svc.completions()[0];
     assert_eq!(c.card, None, "sharded completions span every card");
 
+    // The fleet dispatch keeps the same books as a card dispatch: a full
+    // monotone waterfall, a balanced attribution ledger and one launch.
+    let wf = svc.telemetry().lifecycle.get(c.id).expect("waterfall");
+    assert!(wf.is_complete_pipeline(), "sharded waterfall incomplete");
+    assert!(wf.is_monotone(), "sharded waterfall out of order");
+    assert!(svc.attribution_audit().ok(), "sharded ledger unbalanced");
+    let launches: Vec<_> = svc.report().batch_histogram.into_iter().collect();
+    assert_eq!(launches, vec![(1, 1)], "one launch of one volume");
+
     // Reference: the same transform on one big-memory card.
     let mut gpu = Gpu::new(DeviceSpec::gts8800());
     let plan = Fft3d::builder(64, 64, 64).build(&mut gpu).unwrap();

@@ -68,17 +68,43 @@ fn smoke_prometheus_matches_committed_golden() {
     );
 }
 
-/// Runs the `fft-serve` binary with `args` plus `--json` and returns the
-/// report it wrote.
-fn cli_report(args: &[&str], name: &str) -> String {
+/// Runs the `fft-serve` binary with `args` plus `flag PATH` (an output
+/// option such as `--json` or `--attr-out`) and returns what it wrote.
+fn cli_doc(args: &[&str], flag: &str, name: &str) -> String {
     let path = format!("{}/{name}.json", env!("CARGO_TARGET_TMPDIR"));
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_fft-serve"))
         .args(args)
-        .args(["--json", &path])
+        .args([flag, &path])
         .output()
         .expect("run fft-serve");
     assert!(out.status.success(), "fft-serve {args:?} failed: {out:?}");
-    std::fs::read_to_string(&path).expect("read report")
+    std::fs::read_to_string(&path).expect("read output document")
+}
+
+/// [`cli_doc`] for the `--json` report.
+fn cli_report(args: &[&str], name: &str) -> String {
+    cli_doc(args, "--json", name)
+}
+
+/// The mixed CI smoke (`fft-serve --smoke`) serves rows batches on stream
+/// lanes and volumes on whole cards; its report and its attribution
+/// ledger are pinned byte-for-byte beside the metrics documents. Regenerate
+/// with `BLESS=1`.
+#[test]
+fn smoke_report_and_attribution_match_committed_goldens() {
+    check_golden(
+        &cli_report(&["--smoke"], "smoke_report"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/smoke_report.json"
+        ),
+        "smoke report",
+    );
+    check_golden(
+        &cli_doc(&["--smoke"], "--attr-out", "smoke_attr"),
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/smoke_attr.json"),
+        "smoke attribution ledger",
+    );
 }
 
 /// `fft-serve --smoke --workload pipeline`'s report is pinned byte-for-byte:
