@@ -13,9 +13,9 @@
 //!   into one batched launch, batch size tracking queue depth under a
 //!   latency budget, with an EWMA service-time estimator;
 //! - [`scheduler`] — cards, stream lanes and the per-card plan cache;
-//! - [`service`] — admission control, dispatch routing (stream lanes for
-//!   1-D rows, whole-card volumes, whole-fleet sharded volumes) and
-//!   graceful drain;
+//! - [`service`] — admission control, placement (stream lanes for 1-D
+//!   rows, whole cards for volumes and DAGs, the whole fleet for sharded
+//!   volumes), one `dispatch` routine for every kind, and graceful drain;
 //! - [`qos`] — multi-tenant quotas, weighted-fair queueing state and lane
 //!   preemption policy;
 //! - [`loadgen`] — seeded open-loop (Poisson) and closed-loop generators;

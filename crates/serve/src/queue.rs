@@ -182,8 +182,7 @@ impl SubmitQueue {
     }
 
     /// [`SubmitQueue::push`] plus an `Admitted` stamp in the lifecycle log
-    /// at the request's arrival time. Re-queues (a volume bounced off a
-    /// busy fleet) re-stamp the same instant, which is a no-op.
+    /// at the request's arrival time.
     ///
     /// # Panics
     /// When the queue is already at capacity.
@@ -215,6 +214,22 @@ impl SubmitQueue {
             }
         }
         self.entries = rest;
+        out
+    }
+
+    /// [`SubmitQueue::drain_selected`] plus a `Batched` stamp at `now_s`
+    /// for every taken request — the instant a coalesced batch, or a DAG
+    /// (its own batch of one), leaves the queue for a card.
+    pub(crate) fn take_traced(
+        &mut self,
+        take: &[RequestId],
+        now_s: f64,
+        log: &mut LifecycleLog,
+    ) -> Vec<Pending> {
+        let out = self.drain_selected(take);
+        for p in &out {
+            log.record(p.id, Stage::Batched, now_s);
+        }
         out
     }
 }
