@@ -430,22 +430,26 @@ fn drained_run(
     (svc, load)
 }
 
-/// Runs one fft-serve load point on a GTS fleet: an open-loop seeded run,
-/// reported through the service's own percentile/goodput accounting.
-fn serving_point(
-    workload_name: &str,
-    gpus: usize,
-    streams: usize,
-    requests: u64,
-    rate_rps: f64,
-    seed: u64,
+/// Drains `load`'s seeded open-loop run on a GTS fleet: the one
+/// in-process run the serving and attribution sections and the gateway's
+/// comparator all read.
+fn served(
+    &(workload_name, gpus, streams, requests, rate_rps, seed): &Load,
     check: bool,
-) -> (ServingPoint, Option<CheckReport>) {
+) -> (FftService, OfferedLoad) {
     let cfg = ServeConfig::builder()
         .gpus(gpus)
         .streams(streams)
         .check_hazards(check);
-    let (svc, load) = drained_run(cfg, &workload(workload_name), requests, rate_rps, seed);
+    drained_run(cfg, &workload(workload_name), requests, rate_rps, seed)
+}
+
+/// One fft-serve load point: `load`'s drained run, reported through the
+/// service's own percentile/goodput accounting.
+fn serving_point(
+    &(workload_name, gpus, streams, requests, _, seed): &Load,
+    (svc, offered): &(FftService, OfferedLoad),
+) -> (ServingPoint, Option<CheckReport>) {
     let crep = svc.check_report();
     let r = svc.report();
     (
@@ -455,7 +459,7 @@ fn serving_point(
             streams,
             requests,
             seed,
-            offered_rps: load.offered_rps,
+            offered_rps: offered.offered_rps,
             achieved_rps: r.achieved_rps,
             goodput_gbs: r.goodput_gbs,
             p50_ms: r.latency.p50_s * 1e3,
@@ -467,22 +471,15 @@ fn serving_point(
     )
 }
 
-/// Runs one attribution point: the same deterministic open-loop run as
-/// [`serving_point`], read back through the attribution ledger instead of
-/// the latency percentiles. Collapses the per-request ledgers to the
-/// conservation verdict, the headline category shares, and the p95 tail
-/// driver.
+/// One attribution point: the drained run [`serving_point`] reads, read
+/// back through the attribution ledger instead of the latency
+/// percentiles. Collapses the per-request ledgers to the conservation
+/// verdict, the headline category shares, and the p95 tail driver.
 fn attribution_point(
-    workload_name: &str,
-    gpus: usize,
-    streams: usize,
-    requests: u64,
-    rate_rps: f64,
-    seed: u64,
+    &(workload_name, gpus, _, requests, _, seed): &Load,
+    svc: &FftService,
 ) -> AttributionPoint {
     use fft_serve::telemetry::attribution;
-    let cfg = ServeConfig::builder().gpus(gpus).streams(streams);
-    let (svc, _) = drained_run(cfg, &workload(workload_name), requests, rate_rps, seed);
     let ledgers = svc.ledgers();
     let audit = svc.attribution_audit();
     let lines = attribution::budget(&ledgers);
@@ -523,18 +520,13 @@ fn attribution_point(
     }
 }
 
-/// Runs one tenancy point: the serving workload spread across `tenants`
+/// Runs one tenancy point: `load`'s workload spread across `tenants`
 /// equal-share tenants, each under a token-bucket rate quota of
 /// `rate_rps / tenants` (so Poisson clustering occasionally overruns a
 /// bucket), with lane preemption enabled. Collapses the run to the
 /// admission counts and the share-weighted fairness index.
 fn tenancy_point(
-    workload_name: &str,
-    gpus: usize,
-    streams: usize,
-    requests: u64,
-    rate_rps: f64,
-    seed: u64,
+    &(workload_name, gpus, streams, requests, rate_rps, seed): &Load,
     tenants: u32,
 ) -> TenancyPoint {
     let mut workload = workload(workload_name);
@@ -621,15 +613,12 @@ fn staged_replay_bytes(schedule: &[(f64, SubmitTemplate)], gpus: usize, streams:
     r.h2d_bytes + r.d2h_bytes
 }
 
-/// Runs one pipeline point: the `pipeline` workload mix through the
-/// service (DAG admission, residency ledger, WFQ over whole DAGs), then
-/// the staged replay of the same schedule for the PCIe comparator.
+/// Runs one pipeline point: the `pipeline` workload mix (whatever `load`
+/// names) through the service (DAG admission, residency ledger, WFQ over
+/// whole DAGs), then the staged replay of the same schedule for the PCIe
+/// comparator.
 fn pipeline_point(
-    gpus: usize,
-    streams: usize,
-    requests: u64,
-    rate_rps: f64,
-    seed: u64,
+    &(_, gpus, streams, requests, rate_rps, seed): &Load,
     check: bool,
 ) -> (PipelinePoint, Option<CheckReport>) {
     let workload = Workload::pipeline();
@@ -671,26 +660,23 @@ fn pipeline_point(
 }
 
 /// Runs one gateway point: boots `fft-gate` on an ephemeral port, replays
-/// the seeded open-loop schedule over `clients` concurrent TCP
-/// connections, and pins the wire-fetched report against the in-process
-/// run of the same schedule.
+/// `load`'s seeded open-loop schedule over `clients` concurrent TCP
+/// connections, and pins the wire-fetched report against `local`, the
+/// drained in-process run of the same schedule.
 ///
 /// # Panics
 /// Panics when the gateway cannot be booted or a connection fails — a
 /// network fault on loopback is a broken harness, not a benchmark result.
 fn gateway_point(
-    workload_name: &str,
-    gpus: usize,
-    streams: usize,
-    requests: u64,
-    rate_rps: f64,
-    seed: u64,
+    &(workload_name, gpus, streams, requests, rate_rps, seed): &Load,
+    local: &FftService,
     clients: usize,
 ) -> GatewayPoint {
     let workload = workload(workload_name);
-    let serve_cfg = || ServeConfig::builder().gpus(gpus).streams(streams);
     let cfg = GateConfig {
-        serve: serve_cfg()
+        serve: ServeConfig::builder()
+            .gpus(gpus)
+            .streams(streams)
             .build()
             .unwrap_or_else(|e| panic!("bench gateway: bad config: {e}")),
         window: 8,
@@ -710,9 +696,7 @@ fn gateway_point(
         .unwrap_or_else(|e| panic!("bench gateway: shutdown: {e}"));
     handle.join().expect("gateway thread");
 
-    let local = drained_run(serve_cfg(), &workload, requests, rate_rps, seed)
-        .0
-        .report();
+    let local = local.report();
     GatewayPoint {
         gw_workload: workload_name.to_string(),
         gw_gpus: gpus,
@@ -726,11 +710,14 @@ fn gateway_point(
     }
 }
 
-/// Serving-derived load points: `(workload, gpus, streams, requests, rate,
-/// seed)`. The quick grid runs the first; each serving-derived section adds
+/// One serving-derived load point: `(workload, gpus, streams, requests,
+/// rate, seed)`.
+type Load = (&'static str, usize, usize, u64, f64, u64);
+
+/// Serving-derived load points. The quick grid runs the first; each serving-derived section adds
 /// its own column (8 gateway clients, [`TENANTS`]) or ignores the workload
 /// (pipeline always runs the `pipeline` mix).
-const LOADS: [(&str, usize, usize, u64, f64, u64); 2] = [
+const LOADS: [Load; 2] = [
     ("mixed", 2, 2, 96, 4000.0, 42),
     ("rows", 4, 2, 192, 8000.0, 42),
 ];
@@ -782,11 +769,13 @@ pub fn run_grid_checked(quick: bool, check: bool) -> (BenchFile, String, Option<
             s.bytes_exchanged / (1024 * 1024)
         ));
     }
+    // One drained in-process run per load feeds the serving and
+    // attribution sections and the gateway's comparator.
+    let runs: Vec<_> = loads.iter().map(|load| served(load, check)).collect();
     file.serving = loads
         .iter()
-        .map(|&(w, g, st, req, rate, seed)| {
-            merge(&mut merged, serving_point(w, g, st, req, rate, seed, check))
-        })
+        .zip(&runs)
+        .map(|(load, run)| merge(&mut merged, serving_point(load, run)))
         .collect();
     for s in &file.serving {
         report.push_str(&format!(
@@ -798,7 +787,8 @@ pub fn run_grid_checked(quick: bool, check: bool) -> (BenchFile, String, Option<
     }
     file.gateway = loads
         .iter()
-        .map(|&(w, g, st, req, rate, seed)| gateway_point(w, g, st, req, rate, seed, 8))
+        .zip(&runs)
+        .map(|(load, (svc, _))| gateway_point(load, svc, 8))
         .collect();
     for g in &file.gateway {
         report.push_str(&format!(
@@ -808,11 +798,13 @@ pub fn run_grid_checked(quick: bool, check: bool) -> (BenchFile, String, Option<
             if g.report_match { "byte-identical" } else { "DIVERGED" }
         ));
     }
-    // Attribution verdicts re-read the serving loads through the ledger.
+    // Attribution verdicts re-read the serving runs through the ledger.
     file.attribution = loads
         .iter()
-        .map(|&(w, g, st, req, rate, seed)| attribution_point(w, g, st, req, rate, seed))
+        .zip(&runs)
+        .map(|(load, (svc, _))| attribution_point(load, svc))
         .collect();
+    drop(runs);
     for a in &file.attribution {
         report.push_str(&format!(
             "attribution: {} on {} GPUs: conservation {} (worst err {:.1e} s), e2e mean {:.3} ms, tail driven by {}; shares queue {:.2} / h2d {:.2} / compute {:.2} / d2h {:.2} / other {:.2}\n",
@@ -827,7 +819,7 @@ pub fn run_grid_checked(quick: bool, check: bool) -> (BenchFile, String, Option<
     file.tenancy = loads
         .iter()
         .zip(TENANTS)
-        .map(|(&(w, g, st, req, rate, seed), ten)| tenancy_point(w, g, st, req, rate, seed, ten))
+        .map(|(load, tenants)| tenancy_point(load, tenants))
         .collect();
     for t in &file.tenancy {
         report.push_str(&format!(
@@ -838,9 +830,7 @@ pub fn run_grid_checked(quick: bool, check: bool) -> (BenchFile, String, Option<
     }
     file.pipeline = loads
         .iter()
-        .map(|&(_, g, st, req, rate, seed)| {
-            merge(&mut merged, pipeline_point(g, st, req, rate, seed, check))
-        })
+        .map(|load| merge(&mut merged, pipeline_point(load, check)))
         .collect();
     for p in &file.pipeline {
         report.push_str(&format!(
@@ -1500,16 +1490,19 @@ mod tests {
     // rows are shorter than a DRAM row, so even contiguous stores cannot
     // reach the row-density floor and step5's X*X demotes to D*D.
     fn tiny_file() -> BenchFile {
-        let run = bench_run_checked(DeviceSpec::gts8800(), "gts", Algorithm::FiveStep, 64, false).0;
+        let grid_run =
+            bench_run_checked(DeviceSpec::gts8800(), "gts", Algorithm::FiveStep, 64, false).0;
+        let load = ("rows", 2, 1, 24, 4000.0, 5);
+        let run = served(&load, false);
         BenchFile {
             quick: true,
-            runs: vec![run],
+            runs: vec![grid_run],
             scaling: vec![scaling_point(2, 16, false).0],
-            serving: vec![serving_point("rows", 2, 1, 24, 4000.0, 5, false).0],
-            gateway: vec![gateway_point("rows", 2, 1, 24, 4000.0, 5, 3)],
-            attribution: vec![attribution_point("rows", 2, 1, 24, 4000.0, 5)],
-            tenancy: vec![tenancy_point("rows", 2, 1, 24, 4000.0, 5, 2)],
-            pipeline: vec![pipeline_point(2, 1, 24, 4000.0, 5, false).0],
+            serving: vec![serving_point(&load, &run).0],
+            gateway: vec![gateway_point(&load, &run.0, 3)],
+            attribution: vec![attribution_point(&load, &run.0)],
+            tenancy: vec![tenancy_point(&load, 2)],
+            pipeline: vec![pipeline_point(&load, false).0],
         }
     }
 
