@@ -368,7 +368,7 @@ mod tests {
         let id = RequestId(1);
         log.start(id, "1d256x4".to_string(), 2.0);
         log.record(id, Stage::Admitted, 2.0);
-        // Re-stamping at the same time (push_traced on requeue) and moving
+        // Re-stamping at the same time (an idempotent re-stamp) and moving
         // forward (a later batching attempt) both stay legal...
         log.record(id, Stage::Admitted, 2.0);
         log.record(id, Stage::Batched, 2.5);
