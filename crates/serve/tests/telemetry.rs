@@ -4,6 +4,7 @@
 //! vendored), full-waterfall coverage for every completion, and the
 //! Prometheus round-trip.
 
+use fft_math::rng::SplitMix64;
 use fft_math::twiddle::Direction;
 use fft_serve::loadgen::{run_open_loop, Workload};
 use fft_serve::request::{RequestSpec, Shape};
@@ -11,7 +12,7 @@ use fft_serve::service::{FftService, ServeConfig};
 use fft_serve::telemetry::attribution::{self, CONSERVATION_TOLERANCE_S};
 use fft_serve::telemetry::export::parse_prometheus;
 use fft_serve::telemetry::{names, Stage};
-use fft_serve::validate_metrics_json;
+use fft_serve::{validate_metrics_json, QosConfig, TenantId, TenantPolicy};
 
 /// The CI smoke configuration: 64 mixed requests, open loop at 5000 req/s,
 /// seed 42, over the default 2-card x 2-stream fleet.
@@ -107,33 +108,55 @@ fn smoke_report_and_attribution_match_committed_goldens() {
     );
 }
 
+/// Pins the `--attr-out` ledger and the `--metrics-out` document of the
+/// smoke run `args` as `tests/golden/{name}_attr.json` and
+/// `tests/golden/{name}_metrics.json`.
+fn check_attr_and_metrics(args: &[&str], name: &str) {
+    for (flag, doc) in [("--attr-out", "attr"), ("--metrics-out", "metrics")] {
+        let file = format!("{name}_{doc}");
+        check_golden(
+            &cli_doc(args, flag, &file),
+            &format!("{}/tests/golden/{file}.json", env!("CARGO_MANIFEST_DIR")),
+            &format!("{name} {doc} document"),
+        );
+    }
+}
+
 /// `fft-serve --smoke --workload pipeline`'s report is pinned byte-for-byte:
 /// DAG admission, the shared queue, whole-card placement and residency all
-/// show up in it. Regenerate with `BLESS=1`.
+/// show up in it. Its attribution ledger (the only smoke one with the
+/// `resident` category) and its metrics document are pinned beside it.
+/// Regenerate with `BLESS=1`.
 #[test]
 fn pipeline_smoke_report_matches_committed_golden() {
+    let args = ["--smoke", "--workload", "pipeline"];
     check_golden(
-        &cli_report(&["--smoke", "--workload", "pipeline"], "pipeline_smoke"),
+        &cli_report(&args, "pipeline_smoke"),
         concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/pipeline_smoke_report.json"
         ),
         "pipeline smoke report",
     );
+    check_attr_and_metrics(&args, "pipeline_smoke");
 }
 
-/// Same pin for the multi-tenant preemption smoke
-/// (`fft-serve --smoke --tenants 3 --preempt`).
+/// Same pins for the multi-tenant preemption smoke
+/// (`fft-serve --smoke --tenants 3 --preempt`), the only smoke run whose
+/// ledger carries the `preempted` category and whose books split by
+/// tenant.
 #[test]
 fn qos_smoke_report_matches_committed_golden() {
+    let args = ["--smoke", "--tenants", "3", "--preempt"];
     check_golden(
-        &cli_report(&["--smoke", "--tenants", "3", "--preempt"], "qos_smoke"),
+        &cli_report(&args, "qos_smoke"),
         concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/qos_smoke_report.json"
         ),
         "multi-tenant smoke report",
     );
+    check_attr_and_metrics(&args, "qos_smoke");
 }
 
 /// The acceptance criterion: two smoke runs with the same seed emit
@@ -407,4 +430,87 @@ fn rejections_are_traced_with_reasons() {
         report.rejected_queue_full
     );
     assert_eq!(reg.counter("serve_rejected_unsupported_total"), 1);
+}
+
+/// The service configured as `fft-serve --smoke` is for `workload` spread
+/// over `tenants` tenants with shares `1..=tenants`, preemption on when
+/// `preempt` — the three CI smoke mixes are `mixed`, `pipeline`, and
+/// `mixed` over 3 tenants with preemption.
+fn smoke_mix(mut workload: Workload, tenants: u32, preempt: bool, seed: u64) -> FftService {
+    let mut qos = QosConfig {
+        preemption: preempt,
+        ..QosConfig::default()
+    };
+    for t in 0..u64::from(tenants) {
+        let share = (t + 1) as f64;
+        let policy = TenantPolicy {
+            share,
+            ..TenantPolicy::default()
+        };
+        qos.tenants.insert(TenantId(t), policy);
+    }
+    workload.tenants = tenants;
+    let mut svc = ServeConfig::builder().qos(qos).build_service().unwrap();
+    run_open_loop(&mut svc, &workload, 64, 5000.0, seed);
+    svc.drain();
+    svc
+}
+
+/// The registry, the report, the per-tenant books and the waterfalls are
+/// four views of one run, so after `drain` they must agree: every
+/// submission is admitted or rejected for exactly one reason, every
+/// admission completes or fails, the tenants partition the totals, the
+/// launch counters match the batch histogram, every waterfall ends in
+/// exactly one terminal stage, and no lifecycle write was dropped.
+#[test]
+fn books_agree_across_seeded_smoke_mixes() {
+    let mut rng = SplitMix64::new(0x0b00_c5ee_d5a1_7e57);
+    for round in 0..2 {
+        let seed = rng.next_u64();
+        let mixes = [
+            ("mixed", smoke_mix(Workload::mixed(), 1, false, seed)),
+            ("pipeline", smoke_mix(Workload::pipeline(), 1, false, seed)),
+            ("qos", smoke_mix(Workload::mixed(), 3, true, seed)),
+        ];
+        for (mix, svc) in mixes {
+            let ctx = format!("{mix} round {round} seed {seed:#x}");
+            let r = svc.report();
+            let reg = &svc.telemetry().registry;
+            let rejected = r.rejected_queue_full
+                + r.rejected_deadline
+                + r.rejected_unsupported
+                + r.rejected_oversized
+                + r.rejected_unallocatable
+                + r.rejected_quota;
+            assert_eq!(r.submitted, r.admitted + rejected, "{ctx}");
+            assert_eq!(r.admitted, r.completed + r.failed, "{ctx}");
+            assert_eq!(r.submitted, reg.counter(names::SUBMITTED), "{ctx}");
+            assert_eq!(r.completed, reg.counter(names::COMPLETED), "{ctx}");
+            let sum = |f: fn(&fft_serve::report::TenantReport) -> u64| -> u64 {
+                r.tenants.iter().map(f).sum()
+            };
+            assert_eq!(sum(|t| t.submitted), r.submitted, "{ctx}");
+            assert_eq!(sum(|t| t.admitted), r.admitted, "{ctx}");
+            assert_eq!(sum(|t| t.rejected_quota), r.rejected_quota, "{ctx}");
+            assert_eq!(sum(|t| t.completed), r.completed, "{ctx}");
+            assert_eq!(
+                sum(|t| t.good_bytes),
+                reg.counter(names::GOOD_BYTES),
+                "{ctx}"
+            );
+            let launches: u64 = r.batch_histogram.values().sum();
+            let batched: u64 = r.batch_histogram.iter().map(|(&s, &n)| s as u64 * n).sum();
+            assert_eq!(reg.counter(names::LAUNCHES), launches, "{ctx}");
+            assert_eq!(reg.counter(names::BATCHED_REQUESTS), batched, "{ctx}");
+            assert_eq!(reg.counter(names::LIFECYCLE_DROPPED), 0, "{ctx}");
+            assert_eq!(svc.telemetry().lifecycle.len() as u64, r.submitted, "{ctx}");
+            for (id, wf) in svc.telemetry().lifecycle.iter() {
+                let terminals = [Stage::Completed, Stage::Rejected, Stage::Failed]
+                    .into_iter()
+                    .filter(|&s| wf.stage_s(s).is_some())
+                    .count();
+                assert_eq!(terminals, 1, "{ctx}: req {} terminal stages", id.0);
+            }
+        }
+    }
 }
