@@ -15,7 +15,6 @@
 
 use crate::queue::{Pending, SubmitQueue};
 use crate::request::ShapeKey;
-use crate::telemetry::LifecycleLog;
 use bifft::plan::Algorithm;
 use fft_math::twiddle::Direction;
 use std::collections::BTreeMap;
@@ -129,18 +128,14 @@ impl<K: Ord + Copy> Estimator<K> {
 
 /// Forms the batch of queued transforms under `key`, in dispatch order,
 /// headed by the first of them (the caller found that head and placed
-/// it). Pipelines are skipped: they never coalesce.
-///
-/// Every drained member gets a `Batched` stamp at `now_s` in `log` — the
-/// instant coalescing pulled it out of the queue.
+/// it), and takes it out of the queue. Pipelines are skipped: they never
+/// coalesce.
 pub fn form_batch(
     queue: &mut SubmitQueue,
     limits: &BatchLimits,
     est: &Estimator<BatchKey>,
     key: BatchKey,
     default_algo: Algorithm,
-    now_s: f64,
-    log: &mut LifecycleLog,
 ) -> Vec<Pending> {
     // Grow the member list while every cap holds.
     let mut ids = Vec::new();
@@ -163,7 +158,7 @@ pub fn form_batch(
     debug_assert!(!ids.is_empty(), "head request always fits alone");
 
     queue.sample_depth();
-    queue.take_traced(&ids, now_s, log)
+    queue.drain_selected(&ids)
 }
 
 #[cfg(test)]
@@ -171,7 +166,6 @@ mod tests {
     use super::*;
     use crate::queue::{Pending, Work};
     use crate::request::{Priority, RequestId, RequestSpec, Shape};
-    use crate::telemetry::Stage;
     use fft_math::twiddle::Direction;
 
     fn limits() -> BatchLimits {
@@ -210,26 +204,13 @@ mod tests {
             push_rows(&mut q, id, 256, 4);
         }
         let est = Estimator::new();
-        let mut log = LifecycleLog::default();
-        for id in 0..6 {
-            log.start(RequestId(id), "1d256x4".to_string(), 0.0);
-        }
-        let b = form_batch(
-            &mut q,
-            &limits(),
-            &est,
-            rows_key(256),
-            Algorithm::FiveStep,
-            0.5,
-            &mut log,
-        );
+        let b = form_batch(&mut q, &limits(), &est, rows_key(256), Algorithm::FiveStep);
         assert_eq!(b.len(), 4, "request cap");
         let elems: usize = b.iter().map(|p| p.spec().shape.elems()).sum();
         assert_eq!(elems, 4 * 256 * 4);
         assert_eq!(q.depth(), 2, "remainder stays queued");
-        for p in &b {
-            assert_eq!(log.get(p.id).unwrap().stage_s(Stage::Batched), Some(0.5));
-        }
+        let ids: Vec<u64> = b.iter().map(|p| p.id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3], "dispatch order");
     }
 
     #[test]
@@ -239,16 +220,7 @@ mod tests {
         push_rows(&mut q, 1, 128, 4);
         push_rows(&mut q, 2, 256, 4);
         let est = Estimator::new();
-        let mut log = LifecycleLog::default();
-        let b = form_batch(
-            &mut q,
-            &limits(),
-            &est,
-            rows_key(256),
-            Algorithm::FiveStep,
-            0.0,
-            &mut log,
-        );
+        let b = form_batch(&mut q, &limits(), &est, rows_key(256), Algorithm::FiveStep);
         let ids: Vec<u64> = b.iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![0, 2], "only same-n rows coalesce");
         assert_eq!(q.depth(), 1);
@@ -264,16 +236,7 @@ mod tests {
         let one = est.estimate_s(rows_key(256), 2 * 256 * 4);
         let mut tight = limits();
         tight.latency_budget_s = one; // two requests fit, three don't
-        let mut log = LifecycleLog::default();
-        let b = form_batch(
-            &mut q,
-            &tight,
-            &est,
-            rows_key(256),
-            Algorithm::FiveStep,
-            0.0,
-            &mut log,
-        );
+        let b = form_batch(&mut q, &tight, &est, rows_key(256), Algorithm::FiveStep);
         assert_eq!(b.len(), 2);
     }
 
@@ -299,18 +262,9 @@ mod tests {
         });
         push_rows(&mut q, 1, 256, 4);
         let est = Estimator::new();
-        let mut log = LifecycleLog::default();
         // The head is an unplaceable volume; the caller passes the next
         // distinct key, and the batch forms behind the volume.
-        let b = form_batch(
-            &mut q,
-            &limits(),
-            &est,
-            rows_key(256),
-            Algorithm::FiveStep,
-            0.0,
-            &mut log,
-        );
+        let b = form_batch(&mut q, &limits(), &est, rows_key(256), Algorithm::FiveStep);
         assert_eq!(b[0].id.0, 1, "bypassed the skipped volume");
         assert_eq!(q.depth(), 1, "volume still queued");
     }

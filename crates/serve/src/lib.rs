@@ -21,9 +21,10 @@
 //! - [`loadgen`] — seeded open-loop (Poisson) and closed-loop generators;
 //! - [`report`] — latency percentiles, goodput, queue/batch statistics,
 //!   per-card utilization, rendered as deterministic JSON;
-//! - [`telemetry`] — request-lifecycle waterfalls, the windowed metrics
-//!   registry, SLO burn-rate monitoring, the per-request time-attribution
-//!   ledger and the metrics/Prometheus/Chrome exporters;
+//! - [`telemetry`] — the one event fold that writes request-lifecycle
+//!   waterfalls, the windowed metrics registry and the report's books;
+//!   SLO burn-rate monitoring, the per-request time-attribution ledger and
+//!   the metrics/Prometheus/Chrome exporters;
 //! - [`cli`] — the `fft-serve` binary;
 //! - [`prof`] — the `fft-prof` binary (attribution show/diff forensics).
 //!

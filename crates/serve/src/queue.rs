@@ -16,7 +16,6 @@
 use crate::pipeline::PipelineRequest;
 use crate::qos::TenantId;
 use crate::request::{Priority, RequestId, RequestSpec};
-use crate::telemetry::{LifecycleLog, Stage};
 use std::cmp::Ordering;
 
 /// What one queue entry asks the fleet to run.
@@ -181,16 +180,6 @@ impl SubmitQueue {
         self.max_depth = self.max_depth.max(self.entries.len());
     }
 
-    /// [`SubmitQueue::push`] plus an `Admitted` stamp in the lifecycle log
-    /// at the request's arrival time.
-    ///
-    /// # Panics
-    /// When the queue is already at capacity.
-    pub fn push_traced(&mut self, p: Pending, log: &mut LifecycleLog) {
-        log.record(p.id, Stage::Admitted, p.arrival_s);
-        self.push(p);
-    }
-
     /// The next request in dispatch order, without removing it.
     pub fn head(&self) -> Option<&Pending> {
         self.entries.first()
@@ -202,35 +191,11 @@ impl SubmitQueue {
     }
 
     /// Removes and returns the requests selected by `take` (in dispatch
-    /// order), keeping the rest in order.
+    /// order), keeping the rest in order. Extracts in place: the queue's
+    /// buffer is reused, only the returned batch allocates.
     pub fn drain_selected(&mut self, take: &[RequestId]) -> Vec<Pending> {
-        let mut out = Vec::with_capacity(take.len());
-        let mut rest = Vec::with_capacity(self.entries.len().saturating_sub(take.len()));
-        for e in self.entries.drain(..) {
-            if take.contains(&e.id) {
-                out.push(e);
-            } else {
-                rest.push(e);
-            }
-        }
-        self.entries = rest;
-        out
-    }
-
-    /// [`SubmitQueue::drain_selected`] plus a `Batched` stamp at `now_s`
-    /// for every taken request — the instant a coalesced batch, or a DAG
-    /// (its own batch of one), leaves the queue for a card.
-    pub(crate) fn take_traced(
-        &mut self,
-        take: &[RequestId],
-        now_s: f64,
-        log: &mut LifecycleLog,
-    ) -> Vec<Pending> {
-        let out = self.drain_selected(take);
-        for p in &out {
-            log.record(p.id, Stage::Batched, now_s);
-        }
-        out
+        let selected = |e: &mut Pending| take.contains(&e.id);
+        self.entries.extract_if(.., selected).collect()
     }
 }
 
@@ -278,17 +243,17 @@ mod tests {
         assert_eq!(q.depth(), 1);
         q.sample_depth();
         assert_eq!(q.mean_depth(), 1.5);
-    }
-
-    #[test]
-    fn push_traced_stamps_admission() {
-        let mut q = SubmitQueue::new(4);
-        let mut log = LifecycleLog::default();
-        log.start(RequestId(9), "1d256x4".to_string(), 2.5);
-        q.push_traced(pending(9, 2.5, Priority::Normal), &mut log);
-        let wf = log.get(RequestId(9)).unwrap();
-        assert_eq!(wf.stage_s(Stage::Admitted), Some(2.5));
-        assert_eq!(q.depth(), 1);
+        // Taking from the middle: the selection lists ids out of order,
+        // the batch comes back in dispatch order and the rest keep theirs.
+        for id in 3..=7 {
+            q.requeue(pending(id, id as f64, Priority::Normal));
+        }
+        let taken = q.drain_selected(&[RequestId(6), RequestId(3), RequestId(4)]);
+        let ids = |v: &mut dyn Iterator<Item = &Pending>| v.map(|p| p.id.0).collect::<Vec<_>>();
+        assert_eq!(ids(&mut taken.iter()), vec![3, 4, 6]);
+        assert_eq!(ids(&mut q.iter()), vec![2, 5, 7]);
+        assert!(q.drain_selected(&[RequestId(9)]).is_empty());
+        assert_eq!(q.depth(), 3);
     }
 
     #[test]

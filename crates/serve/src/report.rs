@@ -1,12 +1,11 @@
 //! The service's summary: latency percentiles, goodput, queue and batching
 //! statistics, per-card utilization.
 //!
-//! Everything here is computed from completed/rejected request records in a
-//! deterministic order and rendered with the same hand-rolled JSON style as
+//! The service fills it from the books its events fold into
+//! ([`crate::telemetry`]); it renders in the same hand-rolled JSON style as
 //! `bifft-bench` (shortest-roundtrip `f64` display, `BTreeMap`-ordered
 //! keys), so equal runs produce byte-identical JSON.
 
-use crate::request::Completion;
 use crate::telemetry::{export::render_slo_json, BudgetLine, SloReport};
 use fft_math::stats;
 use std::collections::BTreeMap;
@@ -177,41 +176,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Builds the completion-derived parts of the report. `deadline_bytes`
-    /// counts a completion's payload both directions (H2D + D2H) when it
-    /// met its deadline — the goodput numerator.
-    pub fn tally(&mut self, completions: &[Completion], payload_bytes: &[u64]) {
-        debug_assert_eq!(completions.len(), payload_bytes.len());
-        self.completed = completions.len() as u64;
-        let mut good_bytes = 0u64;
-        let mut latencies = Vec::with_capacity(completions.len());
-        let mut first = f64::INFINITY;
-        let mut last = 0.0f64;
-        for (c, &bytes) in completions.iter().zip(payload_bytes) {
-            latencies.push(c.latency_s());
-            first = first.min(c.arrival_s);
-            last = last.max(c.completed_s);
-            if c.timed_out {
-                self.timeouts += 1;
-            } else {
-                good_bytes += 2 * bytes;
-            }
-        }
-        self.latency = LatencyStats::from_latencies(latencies);
-        // First arrival to last completion; an idle prefix before the first
-        // request (open-loop warmup, resumed clocks) must not deflate the
-        // derived rates.
-        self.makespan_s = if completions.is_empty() {
-            0.0
-        } else {
-            (last - first).max(0.0)
-        };
-        if self.makespan_s > 0.0 {
-            self.goodput_gbs = good_bytes as f64 / self.makespan_s / 1e9;
-            self.achieved_rps = self.completed as f64 / self.makespan_s;
-        }
-    }
-
     /// Mean launch batch size (0 when nothing launched).
     pub fn mean_batch_size(&self) -> f64 {
         let launches: u64 = self.batch_histogram.values().sum();
@@ -230,67 +194,45 @@ impl ServeReport {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(2048);
         s.push_str("{\n");
-        s.push_str(&format!("  \"submitted\": {},\n", self.submitted));
-        s.push_str(&format!("  \"admitted\": {},\n", self.admitted));
-        s.push_str(&format!("  \"completed\": {},\n", self.completed));
-        s.push_str(&format!(
-            "  \"rejected_queue_full\": {},\n",
-            self.rejected_queue_full
-        ));
-        s.push_str(&format!(
-            "  \"rejected_deadline\": {},\n",
-            self.rejected_deadline
-        ));
-        s.push_str(&format!(
-            "  \"rejected_unsupported\": {},\n",
-            self.rejected_unsupported
-        ));
-        s.push_str(&format!(
-            "  \"rejected_oversized\": {},\n",
-            self.rejected_oversized
-        ));
-        s.push_str(&format!(
-            "  \"rejected_unallocatable\": {},\n",
-            self.rejected_unallocatable
-        ));
-        s.push_str(&format!("  \"rejected_quota\": {},\n", self.rejected_quota));
-        s.push_str(&format!("  \"failed\": {},\n", self.failed));
-        s.push_str(&format!("  \"timeouts\": {},\n", self.timeouts));
-        s.push_str(&format!("  \"preemptions\": {},\n", self.preemptions));
-        s.push_str(&format!("  \"preempted_s\": {},\n", self.preempted_s));
-        s.push_str(&format!("  \"pipelines\": {},\n", self.pipelines));
-        s.push_str(&format!(
-            "  \"pipeline_stages\": {},\n",
-            self.pipeline_stages
-        ));
-        s.push_str(&format!("  \"resident_hits\": {},\n", self.resident_hits));
-        s.push_str(&format!(
-            "  \"resident_misses\": {},\n",
-            self.resident_misses
-        ));
-        s.push_str(&format!(
-            "  \"resident_evictions\": {},\n",
-            self.resident_evictions
-        ));
-        s.push_str(&format!("  \"resident_s\": {},\n", self.resident_s));
-        s.push_str(&format!("  \"h2d_bytes\": {},\n", self.h2d_bytes));
-        s.push_str(&format!("  \"d2h_bytes\": {},\n", self.d2h_bytes));
-        s.push_str(&format!("  \"makespan_s\": {},\n", self.makespan_s));
-        s.push_str(&format!("  \"p50_ms\": {},\n", self.latency.p50_s * 1e3));
-        s.push_str(&format!("  \"p95_ms\": {},\n", self.latency.p95_s * 1e3));
-        s.push_str(&format!("  \"p99_ms\": {},\n", self.latency.p99_s * 1e3));
-        s.push_str(&format!("  \"mean_ms\": {},\n", self.latency.mean_s * 1e3));
-        s.push_str(&format!("  \"max_ms\": {},\n", self.latency.max_s * 1e3));
-        s.push_str(&format!("  \"goodput_gbs\": {},\n", self.goodput_gbs));
-        s.push_str(&format!("  \"achieved_rps\": {},\n", self.achieved_rps));
-        s.push_str(&format!(
-            "  \"queue_max_depth\": {},\n",
-            self.queue_max_depth
-        ));
-        s.push_str(&format!(
-            "  \"queue_mean_depth\": {},\n",
-            self.queue_mean_depth
-        ));
+        // Scalars in document order; f64 and integer fields render with
+        // their shortest round-trip `Display`.
+        let ms = |secs: f64| secs * 1e3;
+        let scalars: [(&str, &dyn std::fmt::Display); 31] = [
+            ("submitted", &self.submitted),
+            ("admitted", &self.admitted),
+            ("completed", &self.completed),
+            ("rejected_queue_full", &self.rejected_queue_full),
+            ("rejected_deadline", &self.rejected_deadline),
+            ("rejected_unsupported", &self.rejected_unsupported),
+            ("rejected_oversized", &self.rejected_oversized),
+            ("rejected_unallocatable", &self.rejected_unallocatable),
+            ("rejected_quota", &self.rejected_quota),
+            ("failed", &self.failed),
+            ("timeouts", &self.timeouts),
+            ("preemptions", &self.preemptions),
+            ("preempted_s", &self.preempted_s),
+            ("pipelines", &self.pipelines),
+            ("pipeline_stages", &self.pipeline_stages),
+            ("resident_hits", &self.resident_hits),
+            ("resident_misses", &self.resident_misses),
+            ("resident_evictions", &self.resident_evictions),
+            ("resident_s", &self.resident_s),
+            ("h2d_bytes", &self.h2d_bytes),
+            ("d2h_bytes", &self.d2h_bytes),
+            ("makespan_s", &self.makespan_s),
+            ("p50_ms", &ms(self.latency.p50_s)),
+            ("p95_ms", &ms(self.latency.p95_s)),
+            ("p99_ms", &ms(self.latency.p99_s)),
+            ("mean_ms", &ms(self.latency.mean_s)),
+            ("max_ms", &ms(self.latency.max_s)),
+            ("goodput_gbs", &self.goodput_gbs),
+            ("achieved_rps", &self.achieved_rps),
+            ("queue_max_depth", &self.queue_max_depth),
+            ("queue_mean_depth", &self.queue_mean_depth),
+        ];
+        for (key, v) in scalars {
+            s.push_str(&format!("  \"{key}\": {v},\n"));
+        }
         s.push_str("  \"batch_histogram\": {");
         let mut first = true;
         for (size, n) in &self.batch_histogram {
@@ -477,7 +419,6 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestId;
 
     #[test]
     fn nearest_rank_percentiles() {
@@ -495,51 +436,6 @@ mod tests {
         let one = LatencyStats::from_latencies(vec![3.0]);
         assert_eq!(one.p50_s, 3.0);
         assert_eq!(one.p99_s, 3.0);
-    }
-
-    #[test]
-    fn tally_counts_goodput_and_timeouts() {
-        let mk = |id: u64, done: f64, timed_out: bool| Completion {
-            id: RequestId(id),
-            arrival_s: 0.0,
-            completed_s: done,
-            card: Some(0),
-            batch_size: 1,
-            timed_out,
-            output: None,
-        };
-        let mut r = ServeReport::default();
-        r.tally(&[mk(0, 1.0, false), mk(1, 2.0, true)], &[500_000_000, 1]);
-        assert_eq!(r.completed, 2);
-        assert_eq!(r.timeouts, 1);
-        assert_eq!(r.makespan_s, 2.0);
-        // Only the in-deadline request counts, both directions: 1 GB / 2 s.
-        assert_eq!(r.goodput_gbs, 0.5);
-        assert_eq!(r.achieved_rps, 1.0);
-    }
-
-    #[test]
-    fn makespan_runs_from_first_arrival() {
-        let mk = |arrive: f64, done: f64| Completion {
-            id: RequestId(0),
-            arrival_s: arrive,
-            completed_s: done,
-            card: Some(0),
-            batch_size: 1,
-            timed_out: false,
-            output: None,
-        };
-        let mut r = ServeReport::default();
-        // A late-starting run: the idle prefix before t=5 must not deflate
-        // the derived rates.
-        r.tally(&[mk(5.0, 6.0), mk(5.5, 7.0)], &[250_000_000, 250_000_000]);
-        assert_eq!(r.makespan_s, 2.0);
-        assert_eq!(r.goodput_gbs, 0.5);
-        assert_eq!(r.achieved_rps, 1.0);
-        let mut empty = ServeReport::default();
-        empty.tally(&[], &[]);
-        assert_eq!(empty.makespan_s, 0.0);
-        assert_eq!(empty.goodput_gbs, 0.0);
     }
 
     #[test]

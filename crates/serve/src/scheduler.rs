@@ -717,7 +717,9 @@ impl Card {
     ///
     /// # Errors
     /// [`FftError::Alloc`] when even spilling every other slot cannot make
-    /// room (the card is simply too small for the DAG's live set).
+    /// room (the card is simply too small for the DAG's live set). A DAG
+    /// that fails after it started still closes its span, frees its slots
+    /// and occupies the card up to the clock it reached.
     ///
     /// # Panics
     /// When `stages`/`inputs` violate [`crate::pipeline::validate_dag`] —
@@ -777,137 +779,154 @@ impl Card {
         let gpu = &mut self.gpu;
         let mut resident_s = 0.0;
         let mut stage_done_s = Vec::with_capacity(stages.len());
-        let mut reduce_result: Option<(usize, f32)> = None;
-        for (idx, st) in stages.iter().enumerate() {
-            debug_assert_eq!(st.effective_after() >> idx, 0, "DAG arrives topo-sorted");
-            let si = slot_of(st.src);
-            let s2i = st.src2.map(&slot_of);
-            let all_resident =
-                slots[si].buf.is_some() && s2i.is_none_or(|j| slots[j].buf.is_some());
-            let pinned = [si, s2i.unwrap_or(si)];
-            let a = run.touch(gpu, &mut slots, si, &pinned)?;
-            let b = match s2i {
-                Some(j) => Some(run.touch(gpu, &mut slots, j, &pinned)?),
-                None => None,
-            };
-            let t0 = gpu.clock_s();
-            let (buf, out_layout) = match st.kind {
-                StageKind::Forward => {
-                    plan.fwd.execute(gpu, a, plan.work, Direction::Forward);
-                    run.release(gpu, &mut slots, si, Some(a));
-                    (Some(a), true)
-                }
-                StageKind::Inverse => {
-                    plan.inv.execute(gpu, a, plan.work, Direction::Inverse);
-                    run.release(gpu, &mut slots, si, Some(a));
-                    // The chained inverse lands back in the forward plan's
-                    // *input* layout.
-                    (Some(a), false)
-                }
-                StageKind::Pointwise(PointwiseOp::Scale) => {
-                    run_scale(gpu, a, vol, st.scale);
-                    let layout = slots[si].out_layout;
-                    run.release(gpu, &mut slots, si, Some(a));
-                    (Some(a), layout)
-                }
-                StageKind::Pointwise(op) => {
-                    let conj = op == PointwiseOp::ConjMultiply;
-                    let b = b.expect("validated: multiply has src2");
-                    let j = s2i.expect("validated: multiply has src2");
-                    let layout = slots[si].out_layout;
-                    // Reuse a dying operand's buffer as the destination —
-                    // src2 first, mirroring the correlator's
-                    // `mul(buf_a, buf_b, buf_b)` idiom.
-                    let dst = if si == j {
-                        if slots[si].refs == 2 {
+        // Every fallible step runs in here, so a DAG that fails mid-run
+        // still closes its span, frees its slots and holds the card for
+        // the device time it used.
+        let ran = (|| -> Result<(f64, Vec<Complex32>), FftError> {
+            let mut reduce_result: Option<(usize, f32)> = None;
+            for (idx, st) in stages.iter().enumerate() {
+                debug_assert_eq!(st.effective_after() >> idx, 0, "DAG arrives topo-sorted");
+                let si = slot_of(st.src);
+                let s2i = st.src2.map(&slot_of);
+                let all_resident =
+                    slots[si].buf.is_some() && s2i.is_none_or(|j| slots[j].buf.is_some());
+                let pinned = [si, s2i.unwrap_or(si)];
+                let a = run.touch(gpu, &mut slots, si, &pinned)?;
+                let b = match s2i {
+                    Some(j) => Some(run.touch(gpu, &mut slots, j, &pinned)?),
+                    None => None,
+                };
+                let t0 = gpu.clock_s();
+                let (buf, out_layout) = match st.kind {
+                    StageKind::Forward => {
+                        plan.fwd.execute(gpu, a, plan.work, Direction::Forward);
+                        run.release(gpu, &mut slots, si, Some(a));
+                        (Some(a), true)
+                    }
+                    StageKind::Inverse => {
+                        plan.inv.execute(gpu, a, plan.work, Direction::Inverse);
+                        run.release(gpu, &mut slots, si, Some(a));
+                        // The chained inverse lands back in the forward plan's
+                        // *input* layout.
+                        (Some(a), false)
+                    }
+                    StageKind::Pointwise(PointwiseOp::Scale) => {
+                        run_scale(gpu, a, vol, st.scale);
+                        let layout = slots[si].out_layout;
+                        run.release(gpu, &mut slots, si, Some(a));
+                        (Some(a), layout)
+                    }
+                    StageKind::Pointwise(op) => {
+                        let conj = op == PointwiseOp::ConjMultiply;
+                        let b = b.expect("validated: multiply has src2");
+                        let j = s2i.expect("validated: multiply has src2");
+                        let layout = slots[si].out_layout;
+                        // Reuse a dying operand's buffer as the destination —
+                        // src2 first, mirroring the correlator's
+                        // `mul(buf_a, buf_b, buf_b)` idiom.
+                        let dst = if si == j {
+                            if slots[si].refs == 2 {
+                                a
+                            } else {
+                                run.alloc(gpu, &mut slots, &pinned)?
+                            }
+                        } else if slots[j].refs == 1 {
+                            b
+                        } else if slots[si].refs == 1 {
                             a
                         } else {
                             run.alloc(gpu, &mut slots, &pinned)?
-                        }
-                    } else if slots[j].refs == 1 {
-                        b
-                    } else if slots[si].refs == 1 {
-                        a
-                    } else {
-                        run.alloc(gpu, &mut slots, &pinned)?
-                    };
-                    run_pointwise_mul(gpu, a, b, dst, vol, st.scale, conj);
-                    run.release(gpu, &mut slots, si, Some(dst));
-                    run.release(gpu, &mut slots, j, Some(dst));
-                    (Some(dst), layout)
+                        };
+                        run_pointwise_mul(gpu, a, b, dst, vol, st.scale, conj);
+                        run.release(gpu, &mut slots, si, Some(dst));
+                        run.release(gpu, &mut slots, j, Some(dst));
+                        (Some(dst), layout)
+                    }
+                    StageKind::Reduce(op) => {
+                        let got = match op {
+                            ReduceOp::ArgMax => {
+                                let (i, score, _) = run_argmax_norm(gpu, a, vol);
+                                // The kernel reports an index into the plan's
+                                // packed device layout — a card-side detail a
+                                // served client cannot interpret. Map it back
+                                // to the natural-order linear index (the same
+                                // mapping apps::GpuCorrelator::unpack_index
+                                // applies) before it crosses the wire.
+                                let natural =
+                                    packed_indices(plan.fwd.layout(), slots[si].out_layout)
+                                        .position(|p| p == i)
+                                        .expect("a packed index maps to a voxel");
+                                (natural, score)
+                            }
+                            ReduceOp::Energy => {
+                                let (e, _) = run_energy(gpu, a, vol);
+                                (0, e)
+                            }
+                        };
+                        reduce_result = Some(got);
+                        run.release(gpu, &mut slots, si, None);
+                        (None, false)
+                    }
+                };
+                if all_resident {
+                    resident_s += gpu.clock_s() - t0;
                 }
-                StageKind::Reduce(op) => {
-                    let got = match op {
-                        ReduceOp::ArgMax => {
-                            let (i, score, _) = run_argmax_norm(gpu, a, vol);
-                            // The kernel reports an index into the plan's
-                            // packed device layout — a card-side detail a
-                            // served client cannot interpret. Map it back
-                            // to the natural-order linear index (the same
-                            // mapping apps::GpuCorrelator::unpack_index
-                            // applies) before it crosses the wire.
-                            let natural = packed_indices(plan.fwd.layout(), slots[si].out_layout)
-                                .position(|p| p == i)
-                                .expect("a packed index maps to a voxel");
-                            (natural, score)
-                        }
-                        ReduceOp::Energy => {
-                            let (e, _) = run_energy(gpu, a, vol);
-                            (0, e)
-                        }
-                    };
-                    reduce_result = Some(got);
-                    run.release(gpu, &mut slots, si, None);
-                    (None, false)
-                }
-            };
-            if all_resident {
-                resident_s += gpu.clock_s() - t0;
+                stage_done_s.push(gpu.clock_s());
+                run.tick += 1;
+                slots.push(Slot {
+                    buf,
+                    host: None,
+                    refs: st_refs[idx],
+                    last_use: run.tick,
+                    out_layout,
+                });
             }
-            stage_done_s.push(gpu.clock_s());
-            run.tick += 1;
-            slots.push(Slot {
-                buf,
-                host: None,
-                refs: st_refs[idx],
-                last_use: run.tick,
-                out_layout,
-            });
-        }
-        let compute_done_s = gpu.clock_s();
+            let compute_done_s = gpu.clock_s();
 
-        // Result download: the final stage's value (8 bytes for a reduce).
-        let last = slots.len() - 1;
-        let output = if let Some((ri, rv)) = reduce_result {
-            gpu.pcie_transfer(PcieDir::D2H, 8, 1, run.label_down);
-            run.d2h_bytes += 8;
-            slots[last].refs -= 1;
-            vec![
-                Complex32::new(rv, 0.0),
-                Complex32::new((ri & 0xffff) as f32, (ri >> 16) as f32),
-            ]
-        } else {
-            let b = run.touch(gpu, &mut slots, last, &[last])?;
-            let mut packed = vec![Complex32::ZERO; vol];
-            gpu.pcie_transfer(PcieDir::D2H, run.bytes, 1, run.label_down);
-            gpu.mem().download(b, 0, &mut packed);
-            run.d2h_bytes += run.bytes;
-            // Unpack through the forward plan's mapping for the layout the
-            // value sits in (an inverse output sits in the *input* one),
-            // like the correlator does.
-            let mut natural = Vec::with_capacity(vol);
-            let order = packed_indices(plan.fwd.layout(), slots[last].out_layout);
-            natural.extend(order.map(|p| packed[p]));
-            run.release(gpu, &mut slots, last, None);
-            natural
-        };
+            // Result download: the final stage's value (8 bytes for a reduce).
+            let last = slots.len() - 1;
+            let output = if let Some((ri, rv)) = reduce_result {
+                gpu.pcie_transfer(PcieDir::D2H, 8, 1, run.label_down);
+                run.d2h_bytes += 8;
+                slots[last].refs -= 1;
+                vec![
+                    Complex32::new(rv, 0.0),
+                    Complex32::new((ri & 0xffff) as f32, (ri >> 16) as f32),
+                ]
+            } else {
+                let b = run.touch(gpu, &mut slots, last, &[last])?;
+                let mut packed = vec![Complex32::ZERO; vol];
+                gpu.pcie_transfer(PcieDir::D2H, run.bytes, 1, run.label_down);
+                gpu.mem().download(b, 0, &mut packed);
+                run.d2h_bytes += run.bytes;
+                // Unpack through the forward plan's mapping for the layout the
+                // value sits in (an inverse output sits in the *input* one),
+                // like the correlator does.
+                let mut natural = Vec::with_capacity(vol);
+                let order = packed_indices(plan.fwd.layout(), slots[last].out_layout);
+                natural.extend(order.map(|p| packed[p]));
+                run.release(gpu, &mut slots, last, None);
+                natural
+            };
+            Ok((compute_done_s, output))
+        })();
         let completion_s = gpu.clock_s();
         gpu.span_end(&span);
+        self.residency.absorb(run.stats);
+        let (compute_done_s, output) = match ran {
+            Ok(done) => done,
+            Err(e) => {
+                for b in slots.iter_mut().filter_map(|s| s.buf.take()) {
+                    gpu.mem_mut().free(b);
+                }
+                self.occupy_all(completion_s);
+                return Err(e);
+            }
+        };
         debug_assert!(
             slots.iter().all(|s| s.refs == 0 && s.buf.is_none()),
             "every slot released"
         );
-        self.residency.absorb(run.stats);
         let outcome = Outcome {
             phases: Phases {
                 plan_ready_s,

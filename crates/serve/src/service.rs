@@ -32,13 +32,15 @@
 
 use crate::batcher::{form_batch, key_of, key_of_spec, BatchKey, BatchLimits, Estimator};
 use crate::pipeline::{PipelineRequest, PipelineStage, SeededPipeline, StageKind};
+use crate::qos::jain_index;
 use crate::qos::{QosBook, QosConfig, TenantId};
 use crate::queue::{Pending, SubmitQueue, Work};
-use crate::report::{CardReport, LatencyStats, ServeReport, TenantReport};
+use crate::report::{LatencyStats, ServeReport, TenantReport};
 use crate::request::{
     Completion, PollStatus, Priority, Rejection, RequestId, RequestSpec, Shape, ShapeKey, Ticket,
 };
 use crate::scheduler::{Card, Outcome, Phases};
+use crate::telemetry::books::{Books, Event};
 use crate::telemetry::{self, names, slo, SloPolicy, SloReport, Stage, Telemetry};
 use bifft::multi_gpu::MultiGpuFft3d;
 use bifft::plan::{Algorithm, FftError};
@@ -308,9 +310,8 @@ enum Place {
 struct InFlight {
     /// Dispatch sequence number (commit tie-break at equal completions).
     seq: u64,
-    /// Card the batch runs on.
+    /// Card and lane the batch runs on.
     ci: usize,
-    /// Lane the batch runs on.
     li: usize,
     /// When the batch was dispatched, simulated seconds.
     dispatched_s: f64,
@@ -320,7 +321,9 @@ struct InFlight {
     members: Vec<Pending>,
 }
 
-/// The FFT-as-a-service front end over a fleet of simulated cards.
+/// The FFT-as-a-service front end over a fleet of simulated cards. It
+/// keeps only scheduling state; every transition is one event folded into
+/// `books`, which every report, metric and waterfall reads.
 pub struct FftService {
     cfg: ServeConfig,
     cards: Vec<Card>,
@@ -331,51 +334,26 @@ pub struct FftService {
     /// costs the *whole* DAG against a deadline, never just its first
     /// stage.
     stage_estimator: Estimator<StageKind>,
-    pipelines_completed: u64,
-    pipeline_stages_completed: u64,
-    /// Compute seconds pipelines spent over fully device-resident operands.
-    resident_s_total: f64,
-    /// Payload bytes that actually crossed PCIe host-to-device /
-    /// device-to-host, all request kinds. Pipelines move strictly fewer
-    /// than the same work as independent per-transform submissions — this
-    /// pair is what proves it.
-    h2d_bytes: u64,
-    d2h_bytes: u64,
     sharded: BTreeMap<(usize, usize, usize), MultiGpuFft3d>,
     /// Volume dims even the whole fleet could not allocate, with the error
     /// that proved it — admission rejects these outright from then on.
     fleet_oversized: BTreeMap<(usize, usize, usize), FftError>,
     next_id: u64,
     now_s: f64,
-    completions: Vec<Completion>,
-    completion_bytes: Vec<u64>,
-    /// id → index into `completions`, so [`FftService::poll`] is a lookup.
-    completion_index: BTreeMap<RequestId, usize>,
-    failures: Vec<(RequestId, FftError)>,
-    batch_histogram: BTreeMap<usize, u64>,
-    card_requests: Vec<u64>,
-    card_bytes: Vec<u64>,
-    /// Per-tenant quota buckets, WFQ virtual time and run statistics.
+    /// Per-tenant quota buckets, WFQ virtual time and in-flight slots.
     qos: QosBook,
     /// Dispatched rows batches whose completion instant has not been
     /// reached yet (commit happens in [`FftService::advance_to`]).
     in_flight: Vec<InFlight>,
     dispatch_seq: u64,
-    preempted_wasted_s: f64,
     /// Safe point of the most recent preemption; until the clock reaches
     /// it the service won't preempt again (no cascades while the freed
     /// lane is still in its abort window).
     preempt_reserved_s: Option<f64>,
-    telemetry: Telemetry,
     /// Each card's compute and copy-engine utilization gauge names, built
     /// once.
     util_gauges: Vec<(String, String)>,
-    /// In-deadline payload bytes, both directions (the goodput numerator).
-    good_bytes: u64,
-    /// Earliest arrival / latest completion among recorded completions —
-    /// the live-goodput gauge's makespan, matching the report's.
-    first_arrival_s: f64,
-    last_completion_s: f64,
+    books: Books,
 }
 
 impl FftService {
@@ -406,46 +384,26 @@ impl FftService {
             max_elems: cfg.max_batch_elems,
             latency_budget_s: cfg.latency_budget_s,
         };
-        let queue = SubmitQueue::new(cfg.queue_capacity);
         let n = cfg.n_gpus;
-        let telemetry = Telemetry::new(cfg.tick_s);
-        let qos = QosBook::new(cfg.qos.clone());
-        let util_gauges = (0..n)
-            .map(|i| (names::card_compute_util(i), names::card_copy_util(i)))
-            .collect();
         Ok(FftService {
-            telemetry,
-            util_gauges,
-            qos,
+            books: Books::new(cfg.tick_s, n, cfg.slo.latency_p95_ms),
+            util_gauges: (0..n)
+                .map(|i| (names::card_compute_util(i), names::card_copy_util(i)))
+                .collect(),
+            qos: QosBook::new(cfg.qos.clone()),
+            queue: SubmitQueue::new(cfg.queue_capacity),
             cfg,
             cards,
-            queue,
             limits,
             estimator: Estimator::new(),
             stage_estimator: Estimator::new(),
-            pipelines_completed: 0,
-            pipeline_stages_completed: 0,
-            resident_s_total: 0.0,
-            h2d_bytes: 0,
-            d2h_bytes: 0,
             sharded: BTreeMap::new(),
             fleet_oversized: BTreeMap::new(),
             next_id: 0,
             now_s: 0.0,
-            completions: Vec::new(),
-            completion_bytes: Vec::new(),
-            completion_index: BTreeMap::new(),
-            failures: Vec::new(),
-            batch_histogram: BTreeMap::new(),
-            card_requests: vec![0; n],
-            card_bytes: vec![0; n],
             in_flight: Vec::new(),
             dispatch_seq: 0,
-            preempted_wasted_s: 0.0,
             preempt_reserved_s: None,
-            good_bytes: 0,
-            first_arrival_s: f64::INFINITY,
-            last_completion_s: 0.0,
         })
     }
 
@@ -474,13 +432,14 @@ impl FftService {
     /// at their completion instant, whole-card volume dispatches at their
     /// dispatch instant.
     pub fn completions(&self) -> &[Completion] {
-        &self.completions
+        &self.books.completions
     }
 
-    /// Admitted requests that failed at dispatch (currently only volumes
-    /// even the whole fleet could not allocate), with the error.
+    /// Admitted requests that failed at dispatch (a volume not even the
+    /// whole fleet could allocate, a DAG whose live set outgrows its card),
+    /// with the error.
     pub fn failures(&self) -> &[(RequestId, FftError)] {
-        &self.failures
+        &self.books.failures
     }
 
     /// Submits one request arriving at `at_s` simulated seconds.
@@ -537,23 +496,17 @@ impl FftService {
     /// advancing time: still queued, done (completion attached), failed at
     /// dispatch, or never issued by this service.
     pub fn poll(&self, ticket: Ticket) -> PollStatus {
-        let id = ticket.id;
-        if let Some(&i) = self.completion_index.get(&id) {
-            return PollStatus::Done(self.completions[i].clone());
+        let (id, books) = (ticket.id, &self.books);
+        if let Some(&i) = books.completion_index.get(&id) {
+            return PollStatus::Done(books.completions[i].clone());
         }
-        if let Some((_, err)) = self.failures.iter().find(|(f, _)| *f == id) {
+        if let Some((_, err)) = books.failures.iter().find(|(f, _)| *f == id) {
             return PollStatus::Failed(err.clone());
         }
-        if id.0 >= self.next_id {
-            return PollStatus::Unknown;
-        }
-        if self.queue.iter().any(|p| p.id == id) {
-            return PollStatus::Queued;
-        }
-        // Issued but neither terminal nor queued: either in flight on a
-        // card (admitted — still Queued from the client's view) or it was
-        // rejected at admission and never became pollable.
-        match self.telemetry.lifecycle.get(id) {
+        // Admitted but not terminal: queued, or in flight on a card — still
+        // Queued from the client's view. Rejected at admission or never
+        // issued: unknown.
+        match books.telemetry.lifecycle.get(id) {
             Some(w) if w.stage_s(Stage::Admitted).is_some() && w.terminal().is_none() => {
                 PollStatus::Queued
             }
@@ -629,24 +582,26 @@ impl FftService {
 
     /// The admission preamble every submission shares: advances the clock
     /// to `at_s`, issues the id (rejected submissions get one too, so ids
-    /// stay monotone for admitted ones) and opens the lifecycle waterfall.
+    /// stay monotone for admitted ones) and books the submission.
     fn open(
         &mut self,
         at_s: f64,
         tenant: TenantId,
-        label: String,
+        shape: String,
         priority: Priority,
-        algo: &'static str,
+        algorithm: &'static str,
     ) -> RequestId {
         self.advance_to(at_s);
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.qos.note_submitted(tenant);
-        self.telemetry.registry.inc(names::SUBMITTED);
-        self.telemetry.lifecycle.start(id, label, self.now_s);
-        self.telemetry
-            .lifecycle
-            .annotate_submission(id, priority.label(), algo);
+        let submitted = Event::Submitted {
+            id,
+            tenant,
+            shape,
+            priority,
+            algorithm,
+        };
+        self.books.apply(self.now_s, submitted);
         id
     }
 
@@ -666,34 +621,31 @@ impl FftService {
         cost: usize,
         work: impl FnOnce() -> Work,
     ) -> Result<Ticket, Rejection> {
-        if !self.queue.has_room() {
-            let capacity = self.queue.capacity();
-            return Err(self.reject(id, Rejection::QueueFull { capacity }));
-        }
-        if let Some((estimated_s, deadline_s)) = deadline {
-            if estimated_s > deadline_s {
-                return Err(self.reject(
-                    id,
-                    Rejection::DeadlineInfeasible {
-                        estimated_s,
-                        deadline_s,
-                    },
-                ));
-            }
-        }
-        if let Err(kind) = self.qos.admit(tenant, self.now_s) {
-            return Err(self.reject(id, Rejection::QuotaExceeded { tenant, kind }));
+        let late = deadline.filter(|(estimated_s, deadline_s)| estimated_s > deadline_s);
+        let bounced = if !self.queue.has_room() {
+            Err(Rejection::QueueFull {
+                capacity: self.queue.capacity(),
+            })
+        } else if let Some((estimated_s, deadline_s)) = late {
+            Err(Rejection::DeadlineInfeasible {
+                estimated_s,
+                deadline_s,
+            })
+        } else {
+            let quota = self.qos.admit(tenant, self.now_s);
+            quota.map_err(|kind| Rejection::QuotaExceeded { tenant, kind })
+        };
+        if let Err(r) = bounced {
+            return Err(self.reject(id, r));
         }
         let vft = self.qos.assign_vft(tenant, self.now_s, cost as f64);
-        let pending = Pending {
+        self.books.apply(self.now_s, Event::Admitted { id, tenant });
+        self.queue.push(Pending {
             id,
             work: work(),
             arrival_s: self.now_s,
             vft,
-        };
-        self.queue
-            .push_traced(pending, &mut self.telemetry.lifecycle);
-        self.telemetry.registry.inc(names::ADMITTED);
+        });
         self.pump();
         self.refresh_gauges();
         Ok(Ticket {
@@ -702,23 +654,10 @@ impl FftService {
         })
     }
 
-    /// Books one rejection: the per-reason registry counter (which the
-    /// report reads back) and the terminal lifecycle stamp. Returns `r` for
-    /// the `Err`.
+    /// Books one rejection and returns `r` for the `Err`.
     fn reject(&mut self, id: RequestId, r: Rejection) -> Rejection {
-        let (reason, counter) = match &r {
-            Rejection::QueueFull { .. } => ("queue_full", names::REJECTED_QUEUE_FULL),
-            Rejection::DeadlineInfeasible { .. } => ("deadline", names::REJECTED_DEADLINE),
-            Rejection::Unsupported(_) => ("unsupported", names::REJECTED_UNSUPPORTED),
-            Rejection::Oversized { .. } => ("oversized", names::REJECTED_OVERSIZED),
-            Rejection::Unallocatable(_) => ("unallocatable", names::REJECTED_UNALLOCATABLE),
-            Rejection::QuotaExceeded { .. } => ("quota", names::REJECTED_QUOTA),
-            Rejection::UnsupportedStage(_) => ("unsupported_stage", names::REJECTED_UNSUPPORTED),
-        };
-        self.telemetry.registry.inc(counter);
-        self.telemetry
-            .lifecycle
-            .mark_rejected(id, reason, self.now_s);
+        self.books
+            .apply(self.now_s, Event::Rejected { id, why: &r });
         r
     }
 
@@ -754,43 +693,26 @@ impl FftService {
     /// event before `t`).
     fn advance_to(&mut self, t_s: f64) {
         loop {
-            let next = self
-                .in_flight
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.outcome.phases.completion_s <= t_s)
-                .min_by(|(_, a), (_, b)| {
-                    let (a_s, b_s) = (a.outcome.phases.completion_s, b.outcome.phases.completion_s);
-                    a_s.total_cmp(&b_s).then(a.seq.cmp(&b.seq))
-                })
-                .map(|(i, _)| i);
-            let Some(i) = next else { break };
-            let at = self.in_flight[i].outcome.phases.completion_s;
+            let next = (self.in_flight.iter().enumerate())
+                .map(|(i, f)| (i, f.outcome.phases.completion_s, f.seq))
+                .filter(|&(_, at, _)| at <= t_s)
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)));
+            // The next commit inside the move, else the move's end.
+            let at = next.map_or(t_s, |(_, at, _)| at);
             if at > self.now_s {
-                self.telemetry
-                    .timeline
-                    .advance(at, &self.telemetry.registry);
+                let t = &mut self.books.telemetry;
+                t.timeline.advance(at, &t.registry);
                 self.now_s = at;
             }
-            self.commit_in_flight(i);
-        }
-        if t_s > self.now_s {
-            self.telemetry
-                .timeline
-                .advance(t_s, &self.telemetry.registry);
-            self.now_s = t_s;
+            let Some((i, _, _)) = next else { break };
+            let f = self.in_flight.remove(i);
+            self.complete(&f.members, f.dispatched_s, Some(f.ci), f.outcome);
         }
         // A preemption reservation expires once the clock reaches its safe
         // point: the freed lane is genuinely free from here on.
         if self.preempt_reserved_s.is_some_and(|s| self.now_s >= s) {
             self.preempt_reserved_s = None;
         }
-    }
-
-    /// Commits one in-flight lane batch through [`FftService::complete`].
-    fn commit_in_flight(&mut self, idx: usize) {
-        let f = self.in_flight.remove(idx);
-        self.complete(&f.members, f.dispatched_s, Some(f.ci), f.outcome);
     }
 
     /// Earliest instant any lane in the fleet is (or becomes) free.
@@ -879,15 +801,9 @@ impl FftService {
                     }
                 },
             };
-            let batch = form_batch(
-                &mut self.queue,
-                &self.limits,
-                &self.estimator,
-                key,
-                algo,
-                self.now_s,
-                &mut self.telemetry.lifecycle,
-            );
+            let batch = form_batch(&mut self.queue, &self.limits, &self.estimator, key, algo);
+            self.books
+                .apply(self.now_s, Event::Batched { unit: &batch });
             if !self.dispatch(place, batch) {
                 skip.push(key);
             }
@@ -916,8 +832,8 @@ impl FftService {
             .map(|p| p.id)
         {
             let Some(ci) = self.idle_card() else { break };
-            let log = &mut self.telemetry.lifecycle;
-            let dag = self.queue.take_traced(&[id], self.now_s, log);
+            let dag = self.queue.drain_selected(&[id]);
+            self.books.apply(self.now_s, Event::Batched { unit: &dag });
             self.dispatch(Place::Card(ci), dag);
         }
     }
@@ -978,15 +894,14 @@ impl FftService {
         }
         let victim = self.in_flight.remove(idx);
         let wasted_s = safe_s - victim.dispatched_s;
-        self.preempted_wasted_s += wasted_s;
-        self.telemetry.registry.inc(names::PREEMPTIONS);
+        let unit = &victim.members;
+        self.books
+            .apply(self.now_s, Event::Preempted { unit, wasted_s });
+        // Back into the queue with the original stamps intact: the
+        // `submitted`/`admitted` records and the WFQ virtual finish time
+        // survive; only `Batched`/`Dispatched` move forward when the
+        // request is re-batched.
         for p in victim.members {
-            self.telemetry.lifecycle.charge_preempt(p.id, wasted_s);
-            self.qos.charge_preempt(p.tenant(), wasted_s);
-            // Back into the queue with the original stamps intact: the
-            // `submitted`/`admitted` records and the WFQ virtual finish
-            // time survive; only `Batched`/`Dispatched` move forward when
-            // the request is re-batched.
             self.queue.requeue(p);
         }
         self.preempt_reserved_s = Some(safe_s);
@@ -1013,8 +928,15 @@ impl FftService {
                 }
                 return false;
             }
+            // Work admission could not rule out (a volume not even the
+            // fleet can allocate, a DAG whose live set outgrows its card)
+            // fails instead of panicking.
             Err(err) => {
-                self.fail(&members, &err);
+                for p in &members {
+                    self.qos.release(p.tenant());
+                }
+                let (unit, err) = (&members, &err);
+                self.books.apply(self.now_s, Event::Failed { unit, err });
                 return true;
             }
         };
@@ -1035,11 +957,7 @@ impl FftService {
             }
         }
         let size = members.len();
-        *self.batch_histogram.entry(size).or_insert(0) += 1;
-        let reg = &mut self.telemetry.registry;
-        reg.inc(names::LAUNCHES);
-        reg.add(names::BATCHED_REQUESTS, size as u64);
-        reg.observe(names::BATCH_SIZE_HIST, size as f64);
+        self.books.apply(self.now_s, Event::Launched { size });
         match place {
             Place::Lane(ci, li) => {
                 self.in_flight.push(InFlight {
@@ -1161,133 +1079,18 @@ impl FftService {
         })
     }
 
-    /// Stamps and books every member of one finished unit: member `i` with
-    /// its phase times, the span cross-link and output `i` (when kept). A
-    /// transform moves its own payload each way; a DAG, always its unit's
-    /// only member, moves what the outcome measured and carries its
-    /// resident split.
-    fn complete(
-        &mut self,
-        members: &[Pending],
-        dispatched_s: f64,
-        card: Option<usize>,
-        mut o: Outcome,
-    ) {
-        self.h2d_bytes += o.h2d_bytes;
-        self.d2h_bytes += o.d2h_bytes;
-        for (i, p) in members.iter().enumerate() {
-            let ph = o.phases_of(i);
-            let log = &mut self.telemetry.lifecycle;
-            log.record(p.id, Stage::Dispatched, dispatched_s);
-            log.record(p.id, Stage::H2d, ph.h2d_done_s);
-            log.record(p.id, Stage::Compute, ph.compute_done_s);
-            log.record(p.id, Stage::D2h, ph.completion_s);
-            log.annotate(p.id, &o.span, card);
-            log.annotate_phases(p.id, ph.plan_ready_s, ph.h2d_start_s);
-            let bytes = match &p.work {
-                Work::Transform(spec) => (spec.shape.payload_bytes(), spec.shape.payload_bytes()),
-                Work::Pipeline(pipe) => {
-                    log.note_resident(p.id, o.resident_s);
-                    self.resident_s_total += o.resident_s;
-                    self.pipelines_completed += 1;
-                    self.pipeline_stages_completed += pipe.stages.len() as u64;
-                    (o.h2d_bytes, o.d2h_bytes)
-                }
-            };
-            let out = o.outputs.as_mut().map(|v| std::mem::take(&mut v[i]));
-            self.record(p, ph.completion_s, card, members.len(), bytes, out);
+    /// Books one finished unit and frees each member's in-flight slot.
+    fn complete(&mut self, unit: &[Pending], dispatched_s: f64, card: Option<usize>, o: Outcome) {
+        for p in unit {
+            self.qos.release(p.tenant());
         }
-    }
-
-    /// Books one completion. `up`/`down` are the payload bytes that
-    /// crossed PCIe each way: a single transform ships its volume up and
-    /// its result down, a pipeline only its inputs up and its final value
-    /// down. Goodput counts both directions; the per-card and
-    /// per-completion records keep the report's one-direction convention
-    /// (tally doubles them for goodput).
-    fn record(
-        &mut self,
-        p: &Pending,
-        completed_s: f64,
-        card: Option<usize>,
-        batch_size: usize,
-        (up, down): (u64, u64),
-        output: Option<Vec<Complex32>>,
-    ) {
-        let moved = up + down;
-        let bytes = moved / 2;
-        let latency_s = completed_s - p.arrival_s;
-        let timed_out = p.deadline_s().is_some_and(|d| latency_s > d);
-        self.telemetry
-            .lifecycle
-            .record(p.id, Stage::Completed, completed_s);
-        let attr_parts = self
-            .telemetry
-            .lifecycle
-            .get(p.id)
-            .and_then(|wf| telemetry::attribution::Ledger::from_waterfall(p.id, wf))
-            .map(|ledger| *ledger.parts_s());
-        let reg = &mut self.telemetry.registry;
-        if let Some(parts) = attr_parts {
-            for (name, part) in names::ATTR_US.iter().zip(parts) {
-                reg.add(name, (part * 1e6).round() as u64);
-            }
-        }
-        reg.inc(names::COMPLETED);
-        reg.add(names::PAYLOAD_BYTES, up);
-        let latency_ms = latency_s * 1e3;
-        reg.observe(names::LATENCY_MS_HIST, latency_ms);
-        if latency_ms > self.cfg.slo.latency_p95_ms {
-            reg.inc(names::LATENCY_OVER_SLO);
-        }
-        if timed_out {
-            reg.inc(names::TIMEOUTS);
-        } else {
-            self.good_bytes += moved;
-            reg.add(names::GOOD_BYTES, moved);
-        }
-        let good = if timed_out { 0 } else { moved };
-        self.qos.on_complete(p.tenant(), latency_s, good);
-        self.first_arrival_s = self.first_arrival_s.min(p.arrival_s);
-        self.last_completion_s = self.last_completion_s.max(completed_s);
-        match card {
-            Some(ci) => {
-                self.card_requests[ci] += 1;
-                self.card_bytes[ci] += bytes;
-            }
-            None => {
-                // Sharded runs occupy every card.
-                for ci in 0..self.cards.len() {
-                    self.card_requests[ci] += 1;
-                    self.card_bytes[ci] += bytes / self.cards.len() as u64;
-                }
-            }
-        }
-        self.completion_index.insert(p.id, self.completions.len());
-        self.completions.push(Completion {
-            id: p.id,
-            arrival_s: p.arrival_s,
-            completed_s,
+        let completed = Event::Completed {
+            unit,
+            dispatched_s,
             card,
-            batch_size,
-            timed_out,
-            output,
-        });
-        self.completion_bytes.push(bytes);
-    }
-
-    /// Completes `members` as failed — the graceful alternative to
-    /// panicking when dispatch discovers, post-admission, that the work is
-    /// impossible.
-    fn fail(&mut self, members: &[Pending], err: &FftError) {
-        for p in members {
-            self.telemetry
-                .lifecycle
-                .record(p.id, Stage::Failed, self.now_s);
-            self.telemetry.registry.inc(names::FAILED);
-            self.qos.on_fail(p.tenant());
-            self.failures.push((p.id, err.clone()));
-        }
+            outcome: o,
+        };
+        self.books.apply(self.now_s, completed);
     }
 
     /// Runs virtual time forward until the queue is empty and every lane is
@@ -1319,7 +1122,8 @@ impl FftService {
         self.advance_to(end);
         self.refresh_gauges();
         self.sync_check_counters();
-        self.telemetry.timeline.seal(end, &self.telemetry.registry);
+        let t = &mut self.books.telemetry;
+        t.timeline.seal(end, &t.registry);
         end
     }
 
@@ -1331,9 +1135,9 @@ impl FftService {
         let now = self.now_s;
         let (hits, misses) = (self.cards.iter().map(Card::cache_stats))
             .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses));
-        let goodput = self.goodput_gbs();
-        let dropped = self.telemetry.lifecycle.dropped();
-        let reg = &mut self.telemetry.registry;
+        let goodput = self.books.goodput_gbs();
+        let dropped = self.books.telemetry.lifecycle.dropped();
+        let reg = &mut self.books.telemetry.registry;
         reg.set_counter(names::LIFECYCLE_DROPPED, dropped);
         reg.set_gauge(names::QUEUE_DEPTH, depth);
         reg.set_gauge(names::GOODPUT_GBS, goodput);
@@ -1362,7 +1166,7 @@ impl FftService {
                 AccessKind::UseAfterFree => uaf += n,
             }
         }
-        let reg = &mut self.telemetry.registry;
+        let reg = &mut self.books.telemetry.registry;
         reg.set_counter(names::CHECK_OOB, oob);
         reg.set_counter(names::CHECK_UNINIT, uninit);
         reg.set_counter(names::CHECK_USE_AFTER_FREE, uaf);
@@ -1374,7 +1178,8 @@ impl FftService {
     /// Builds the end-of-run summary. Call after [`FftService::drain`] —
     /// requests still queued are not in the report.
     pub fn report(&self) -> ServeReport {
-        let count = |name| self.telemetry.registry.counter(name);
+        let books = &self.books;
+        let count = |name| books.telemetry.registry.counter(name);
         let mut residency = crate::scheduler::ResidencyStats::default();
         for c in &self.cards {
             residency.absorb(c.residency_stats());
@@ -1389,58 +1194,47 @@ impl FftService {
             rejected_unallocatable: count(names::REJECTED_UNALLOCATABLE),
             rejected_quota: count(names::REJECTED_QUOTA),
             preemptions: count(names::PREEMPTIONS),
-            preempted_s: self.preempted_wasted_s,
-            pipelines: self.pipelines_completed,
-            pipeline_stages: self.pipeline_stages_completed,
             resident_hits: residency.hits,
             resident_misses: residency.misses,
             resident_evictions: residency.evictions,
-            resident_s: self.resident_s_total,
-            h2d_bytes: self.h2d_bytes,
-            d2h_bytes: self.d2h_bytes,
-            failed: self.failures.len() as u64,
+            failed: books.failures.len() as u64,
             queue_max_depth: self.queue.max_depth(),
             queue_mean_depth: self.queue.mean_depth(),
-            batch_histogram: self.batch_histogram.clone(),
-            ..ServeReport::default()
+            completed: count(names::COMPLETED),
+            timeouts: count(names::TIMEOUTS),
+            latency: self.latency_stats(),
+            makespan_s: books.makespan_s(),
+            goodput_gbs: books.goodput_gbs(),
+            ..books.tally.clone()
         };
-        r.tally(&self.completions, &self.completion_bytes);
-        r.cards = self
-            .cards
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let stats = c.cache_stats();
-                CardReport {
-                    requests: self.card_requests[i],
-                    bytes: self.card_bytes[i],
-                    utilization: c.utilization(r.makespan_s),
-                    copy_utilization: c.copy_utilization(r.makespan_s),
-                    plan_hits: stats.hits,
-                    plan_misses: stats.misses,
-                }
-            })
-            .collect();
+        if r.makespan_s > 0.0 {
+            r.achieved_rps = r.completed as f64 / r.makespan_s;
+        }
+        for (card, c) in r.cards.iter_mut().zip(&self.cards) {
+            let stats = c.cache_stats();
+            card.utilization = c.utilization(r.makespan_s);
+            card.copy_utilization = c.copy_utilization(r.makespan_s);
+            card.plan_hits = stats.hits;
+            card.plan_misses = stats.misses;
+        }
         r.slo = self.slo_report();
-        let ledgers = telemetry::attribution::collect(&self.telemetry.lifecycle);
-        r.budget = telemetry::attribution::budget(&ledgers);
-        r.fairness_index = self.qos.fairness_index();
-        r.tenants = self
-            .qos
-            .tenants()
-            .map(|(t, s)| {
-                let stats = LatencyStats::from_latencies(s.latencies_s.clone());
+        r.budget = telemetry::attribution::budget(&self.ledgers());
+        let share = |t: TenantId| self.cfg.qos.policy(t).share;
+        let active = books.tenants.iter().filter(|(_, b)| b.row.submitted > 0);
+        let weighted: Vec<f64> = active
+            .map(|(&t, b)| b.row.good_bytes as f64 / share(t))
+            .collect();
+        r.fairness_index = jain_index(&weighted);
+        let p95_ms = self.cfg.slo.latency_p95_ms;
+        r.tenants = (books.tenants.iter())
+            .map(|(&t, b)| {
+                let p95_s = LatencyStats::from_latencies(b.latencies_s.clone()).p95_s;
                 TenantReport {
                     tenant: t.0,
-                    share: self.cfg.qos.policy(t).share,
-                    submitted: s.submitted,
-                    admitted: s.admitted,
-                    rejected_quota: s.rejected_quota,
-                    completed: s.completed,
-                    good_bytes: s.good_bytes,
-                    p95_s: stats.p95_s,
-                    p95_ok: s.completed == 0 || stats.p95_s * 1e3 <= self.cfg.slo.latency_p95_ms,
-                    preempted_s: s.preempted_s,
+                    share: share(t),
+                    p95_s,
+                    p95_ok: b.row.completed == 0 || p95_s * 1e3 <= p95_ms,
+                    ..b.row.clone()
                 }
             })
             .collect();
@@ -1449,13 +1243,13 @@ impl FftService {
 
     /// The telemetry bundle (registry, timeline, lifecycle log), read-only.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.books.telemetry
     }
 
     /// The telemetry bundle, writable — how the gateway registers its
     /// `gate_*` counters in the same registry the exporters render.
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
+        &mut self.books.telemetry
     }
 
     /// The configuration the fleet was brought up with.
@@ -1463,48 +1257,34 @@ impl FftService {
         &self.cfg
     }
 
-    /// In-deadline payload bytes (both directions) over the makespan so
-    /// far, GB/s — the live goodput the gauge and the SLO verdict read.
-    fn goodput_gbs(&self) -> f64 {
-        let makespan = (self.last_completion_s - self.first_arrival_s).max(0.0);
-        if makespan > 0.0 {
-            self.good_bytes as f64 / makespan / 1e9
-        } else {
-            0.0
-        }
+    /// Latency percentiles over every completion so far.
+    fn latency_stats(&self) -> LatencyStats {
+        let lat = self.books.completions.iter().map(Completion::latency_s);
+        LatencyStats::from_latencies(lat.collect())
     }
 
     /// Evaluates the configured SLO policy against the run so far.
     pub fn slo_report(&self) -> SloReport {
-        let lat: Vec<f64> = self.completions.iter().map(Completion::latency_s).collect();
-        let stats = LatencyStats::from_latencies(lat);
-        slo::evaluate(
-            &self.cfg.slo,
-            stats.p95_s * 1e3,
-            self.goodput_gbs(),
-            &self.telemetry.registry,
-            &self.telemetry.timeline,
-        )
+        let p95_ms = self.latency_stats().p95_s * 1e3;
+        let (goodput, t) = (self.books.goodput_gbs(), &self.books.telemetry);
+        slo::evaluate(&self.cfg.slo, p95_ms, goodput, &t.registry, &t.timeline)
     }
 
     /// Renders the run's `bifft-metrics-v1` document. Call after
     /// [`FftService::drain`] for the sealed series.
     pub fn metrics_json(&self) -> String {
-        telemetry::metrics_json(
-            &self.telemetry.registry,
-            &self.telemetry.timeline,
-            &self.slo_report(),
-        )
+        let t = &self.books.telemetry;
+        telemetry::metrics_json(&t.registry, &t.timeline, &self.slo_report())
     }
 
     /// Renders the run's metrics in Prometheus text exposition.
     pub fn prometheus_text(&self) -> String {
-        telemetry::prometheus_text(&self.telemetry.registry, &self.slo_report())
+        telemetry::prometheus_text(&self.books.telemetry.registry, &self.slo_report())
     }
 
     /// Time ledgers of every completed request, in completion order.
     pub fn ledgers(&self) -> Vec<telemetry::Ledger> {
-        telemetry::attribution::collect(&self.telemetry.lifecycle)
+        telemetry::attribution::collect(&self.books.telemetry.lifecycle)
     }
 
     /// Renders the run's `bifft-attr-v2` attribution document. Call after
@@ -1529,10 +1309,8 @@ impl FftService {
             let i = c.index;
             cards.push((i, c.take_trace()?));
         }
-        Some(telemetry::export::chrome_trace(
-            &cards,
-            &self.telemetry.lifecycle,
-        ))
+        let log = &self.books.telemetry.lifecycle;
+        Some(telemetry::export::chrome_trace(&cards, log))
     }
 
     /// Drains, then reports — graceful shutdown in one call.
@@ -2293,5 +2071,80 @@ mod tests {
             r.to_json()
         };
         assert_eq!(run(), run());
+    }
+
+    /// A DAG whose live set outgrows its card mid-run (both inputs are
+    /// uploaded, then the product's destination cannot be allocated and
+    /// nothing unpinned is left to spill) fails cleanly: the request lands
+    /// in `failures()`, the card's sim-prof span closes, the card is held
+    /// until the clock the failed run reached, and its slots are freed so
+    /// the next DAG runs.
+    #[test]
+    fn a_dag_that_fails_mid_run_closes_its_span_and_frees_its_card() {
+        use crate::pipeline::{Operand, PointwiseOp};
+        let mut spec = DeviceSpec::gts8800();
+        // Room for the 16^3 plan, its scratch and two live volumes.
+        spec.memory_bytes = 128 << 10;
+        let cfg = ServeConfig::builder()
+            .spec(spec)
+            .gpus(1)
+            .streams(0)
+            .batch_elems(1024)
+            .record_trace(true)
+            .build()
+            .unwrap();
+        let mut svc = tiny_service(cfg);
+        let (a, b) = (Operand::Input(0), Operand::Input(1));
+        let mul = |x, y| PipelineStage::new(StageKind::Pointwise(PointwiseOp::Multiply), x).src2(y);
+        let dag = |stages| {
+            SeededPipeline {
+                dims: (16, 16, 16),
+                input_seeds: vec![1, 2],
+                stages,
+                priority: Priority::Normal,
+                deadline_s: None,
+                tenant: TenantId::default(),
+            }
+            .materialize()
+        };
+        let both_live = vec![
+            mul(a, b),
+            mul(a, b),
+            mul(Operand::Stage(0), Operand::Stage(1)),
+        ];
+        let t = svc.submit_pipeline(dag(both_live), 0.0).unwrap();
+        assert_eq!(svc.failures().len(), 1);
+        assert_eq!(svc.failures()[0].0, t.id);
+        assert!(matches!(svc.failures()[0].1, FftError::Alloc(_)));
+        assert!(matches!(svc.poll(t), PollStatus::Failed(_)));
+        let reached_s = svc.cards[0].gpu.clock_s();
+        assert!(
+            reached_s > 0.0,
+            "the inputs' uploads ran before the failure"
+        );
+        assert_eq!(svc.cards[0].all_free_s(), reached_s);
+        let trace = svc.cards[0].take_trace().unwrap();
+        let count = |begin: bool| {
+            let is = |e: &&gpu_sim::TraceEvent| match e {
+                gpu_sim::TraceEvent::SpanBegin { .. } => begin,
+                gpu_sim::TraceEvent::SpanEnd { .. } => !begin,
+                _ => false,
+            };
+            trace.events.iter().filter(is).count()
+        };
+        assert_eq!(count(true), count(false), "every span closes");
+        let span = trace
+            .spans()
+            .into_iter()
+            .find(|s| s.name.starts_with("serve_pipe_"));
+        assert_eq!(span.map(|s| s.end_s), Some(reached_s));
+        // The failed run's slots were freed: a one-product DAG fits.
+        let t2 = svc.submit_pipeline(dag(vec![mul(a, b)]), 1e-3).unwrap();
+        svc.drain();
+        assert!(matches!(svc.poll(t2), PollStatus::Done(_)));
+        assert_eq!(svc.failures().len(), 1);
+        assert!(svc.attribution_audit().ok());
+        let r = svc.report();
+        assert_eq!((r.admitted, r.completed, r.failed), (2, 1, 1));
     }
 }

@@ -766,6 +766,18 @@ pub fn render_diff_text(before: &AttrSummary, after: &AttrSummary) -> String {
 mod tests {
     use super::*;
 
+    /// The waterfall of a started request, for a test's annotations.
+    fn wf(log: &mut LifecycleLog, id: RequestId) -> &mut Waterfall {
+        log.entry(id).expect("started").wf
+    }
+
+    /// Sets the submission labels the service's fold records.
+    fn label(log: &mut LifecycleLog, id: RequestId, priority: &'static str, algo: &'static str) {
+        let w = wf(log, id);
+        w.priority = Some(priority);
+        w.algorithm = Some(algo);
+    }
+
     fn started(id: u64, shape: &str) -> (LifecycleLog, RequestId) {
         let mut log = LifecycleLog::default();
         let rid = RequestId(id);
@@ -788,14 +800,16 @@ mod tests {
         log.record(id, Stage::D2h, stamps[6]);
         log.record(id, Stage::Completed, stamps[7]);
         if let Some((plan, h2d)) = phases {
-            log.annotate_phases(id, plan, h2d);
+            let w = wf(log, id);
+            w.plan_ready_s = Some(plan);
+            w.h2d_start_s = Some(h2d);
         }
     }
 
     #[test]
     fn ledger_telescopes_and_conserves() {
         let (mut log, id) = started(1, "1d256x16");
-        log.annotate_submission(id, "normal", "batch-1d");
+        label(&mut log, id, "normal", "batch-1d");
         complete(
             &mut log,
             id,
@@ -835,7 +849,7 @@ mod tests {
     #[test]
     fn preempt_charge_carves_queue_into_preempted_and_conserves() {
         let (mut log, id) = started(4, "1d256x8");
-        log.annotate_submission(id, "low", "batch-1d");
+        label(&mut log, id, "low", "batch-1d");
         // 0.3 s of queue time (admitted 0.1 → batched 0.4), of which 0.2 s
         // was a dispatch a preemption threw away.
         complete(
@@ -844,7 +858,7 @@ mod tests {
             [0.0, 0.1, 0.4, 0.4, 0.5, 0.6, 0.7, 0.7],
             Some((0.4, 0.45)),
         );
-        log.charge_preempt(id, 0.2);
+        wf(&mut log, id).preempted_s += 0.2;
         let l = Ledger::from_waterfall(id, log.get(id).unwrap()).unwrap();
         assert!((l.part_s(Category::Preempted) - 0.2).abs() < 1e-12);
         assert!((l.part_s(Category::Queue) - 0.1).abs() < 1e-12);
@@ -858,7 +872,7 @@ mod tests {
             [0.0, 0.1, 0.4, 0.4, 0.5, 0.6, 0.7, 0.7],
             None,
         );
-        log2.charge_preempt(id2, 9.0);
+        wf(&mut log2, id2).preempted_s += 9.0;
         let l2 = Ledger::from_waterfall(id2, log2.get(id2).unwrap()).unwrap();
         assert!((l2.part_s(Category::Preempted) - 0.3).abs() < 1e-12);
         assert_eq!(l2.part_s(Category::Queue), 0.0);
@@ -868,7 +882,7 @@ mod tests {
     #[test]
     fn resident_credit_carves_compute_into_resident_and_conserves() {
         let (mut log, id) = started(6, "pipe32x32x32s4");
-        log.annotate_submission(id, "normal", "pipeline");
+        label(&mut log, id, "normal", "pipeline");
         // 0.3 s of compute (h2d 0.5 → compute 0.8), of which 0.2 s ran over
         // operands that were already device-resident.
         complete(
@@ -877,7 +891,7 @@ mod tests {
             [0.0, 0.1, 0.4, 0.4, 0.5, 0.8, 0.9, 0.9],
             Some((0.4, 0.45)),
         );
-        log.note_resident(id, 0.2);
+        wf(&mut log, id).resident_s += 0.2;
         let l = Ledger::from_waterfall(id, log.get(id).unwrap()).unwrap();
         assert!((l.part_s(Category::Resident) - 0.2).abs() < 1e-12);
         assert!((l.part_s(Category::Compute) - 0.1).abs() < 1e-12);
@@ -890,7 +904,7 @@ mod tests {
             [0.0, 0.1, 0.4, 0.4, 0.5, 0.8, 0.9, 0.9],
             None,
         );
-        log2.note_resident(id2, 9.0);
+        wf(&mut log2, id2).resident_s += 9.0;
         let l2 = Ledger::from_waterfall(id2, log2.get(id2).unwrap()).unwrap();
         assert!((l2.part_s(Category::Resident) - 0.3).abs() < 1e-12);
         assert_eq!(l2.part_s(Category::Compute), 0.0);
@@ -913,7 +927,7 @@ mod tests {
             let rid = RequestId(i);
             let t0 = i as f64 * 0.01;
             log.start(rid, "1d256x16".to_string(), t0);
-            log.annotate_submission(rid, "normal", "batch-1d");
+            label(&mut log, rid, "normal", "batch-1d");
             complete(
                 &mut log,
                 rid,
@@ -929,18 +943,20 @@ mod tests {
                 ],
                 Some((t0 + 0.001, t0 + 0.001)),
             );
-            log.annotate(rid, "serve_rows_256x16_c0l0", Some(0));
+            wf(&mut log, rid).span = Some("serve_rows_256x16_c0l0".to_string());
+            wf(&mut log, rid).card = Some(0);
         }
         let slow = RequestId(9);
         log.start(slow, "1d256x16".to_string(), 0.0);
-        log.annotate_submission(slow, "low", "batch-1d");
+        label(&mut log, slow, "low", "batch-1d");
         complete(
             &mut log,
             slow,
             [0.0, 0.0, 0.5, 0.5, 0.502, 0.508, 0.509, 0.509],
             Some((0.5, 0.501)),
         );
-        log.annotate(slow, "serve_rows_256x16_c1l0", Some(1));
+        wf(&mut log, slow).span = Some("serve_rows_256x16_c1l0".to_string());
+        wf(&mut log, slow).card = Some(1);
         collect(&log)
     }
 

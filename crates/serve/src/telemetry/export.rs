@@ -480,7 +480,9 @@ mod tests {
         log.record(id, Stage::Compute, 3e-3);
         log.record(id, Stage::D2h, 4e-3);
         log.record(id, Stage::Completed, 4e-3);
-        log.annotate(id, "serve_rows_256x16_c0l0", Some(0));
+        let wf = log.entry(id).unwrap().wf;
+        wf.span = Some("serve_rows_256x16_c0l0".to_string());
+        wf.card = Some(0);
         let doc = chrome_trace(&[(0, Trace::default())], &log);
         assert!(doc.contains("\"name\":\"card 0\""));
         assert!(doc.contains("\"name\":\"req 5 1d256x16\""));

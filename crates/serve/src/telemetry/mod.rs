@@ -7,10 +7,12 @@
 //! decision or a timestamp), so a telemetry-enabled run is bit-identical
 //! to a blind one and two same-seed runs export bit-identical documents.
 //!
+//! - `books` — the one event fold: the service emits one event per
+//!   transition and the fold writes every surface below from it, plus the
+//!   completion records, tenant statistics and report tallies;
 //! - [`lifecycle`] — per-request stage waterfalls (`submitted → admitted →
-//!   batched → dispatched → h2d → compute → d2h → completed`), recorded at
-//!   the transitions in the queue, batcher, scheduler and service, and
-//!   cross-linked to the sim-prof span of the dispatch;
+//!   batched → dispatched → h2d → compute → d2h → completed`), written by
+//!   the fold and cross-linked to the sim-prof span of the dispatch;
 //! - [`registry`] — dependency-free counters, gauges and fixed-bound
 //!   histograms with deterministic (BTreeMap) iteration order;
 //! - [`timeline`] — the registry sampled on a fixed virtual-time tick into
@@ -26,6 +28,7 @@
 //!   `bifft-attr-v3` document `fft-prof` analyzes.
 
 pub mod attribution;
+pub(crate) mod books;
 pub mod export;
 pub mod lifecycle;
 pub mod registry;
@@ -45,7 +48,7 @@ pub use registry::{Histogram, MetricsRegistry};
 pub use slo::{SloPolicy, SloReport, SloVerdict};
 pub use timeline::{Sample, Timeline};
 
-/// Canonical metric names, shared by the service (which increments them),
+/// Canonical metric names, shared by the event fold (which increments them),
 /// the SLO monitor (which reads them) and the exporters (which render
 /// them). Counters end in `_total` per Prometheus convention.
 pub mod names {
