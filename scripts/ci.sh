@@ -87,10 +87,19 @@ cmp target/ci-qos-report.json target/ci-qos-repeat.json \
 # which carries the `resident` category for pipeline requests. The apps
 # crate's served-pipeline parity tests (bit-for-bit against the direct
 # correlator, strictly fewer PCIe bytes than staged submission) run
-# explicitly here so a pipeline regression names this gate.
+# explicitly here so a pipeline regression names this gate. Like the
+# multi-tenant smoke, two same-seed runs must write byte-identical reports
+# and attribution documents.
 cargo test --release -p fft-apps -q --offline
-cargo run --release -p fft-serve --bin fft-serve --offline -- \
-    --smoke --workload pipeline --check-hazards --attr-audit
+for run in report repeat; do
+    cargo run --release -p fft-serve --bin fft-serve --offline -- \
+        --smoke --workload pipeline --check-hazards --attr-audit \
+        --json "target/ci-pipe-$run.json" --attr-out "target/ci-pipe-attr-$run.json"
+done
+cmp target/ci-pipe-report.json target/ci-pipe-repeat.json \
+    || { echo "ci: same-seed pipeline reports diverged" >&2; exit 1; }
+cmp target/ci-pipe-attr-report.json target/ci-pipe-attr-repeat.json \
+    || { echo "ci: same-seed pipeline attribution documents diverged" >&2; exit 1; }
 # Gateway smoke: boot fft-gate on an ephemeral port (the bound port comes
 # back through --port-file), replay a seeded workload over 8 concurrent TCP
 # clients, and require (a) the hazard validator to come back clean over the
