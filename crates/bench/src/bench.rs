@@ -24,14 +24,16 @@
 //! gates.
 //!
 //! The file format is the same hand-rolled JSON the rest of the repo uses
-//! (shortest-round-trip `f64`, fixed key order), read back by a strict
-//! dependency-free scanner that expects each table's keys in order.
+//! (shortest-round-trip `f64`, fixed key order), read back through the
+//! workspace JSON codec (`fft_math::json`) and checked field by field
+//! against the tables.
 
 use bifft::multi_gpu::MultiGpuFft3d;
 use bifft::plan::{Algorithm, Fft3d};
 use bifft::PatternAudit;
 use fft_gate::server::{GateConfig, GateServer};
 use fft_gate::{control, run_open_loop_net};
+use fft_math::json::{self, need, need_arr, need_bool, need_str, Value};
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
 use fft_serve::loadgen::{
@@ -958,45 +960,52 @@ impl Rule {
     }
 }
 
-/// A point field's type, one of the four value kinds: rendered to and
-/// scanned from its JSON text.
+/// A point field's type, one of the four value kinds: rendered to JSON text
+/// and read back from a parsed [`Value`].
 trait Scalar: Sized {
     fn render(&self) -> String;
-    fn scan(raw: &str) -> Result<Self, String>;
+    /// `None` when the value is of another kind.
+    fn read(v: &Value) -> Option<Self>;
 }
 
 impl Scalar for String {
     fn render(&self) -> String {
         format!("\"{self}\"")
     }
-    fn scan(raw: &str) -> Result<Self, String> {
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| "expected a quoted string".to_string())
+    fn read(v: &Value) -> Option<Self> {
+        v.as_str().map(str::to_string)
     }
 }
 
-macro_rules! display_scalar {
-    ($($t:ty),*) => {$(
+macro_rules! scalar {
+    ($($t:ty => $read:expr),*) => {$(
         impl Scalar for $t {
             fn render(&self) -> String {
                 self.to_string()
             }
-            fn scan(raw: &str) -> Result<Self, String> {
-                raw.parse().map_err(|e| format!("{e}"))
+            fn read(v: &Value) -> Option<Self> {
+                $read(v)
             }
         }
     )*};
 }
-display_scalar!(bool, f64, u32, u64, usize);
+scalar!(bool => Value::as_bool, f64 => Value::as_f64, u32 => int, u64 => int, usize => int);
+
+/// An integer field: exact `u64` bits in range of the field's type.
+fn int<T: TryFrom<u64>>(v: &Value) -> Option<T> {
+    match *v {
+        Value::Int(i) => i.try_into().ok(),
+        _ => None,
+    }
+}
 
 /// One entry of a section's field table.
 struct Field<T> {
     key: &'static str,
     role: Role,
     get: fn(&T) -> String,
-    set: fn(&mut T, &str) -> Result<(), String>,
+    /// Stores the value; `false` when it is of another kind.
+    set: fn(&mut T, &Value) -> bool,
 }
 
 /// A section: the array `key` of points `T` in an owner `O` (the document,
@@ -1023,10 +1032,7 @@ macro_rules! table {
                 key: stringify!($name),
                 role: $role,
                 get: |p| p.$name.render(),
-                set: |p, raw| {
-                    p.$name = Scalar::scan(raw)?;
-                    Ok(())
-                },
+                set: |p, v| Scalar::read(v).map(|x| p.$name = x).is_some(),
             }),*],
         }
     };
@@ -1037,8 +1043,8 @@ macro_rules! table {
 trait Section<O> {
     /// Appends `"key": [...]`, one point a line, indented `indent + 2`.
     fn render(&self, owner: &O, out: &mut String, indent: usize);
-    /// Scans `"key": [...]` at the cursor into `owner`.
-    fn parse(&self, cur: &mut Cursor<'_>, owner: &mut O) -> Result<(), String>;
+    /// Reads the array `key` of the owner's object `doc` into `owner`.
+    fn parse(&self, doc: &Value, owner: &mut O) -> Result<(), String>;
     /// Appends a failure for every baseline point the candidate lacks and
     /// every rule a gated field breaks.
     fn check(&self, base: &O, cand: &O, parent: &str, tol: f64, failures: &mut Vec<String>);
@@ -1082,31 +1088,19 @@ impl<O, T: Default> Section<O> for Table<O, T> {
         let _ = write!(out, "{:indent$}]", "");
     }
 
-    fn parse(&self, cur: &mut Cursor<'_>, owner: &mut O) -> Result<(), String> {
-        cur.expect(&format!("\"{}\":", self.key))?;
-        cur.expect("[")?;
-        let rows = (self.rows_mut)(owner);
-        while !cur.eat("]") {
-            if !rows.is_empty() {
-                cur.expect(",")?;
-            }
-            cur.expect("{")?;
+    fn parse(&self, doc: &Value, owner: &mut O) -> Result<(), String> {
+        for point in need_arr(doc, self.key)? {
             let mut row = T::default();
-            for (j, f) in self.fields.iter().enumerate() {
-                if j > 0 {
-                    cur.expect(",")?;
+            for f in self.fields {
+                let v = need(point, f.key).map_err(|e| format!("{}: {e}", self.key))?;
+                if !(f.set)(&mut row, v) {
+                    return Err(format!("{}: bad {} '{}'", self.key, f.key, v.encode()));
                 }
-                cur.expect(&format!("\"{}\":", f.key))?;
-                let raw = cur.token();
-                (f.set)(&mut row, raw)
-                    .map_err(|e| format!("{}: bad {} '{raw}': {e}", self.key, f.key))?;
             }
             if let Some(child) = self.child {
-                cur.expect(",")?;
-                child.parse(cur, &mut row)?;
+                child.parse(point, &mut row)?;
             }
-            cur.expect("}")?;
-            rows.push(row);
+            (self.rows_mut)(owner).push(row);
         }
         Ok(())
     }
@@ -1137,50 +1131,6 @@ impl<O, T: Default> Section<O> for Table<O, T> {
                 child.check(b, c, &id, tol, failures);
             }
         }
-    }
-}
-
-/// Reads a bench document token by token, skipping whitespace between
-/// tokens.
-struct Cursor<'t> {
-    text: &'t str,
-    pos: usize,
-}
-
-impl<'t> Cursor<'t> {
-    /// Skips whitespace and returns the text left.
-    fn rest(&mut self) -> &'t str {
-        let rest = self.text[self.pos..].trim_start();
-        self.pos = self.text.len() - rest.len();
-        rest
-    }
-
-    fn eat(&mut self, lit: &str) -> bool {
-        let hit = self.rest().starts_with(lit);
-        if hit {
-            self.pos += lit.len();
-        }
-        hit
-    }
-
-    fn expect(&mut self, lit: &str) -> Result<(), String> {
-        self.eat(lit)
-            .then_some(())
-            .ok_or_else(|| format!("expected `{lit}` at byte {}", self.pos))
-    }
-
-    /// The next value's raw text: a quoted string with its quotes, or
-    /// everything up to the next delimiter.
-    fn token(&mut self) -> &'t str {
-        let rest = self.rest();
-        let len = match rest.strip_prefix('"') {
-            Some(body) => body.find('"').map_or(rest.len(), |e| e + 2),
-            None => rest
-                .find(|c: char| matches!(c, ',' | '}' | ']') || c.is_whitespace())
-                .unwrap_or(rest.len()),
-        };
-        self.pos += len;
-        &rest[..len]
     }
 }
 
@@ -1314,33 +1264,26 @@ pub fn to_json(file: &BenchFile) -> String {
     out
 }
 
-/// Scans a bench JSON file back into a [`BenchFile`].
-///
-/// This reads our own fixed output shape (every section and key in render
-/// order), not general JSON — no external crates needed.
+/// Reads a bench JSON file back into a [`BenchFile`]: parses it with the
+/// workspace JSON codec, then walks the section tables over the parsed
+/// document.
 ///
 /// # Errors
-/// Returns a description of the first malformed or missing field, including
-/// a schema-version mismatch.
+/// Returns a description of the first syntax error, missing or mistyped
+/// field, including a schema-version mismatch.
 pub fn parse_bench(text: &str) -> Result<BenchFile, String> {
-    let mut cur = Cursor { text, pos: 0 };
-    cur.expect("{")?;
-    cur.expect("\"schema\":")?;
-    let schema = String::scan(cur.token()).map_err(|e| format!("bad schema: {e}"))?;
+    let doc = json::parse(text)?;
+    let schema = need_str(&doc, "schema")?;
     if schema != BENCH_SCHEMA {
         return Err(format!("schema '{schema}' is not '{BENCH_SCHEMA}'"));
     }
-    cur.expect(",")?;
-    cur.expect("\"quick\":")?;
     let mut file = BenchFile {
-        quick: bool::scan(cur.token()).map_err(|e| format!("bad quick: {e}"))?,
+        quick: need_bool(&doc, "quick")?,
         ..BenchFile::default()
     };
     for section in SECTIONS {
-        cur.expect(",")?;
-        section.parse(&mut cur, &mut file)?;
+        section.parse(&doc, &mut file)?;
     }
-    cur.expect("}")?;
     Ok(file)
 }
 
@@ -1656,7 +1599,8 @@ mod tests {
                         } else {
                             raw.to_string()
                         };
-                        (f.set)(&mut row, &raw).unwrap_or_else(|e| panic!("{}: {e}", f.key));
+                        let v = json::parse(&raw).unwrap();
+                        assert!((f.set)(&mut row, &v), "{}: {raw}", f.key);
                         let mut owner = O::default();
                         (table.rows_mut)(&mut owner).push(row);
                         owner
@@ -1697,9 +1641,37 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_rejected() {
-        let text = to_json(&tiny_file()).replace(BENCH_SCHEMA, "bifft-bench-v0");
+        let good = to_json(&tiny_file());
+        let text = good.replace(BENCH_SCHEMA, "bifft-bench-v0");
         let err = parse_bench(&text).unwrap_err();
         assert!(err.contains("bifft-bench-v0"), "{err}");
+        // Trailing garbage and mistyped values are no bench document either.
+        let err = parse_bench(&format!("{good}}}}} not json [[[\n")).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+        let err = parse_bench(&good.replacen("\"gpus\": 2", "\"gpus\": \"2\"", 1)).unwrap_err();
+        assert_eq!(err, "scaling: bad gpus '\"2\"'");
+        let err = parse_bench(&good.replacen("\"n\": 64", "\"n\": 64.5", 1)).unwrap_err();
+        assert_eq!(err, "runs: bad n '64.5'");
+    }
+
+    #[test]
+    fn extreme_doubles_round_trip_bit_exactly() {
+        // `Display` spells 1e-70 and subnormals out in full (no exponent).
+        let mut file = BenchFile::default();
+        file.scaling.push(ScalingPoint {
+            wall_s: 1e-70,
+            ..ScalingPoint::default()
+        });
+        file.attribution.push(AttributionPoint {
+            att_worst_err_s: -5e-324,
+            att_e2e_ms_mean: f64::MAX,
+            ..AttributionPoint::default()
+        });
+        let back = parse_bench(&to_json(&file)).unwrap();
+        assert_eq!(back.scaling[0].wall_s.to_bits(), 1e-70f64.to_bits());
+        let a = &back.attribution[0];
+        assert_eq!(a.att_worst_err_s.to_bits(), (-5e-324f64).to_bits());
+        assert_eq!(a.att_e2e_ms_mean, f64::MAX);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The sim-prof driver: runs one algorithm under the recorder and exports
 //! the artefacts the `profile` binary writes — a Chrome trace-event JSON for
-//! `chrome://tracing`/Perfetto and a flat `metrics.json` — plus a
-//! dependency-free scanner over our own metrics format so two runs can be
-//! diffed from their files alone.
+//! `chrome://tracing`/Perfetto and a flat `metrics.json` — plus its reader
+//! (through the workspace JSON codec) so two runs can be diffed from their
+//! files alone.
 
 use bifft::multi_gpu::MultiGpuFft3d;
 use bifft::plan::{Algorithm, Fft3d, FftError};
 use bifft::{OutOfCoreFft, RunReport};
+use fft_math::json::{self, need_arr, need_f64, need_str};
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
 use gpu_sim::{CheckReport, DeviceSpec, Gpu, Trace};
@@ -149,7 +150,7 @@ pub fn run_profile_any(
     })
 }
 
-/// The fields [`diff_metrics`] compares, scanned back out of a
+/// The fields [`diff_metrics`] compares, read back out of a
 /// `metrics.json` file.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsFile {
@@ -161,51 +162,28 @@ pub struct MetricsFile {
     pub steps: Vec<(String, f64, f64)>,
 }
 
-/// Extracts the raw text of `"key": <value>` from `text`, starting at
-/// `from`; returns the value and the index just past it.
-fn field<'t>(text: &'t str, key: &str, from: usize) -> Option<(&'t str, usize)> {
-    let needle = format!("\"{key}\": ");
-    let at = text[from..].find(&needle)? + from + needle.len();
-    let end = text[at..].find([',', '}', '\n']).map(|e| at + e)?;
-    Some((text[at..end].trim().trim_matches('"'), end))
-}
-
-/// Scans a `metrics.json` produced by [`RunReport::metrics_json`].
+/// Reads a `metrics.json` produced by [`RunReport::metrics_json`].
 ///
-/// This is a scanner over our own fixed output shape, not a general JSON
-/// parser — it exists so `profile --diff` needs no external crates.
+/// # Errors
+/// A syntax error, or a missing or mistyped field.
 pub fn parse_metrics(text: &str) -> Result<MetricsFile, String> {
-    let (algorithm, _) =
-        field(text, "algorithm", 0).ok_or_else(|| "missing algorithm".to_string())?;
-    let (total, _) =
-        field(text, "total_time_s", 0).ok_or_else(|| "missing total_time_s".to_string())?;
-    let total_time_s: f64 = total
-        .parse()
-        .map_err(|e| format!("bad total_time_s: {e}"))?;
-    let mut steps = Vec::new();
-    let mut cursor = text
-        .find("\"steps\"")
-        .ok_or_else(|| "missing steps".to_string())?;
-    while let Some((name, after_name)) = field(text, "name", cursor) {
-        let (t, after_t) =
-            field(text, "time_s", after_name).ok_or_else(|| format!("step {name}: no time_s"))?;
-        let (cf, after_cf) = field(text, "coalesced_fraction", after_t)
-            .ok_or_else(|| format!("step {name}: no coalesced_fraction"))?;
-        steps.push((
-            name.to_string(),
-            t.parse().map_err(|e| format!("step {name}: {e}"))?,
-            cf.parse().map_err(|e| format!("step {name}: {e}"))?,
-        ));
-        cursor = after_cf;
-    }
+    let doc = json::parse(text)?;
+    let steps = need_arr(&doc, "steps")?
+        .iter()
+        .map(|s| {
+            let name = need_str(s, "name")?;
+            let step = |key| need_f64(s, key).map_err(|e| format!("step {name}: {e}"));
+            Ok((name.clone(), step("time_s")?, step("coalesced_fraction")?))
+        })
+        .collect::<Result<_, String>>()?;
     Ok(MetricsFile {
-        algorithm: algorithm.to_string(),
-        total_time_s,
+        algorithm: need_str(&doc, "algorithm")?,
+        total_time_s: need_f64(&doc, "total_time_s")?,
         steps,
     })
 }
 
-/// Renders a per-step comparison of two scanned metrics files (per-step
+/// Renders a per-step comparison of two metrics files (per-step
 /// Δtime and Δcoalesced, paired by position).
 pub fn diff_metrics(a: &MetricsFile, b: &MetricsFile) -> String {
     let mut out = String::new();
@@ -263,6 +241,32 @@ mod tests {
             assert_eq!(p.0, s.name);
             assert_eq!(p.1, s.timing.time_s);
         }
+    }
+
+    #[test]
+    fn parse_metrics_rejects_broken_documents() {
+        for bad in [
+            r#"{"algorithm": "five-step", "total_time_s": 1.0, "steps": [ ]] garbage {{{"#,
+            r#"{"algorithm": "five-step", "total_time_s": "1.0", "steps": []}"#,
+            r#"{"algorithm": "five-step", "total_time_s": 1.0}"#,
+            r#"{"algorithm": "x", "total_time_s": 1, "steps": [{"name": "a", "time_s": 1}]}"#,
+        ] {
+            assert!(parse_metrics(bad).is_err(), "{bad}");
+        }
+        let err = parse_metrics(r#"{"algorithm": 5, "total_time_s": 1.0, "steps": []}"#);
+        assert_eq!(err.unwrap_err(), "field 'algorithm' is not a string");
+    }
+
+    #[test]
+    fn extreme_step_times_round_trip_bit_exactly() {
+        // `Display` spells 1e-70 and subnormals out in full (no exponent).
+        let (mut rep, _) = run_profile(DeviceSpec::gts8800(), Algorithm::FiveStep, 16).unwrap();
+        rep.steps[0].timing.time_s = 1e-70;
+        rep.steps[1].timing.time_s = 5e-324;
+        let parsed = parse_metrics(&rep.metrics_json()).unwrap();
+        assert_eq!(parsed.steps[0].1.to_bits(), 1e-70f64.to_bits());
+        assert_eq!(parsed.steps[1].1.to_bits(), 5e-324f64.to_bits());
+        assert_eq!(parsed.total_time_s, rep.total_time_s());
     }
 
     #[test]

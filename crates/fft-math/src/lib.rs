@@ -16,6 +16,8 @@
 //! * [`dft`] — O(N²) reference oracle,
 //! * [`rng`] — SplitMix64, the workspace's dependency-free seedable PRNG,
 //! * [`flops`] — the paper's `15·N³·log2 N` GFLOPS convention,
+//! * [`json`] — the workspace's one JSON codec: the gateway's frame bodies
+//!   and every document reader parse through it,
 //! * [`error`] — validation norms,
 //! * [`stats`] — nearest-rank percentiles shared by the serving and
 //!   benchmarking layers.
@@ -29,6 +31,7 @@ pub mod error;
 pub mod fft1d;
 pub mod fft64;
 pub mod flops;
+pub mod json;
 pub mod layout;
 pub mod multirow;
 pub mod rng;

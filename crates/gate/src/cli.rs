@@ -29,6 +29,7 @@
 
 use crate::loadnet::{control, run_closed_loop_net, run_open_loop_net, NetLoad};
 use crate::server::{GateConfig, GateServer};
+use fft_math::json::{self, Value};
 use fft_serve::loadgen::open_loop_templates;
 use fft_serve::{validate_metrics_json, FftService, ServeConfig, Workload};
 
@@ -476,14 +477,11 @@ fn print_summary(cli: &Cli, addr: &str, load: &NetLoad, report: &str) {
             load.gate_hold_s / load.traced_acks as f64 * 1e3
         );
     }
-    // Surface the headline serving numbers without reparsing the whole
-    // report: they sit on their own lines in the deterministic render.
+    // The headline serving numbers, printed as the report renders them.
+    let report = json::parse(report).unwrap_or(Value::Null);
     for key in ["achieved_rps", "goodput_gbs", "p95_ms"] {
-        if let Some(at) = report.find(&format!("\"{key}\":")) {
-            let rest = &report[at..];
-            if let Some(line) = rest.lines().next() {
-                eprintln!("report:   {}", line.trim().trim_end_matches(','));
-            }
+        if let Some(x) = report.get(key).and_then(Value::as_f64) {
+            eprintln!("report:   \"{key}\": {x}");
         }
     }
 }

@@ -30,10 +30,13 @@
 pub mod bridge;
 pub mod cli;
 pub mod client;
-pub mod json;
 pub mod loadnet;
 pub mod proto;
 pub mod server;
+
+/// The JSON codec the wire frames use; it lives in `fft-math` so that every
+/// crate's document readers share it.
+pub use fft_math::json;
 
 pub use bridge::{HeldSubmit, PacedBridge};
 pub use client::{AckStamps, PollAnswer, ServeClient, ServerInfo, WireError};

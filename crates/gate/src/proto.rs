@@ -39,8 +39,8 @@
 //! is what makes the same-seed gateway run byte-identical to the
 //! in-process run without shipping megabytes of samples.
 
-use crate::json::{self, obj, Value};
 use bifft::plan::Algorithm;
+use fft_math::json::{self, need_bool, need_f64, need_str, need_u64, obj, Value};
 use fft_math::twiddle::Direction;
 use fft_serve::pipeline::{PipelineStage, StageKind};
 use fft_serve::{Operand, Priority, Rejection, SeededPipeline, SeededSpec, Shape, TenantId};
@@ -623,31 +623,6 @@ impl Frame {
 
 fn opt_num(v: Option<f64>) -> Value {
     v.map_or(Value::Null, Value::Num)
-}
-
-fn need_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn need_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn need_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing number field '{key}'"))
-}
-
-fn need_bool(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("missing bool field '{key}'"))
 }
 
 fn opt_f64(v: &Value, key: &str) -> Result<Option<f64>, String> {

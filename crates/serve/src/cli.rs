@@ -33,7 +33,8 @@
 use crate::loadgen::{run_closed_loop, run_open_loop, Workload};
 use crate::qos::{QosConfig, TenantId, TenantPolicy};
 use crate::service::ServeConfig;
-use crate::telemetry::validate_metrics_json;
+use crate::telemetry::validate_metrics;
+use fft_math::json::{self, Value};
 
 struct Cli {
     gpus: usize,
@@ -166,18 +167,22 @@ pub fn cli_main() -> i32 {
                 return 1;
             }
         };
-        // Surface the dropped-lifecycle-stamp counter (a required section,
-        // so a validating document always carries it). Dropped stamps mean
-        // the waterfalls — and everything attribution derives from them —
-        // are incomplete; a healthy service keeps this at 0.
-        if let Some(n) = read_dropped_counter(&text) {
-            if n > 0 {
-                eprintln!("fft-serve: {path}: WARNING: {n} lifecycle stamp(s) dropped");
-            } else {
-                eprintln!("fft-serve: {path}: lifecycle stamps: none dropped");
+        let verdict = json::parse(&text).and_then(|doc| {
+            // Surface the dropped-lifecycle-stamp counter (a required
+            // section, so a validating document always carries it).
+            // Dropped stamps mean the waterfalls — and everything
+            // attribution derives from them — are incomplete; a healthy
+            // service keeps this at 0.
+            let counters = doc.get("counters");
+            let dropped = counters.and_then(|c| c.get("serve_lifecycle_dropped_total"));
+            match dropped.and_then(Value::as_u64) {
+                Some(0) => eprintln!("fft-serve: {path}: lifecycle stamps: none dropped"),
+                Some(n) => eprintln!("fft-serve: {path}: WARNING: {n} lifecycle stamp(s) dropped"),
+                None => {}
             }
-        }
-        return match validate_metrics_json(&text) {
+            validate_metrics(&doc)
+        });
+        return match verdict {
             Ok(true) => {
                 eprintln!("fft-serve: {path}: schema ok, slo ok");
                 0
@@ -343,18 +348,4 @@ pub fn cli_main() -> i32 {
 
 fn svc_model() -> &'static str {
     "GTS8800-sim"
-}
-
-/// Reads `"serve_lifecycle_dropped_total": N` out of a metrics document,
-/// or `None` when the counter is absent (a foreign or truncated file —
-/// the schema validator reports that separately).
-fn read_dropped_counter(text: &str) -> Option<u64> {
-    let key = "\"serve_lifecycle_dropped_total\": ";
-    let at = text.find(key)? + key.len();
-    text[at..]
-        .split([',', '\n', '}'])
-        .next()?
-        .trim()
-        .parse()
-        .ok()
 }

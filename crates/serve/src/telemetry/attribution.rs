@@ -31,6 +31,7 @@
 
 use super::lifecycle::{LifecycleLog, Stage, Waterfall};
 use crate::request::RequestId;
+use fft_math::json::{self, need_bool, need_f64, need_obj, need_str, need_u64};
 use fft_math::stats::{mean, nearest_rank, sort_samples};
 use std::collections::BTreeMap;
 
@@ -600,77 +601,38 @@ pub struct AttrSummary {
     pub driver_delta_s: f64,
 }
 
-/// Sequential field scanner: finds `key` at or after `*pos`, returns the
-/// raw token after it and advances `*pos` — positional, so repeated key
-/// names in later sections cannot alias earlier ones.
-fn field<'t>(text: &'t str, pos: &mut usize, key: &str) -> Result<&'t str, String> {
-    let pat = format!("\"{key}\": ");
-    let at = text[*pos..]
-        .find(&pat)
-        .ok_or_else(|| format!("missing field \"{key}\""))?
-        + *pos
-        + pat.len();
-    let end = text[at..]
-        .find([',', '}', '\n'])
-        .ok_or_else(|| format!("unterminated field \"{key}\""))?
-        + at;
-    *pos = end;
-    Ok(text[at..end].trim())
-}
-
-fn f64_field(text: &str, pos: &mut usize, key: &str) -> Result<f64, String> {
-    let raw = field(text, pos, key)?;
-    raw.parse()
-        .map_err(|e| format!("field \"{key}\" = '{raw}': {e}"))
-}
-
 /// Parses an attribution document back into its [`AttrSummary`].
 ///
 /// # Errors
-/// A wrong schema tag or a missing/malformed field.
+/// A syntax error, a wrong schema tag, or a missing or mistyped field.
 pub fn parse_attr_json(text: &str) -> Result<AttrSummary, String> {
-    let mut pos = 0;
-    let schema = field(text, &mut pos, "schema")?
-        .trim_matches('"')
-        .to_string();
+    let doc = json::parse(text)?;
+    let schema = need_str(&doc, "schema")?;
     if schema != ATTR_SCHEMA {
         return Err(format!("schema '{schema}' is not '{ATTR_SCHEMA}'"));
     }
-    let requests = field(text, &mut pos, "requests")?
-        .parse()
-        .map_err(|e| format!("requests: {e}"))?;
-    let conservation_ok = match field(text, &mut pos, "ok")? {
-        "true" => true,
-        "false" => false,
-        other => return Err(format!("conservation ok = '{other}'")),
-    };
-    let worst_err_s = f64_field(text, &mut pos, "worst_err_s")?;
-    let e2e_mean_s = f64_field(text, &mut pos, "mean_s")?;
-    let e2e_p50_s = f64_field(text, &mut pos, "p50_s")?;
-    let e2e_p95_s = f64_field(text, &mut pos, "p95_s")?;
+    let conservation = need_obj(&doc, "conservation")?;
+    let e2e = need_obj(&doc, "e2e")?;
+    let categories = need_obj(&doc, "categories")?;
+    let tail = need_obj(&doc, "tail")?;
     let mut cat_mean_s = [0.0; CATEGORIES.len()];
     let mut cat_share = [0.0; CATEGORIES.len()];
     for (i, c) in CATEGORIES.iter().enumerate() {
-        // Position on the category's object, then read within it.
-        field(text, &mut pos, c.label())?;
-        cat_mean_s[i] = f64_field(text, &mut pos, "mean_s")?;
-        cat_share[i] = f64_field(text, &mut pos, "share")?;
+        let cat = need_obj(categories, c.label())?;
+        cat_mean_s[i] = need_f64(cat, "mean_s")?;
+        cat_share[i] = need_f64(cat, "share")?;
     }
-    let driver = field(text, &mut pos, "driver")?
-        .trim_matches('"')
-        .to_string();
-    let driver_delta_s = f64_field(text, &mut pos, "driver_delta_s")?;
     Ok(AttrSummary {
-        requests,
-        conservation_ok,
-        worst_err_s,
-        e2e_mean_s,
-        e2e_p50_s,
-        e2e_p95_s,
+        requests: need_u64(&doc, "requests")?,
+        conservation_ok: need_bool(conservation, "ok")?,
+        worst_err_s: need_f64(conservation, "worst_err_s")?,
+        e2e_mean_s: need_f64(e2e, "mean_s")?,
+        e2e_p50_s: need_f64(e2e, "p50_s")?,
+        e2e_p95_s: need_f64(e2e, "p95_s")?,
         cat_mean_s,
         cat_share,
-        driver,
-        driver_delta_s,
+        driver: need_str(tail, "driver")?,
+        driver_delta_s: need_f64(tail, "driver_delta_s")?,
     })
 }
 
@@ -1034,5 +996,30 @@ mod tests {
         assert_eq!(parsed.requests, 0);
         assert!(parsed.conservation_ok);
         assert!(parse_attr_json(&doc.replace(ATTR_SCHEMA, "bifft-attr-v0")).is_err());
+        // A non-JSON line anywhere, or a mistyped field, is not a document.
+        let doc = render_attr_json(&synthetic_ledgers());
+        let at = doc.find("  \"profiles\"").unwrap();
+        let broken = format!("{}]]] not json [[[\n{}", &doc[..at], &doc[at..]);
+        let err = parse_attr_json(&broken).unwrap_err();
+        assert!(err.ends_with("found ']'"), "{err}");
+        let err = parse_attr_json(&doc.replacen("\"requests\": 10", "\"requests\": \"10\"", 1));
+        assert_eq!(err.unwrap_err(), "field 'requests' is not an integer");
+        assert!(
+            parse_attr_json(&doc.replacen("\"driver\": \"queue\"", "\"driver\": 7", 1)).is_err()
+        );
+    }
+
+    #[test]
+    fn extreme_doubles_round_trip_bit_exactly() {
+        // `Display` spells 1e-70 and subnormals out in full (no exponent).
+        for e2e in [1e-70, 5e-324, f64::MIN_POSITIVE * 0.3] {
+            let (mut log, id) = started(1, "1d256x16");
+            complete(&mut log, id, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, e2e], None);
+            let ledgers = collect(&log);
+            let parsed = parse_attr_json(&render_attr_json(&ledgers)).unwrap();
+            assert_eq!(parsed.e2e_mean_s.to_bits(), e2e.to_bits());
+            let finalize = parsed.cat_mean_s[Category::Finalize.index()];
+            assert_eq!(finalize.to_bits(), e2e.to_bits());
+        }
     }
 }

@@ -13,6 +13,7 @@ use super::lifecycle::{LifecycleLog, Stage};
 use super::registry::MetricsRegistry;
 use super::slo::SloReport;
 use super::timeline::Timeline;
+use fft_math::json::{self, need_arr, need_bool, need_f64, need_obj, need_str, need_u64, Value};
 use gpu_sim::Trace;
 use std::collections::BTreeMap;
 
@@ -230,54 +231,36 @@ pub fn parse_prometheus(text: &str) -> Result<BTreeMap<String, f64>, String> {
     Ok(out)
 }
 
-/// Structurally validates a `bifft-metrics-v1` document (schema tag and
-/// required sections) and returns the SLO verdict's overall `ok`.
+/// Parses a `bifft-metrics-v1` document and checks it with
+/// [`validate_metrics`].
 ///
 /// # Errors
-/// A wrong or missing schema tag, or a missing required section.
+/// A syntax error, or whatever [`validate_metrics`] rejects.
 pub fn validate_metrics_json(text: &str) -> Result<bool, String> {
-    let schema_at = text
-        .find("\"schema\": \"")
-        .ok_or("missing \"schema\" field")?
-        + "\"schema\": \"".len();
-    let schema_end = text[schema_at..]
-        .find('"')
-        .ok_or("unterminated schema tag")?
-        + schema_at;
-    let schema = &text[schema_at..schema_end];
+    validate_metrics(&json::parse(text)?)
+}
+
+/// Checks a parsed `bifft-metrics-v1` document (schema tag and the required
+/// sections with their types) and returns the SLO verdict's overall `ok`.
+///
+/// # Errors
+/// A wrong or missing schema tag, or a missing or mistyped required section.
+pub fn validate_metrics(doc: &Value) -> Result<bool, String> {
+    let schema = need_str(doc, "schema")?;
     if schema != METRICS_SCHEMA {
         return Err(format!("schema '{schema}' is not '{METRICS_SCHEMA}'"));
     }
-    for key in [
-        "\"tick_s\": ",
-        "\"counters\": {",
-        "\"gauges\": {",
-        "\"histograms\": {",
-        "\"series\": [",
-        "\"series_dropped\": ",
-        "\"slo\": {",
-        // Pre-registered by `Telemetry::new`, so every service-rendered
-        // document carries them even with zero traffic.
-        "\"serve_lifecycle_dropped_total\": ",
-        "\"serve_attr_compute_us_total\": ",
-    ] {
-        if !text.contains(key) {
-            return Err(format!("missing section {key}"));
-        }
-    }
-    // The verdict object renders its overall "ok" first, so the first
-    // occurrence after the section opener is the one to read.
-    let slo_at = text.find("\"slo\": {").expect("checked above");
-    let ok_at = text[slo_at..]
-        .find("\"ok\": ")
-        .ok_or("slo section has no \"ok\"")?
-        + slo_at
-        + "\"ok\": ".len();
-    match text[ok_at..].split([',', '\n', '}']).next().map(str::trim) {
-        Some("true") => Ok(true),
-        Some("false") => Ok(false),
-        other => Err(format!("unreadable slo ok value {other:?}")),
-    }
+    need_f64(doc, "tick_s")?;
+    let counters = need_obj(doc, "counters")?;
+    need_obj(doc, "gauges")?;
+    need_obj(doc, "histograms")?;
+    need_arr(doc, "series")?;
+    need_u64(doc, "series_dropped")?;
+    // Pre-registered by `Telemetry::new`, so every service-rendered
+    // document carries them even with zero traffic.
+    need_u64(counters, "serve_lifecycle_dropped_total")?;
+    need_u64(counters, "serve_attr_compute_us_total")?;
+    need_bool(need_obj(doc, "slo")?, "ok")
 }
 
 fn esc(s: &str) -> String {
@@ -423,6 +406,26 @@ mod tests {
             validate_metrics_json(&metrics_json(&reg, &tl, &violated)),
             Ok(false)
         );
+    }
+
+    #[test]
+    fn extreme_doubles_round_trip_bit_exactly() {
+        // `Display` spells 1e-70 and subnormals out in full (no exponent).
+        let mut reg = MetricsRegistry::new();
+        reg.set_counter("serve_lifecycle_dropped_total", 0);
+        reg.set_counter("serve_attr_compute_us_total", 0);
+        reg.set_gauge("tiny", 5e-324);
+        reg.set_gauge("huge", -f64::MAX);
+        let doc = metrics_json(&reg, &Timeline::new(1e-70), &tiny_slo());
+        assert_eq!(validate_metrics_json(&doc), Ok(true));
+        let v = json::parse(&doc).unwrap();
+        assert_eq!(need_f64(&v, "tick_s"), Ok(1e-70));
+        let gauges = need_obj(&v, "gauges").unwrap();
+        assert_eq!(
+            need_f64(gauges, "tiny").map(f64::to_bits),
+            Ok(5e-324f64.to_bits())
+        );
+        assert_eq!(need_f64(gauges, "huge"), Ok(-f64::MAX));
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub use attribution::{
     Ledger, ATTR_SCHEMA, CATEGORIES, CONSERVATION_TOLERANCE_S,
 };
 pub use export::{
-    chrome_trace, metrics_json, parse_prometheus, prometheus_text, validate_metrics_json,
-    METRICS_SCHEMA,
+    chrome_trace, metrics_json, parse_prometheus, prometheus_text, validate_metrics,
+    validate_metrics_json, METRICS_SCHEMA,
 };
 pub use lifecycle::{LifecycleLog, Stage, Waterfall};
 pub use registry::{Histogram, MetricsRegistry};

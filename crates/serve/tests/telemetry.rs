@@ -278,6 +278,24 @@ fn validate_metrics_rejects_garbage_and_wrong_schema() {
     let good = svc.metrics_json();
     let tampered = good.replace("bifft-metrics-v1", "bifft-metrics-v0");
     assert!(validate_metrics_json(&tampered).is_err());
+    // Broken syntax anywhere and mistyped required fields are rejected too.
+    let tick = good.lines().find(|l| l.contains("\"tick_s\": ")).unwrap();
+    let garbage_tick = good.replacen(tick, "  \"tick_s\": garbage,", 1);
+    let open_counters = good.replacen("\"counters\": {", "\"counters\": {{{", 1);
+    for bad in [
+        garbage_tick.clone(),
+        open_counters.clone(),
+        garbage_tick.replacen("\"counters\": {", "\"counters\": {{{", 1),
+        good.replacen("\"ok\": true", "\"ok\": 1", 1),
+        good.replacen("\"series_dropped\": 0", "\"series_dropped\": \"0\"", 1),
+        format!("{good}}}}} not json [[["),
+    ] {
+        assert_ne!(bad, good);
+        assert!(validate_metrics_json(&bad).is_err(), "{bad}");
+    }
+    assert!(validate_metrics_json(&garbage_tick)
+        .unwrap_err()
+        .contains("garbage"));
 }
 
 /// The merged Chrome trace carries both per-card tracks and one track per

@@ -53,6 +53,15 @@ cargo run --release -p fft-serve --bin fft-serve --offline -- \
     --attr-out target/ci-attr.json --attr-audit
 cargo run --release -p fft-serve --bin fft-serve --offline -- \
     --validate-metrics target/ci-metrics.json
+# The reader parses the whole document: a copy with one value that is not
+# JSON must fail validation, not pass on the keys it still finds.
+sed 's/"tick_s": [^,]*/"tick_s": garbage/' target/ci-metrics.json \
+    > target/ci-metrics-corrupt.json
+if cargo run --release -p fft-serve --bin fft-serve --offline -- \
+    --validate-metrics target/ci-metrics-corrupt.json; then
+    echo "ci: --validate-metrics accepted a corrupted metrics document" >&2
+    exit 1
+fi
 # Attribution gate (DESIGN.md §15): --attr-audit above already failed the
 # smoke run if any completed request's time ledger did not balance
 # (category sum == e2e latency within 1e-9 s). On top of that, a second
@@ -68,6 +77,13 @@ cargo run --release -p fft-serve --bin fft-prof --offline -- \
     show target/ci-attr.json
 cargo run --release -p fft-serve --bin fft-prof --offline -- \
     diff target/ci-attr.json target/ci-attr-repeat.json
+# Likewise a copy of the attribution document with a non-JSON line.
+sed '2i ]]] not json [[[' target/ci-attr.json > target/ci-attr-corrupt.json
+if cargo run --release -p fft-serve --bin fft-prof --offline -- \
+    show target/ci-attr-corrupt.json; then
+    echo "ci: fft-prof show accepted a corrupted attribution document" >&2
+    exit 1
+fi
 # Multi-tenant smoke (DESIGN.md §16): the same smoke workload spread over
 # 3 weighted-share tenants with lane preemption enabled, still under the
 # hazard validator and the conservation audit (which now carries the
