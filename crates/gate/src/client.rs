@@ -7,7 +7,7 @@
 //! generator streams through. Single transforms and pipeline DAGs share
 //! one code path via [`ServeClient::submit_template_traced`].
 
-use crate::proto::{Frame, FrameDecoder, Mode, PROTO};
+use crate::proto::{Ack, Frame, FrameDecoder, Mode, PROTO};
 use fft_serve::{SeededSpec, SubmitTemplate};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -64,31 +64,7 @@ pub struct PollAnswer {
     pub error: Option<String>,
 }
 
-/// The v1.1 gateway stamps echoed in a `SubmitAck`, in gateway wall
-/// seconds. `ack_s - recv_s` is the gateway's wall-clock hold on one
-/// submit — the piece of client-observed latency the server-side
-/// attribution ledger cannot see (it lives before virtual time starts).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AckStamps {
-    /// The trace id echoed from the submit (`None` = none was sent).
-    pub trace: Option<u64>,
-    /// Gateway wall clock when the submit frame was decoded.
-    pub recv_s: f64,
-    /// Gateway wall clock when the request entered the service.
-    pub enq_s: f64,
-    /// Gateway wall clock when the ack was queued for write.
-    pub ack_s: f64,
-}
-
-impl AckStamps {
-    /// Seconds the gateway held this submit between decoding the frame
-    /// and queueing its ack (bridge residency plus service admission).
-    pub fn hold_s(&self) -> f64 {
-        self.ack_s - self.recv_s
-    }
-}
-
-/// A blocking `bifft-wire-v1.1` client connection.
+/// A blocking `bifft-wire-v1.3` client connection.
 pub struct ServeClient {
     stream: TcpStream,
     decoder: FrameDecoder,
@@ -211,8 +187,9 @@ impl ServeClient {
 
     /// Submits one request and blocks for the verdict: the correlation id
     /// on admission, the typed rejection otherwise. Sends `trace = seq`
-    /// and discards the ack stamps — use [`ServeClient::submit_traced`]
-    /// to reconcile against the server ledger.
+    /// and discards the ack stamps — use
+    /// [`ServeClient::submit_template_traced`] to reconcile against the
+    /// server ledger.
     ///
     /// # Errors
     /// Socket/protocol errors. Admission rejections are the `Ok(Err(_))`
@@ -224,33 +201,17 @@ impl ServeClient {
         next_s: Option<f64>,
         spec: SeededSpec,
     ) -> std::io::Result<Result<u64, WireError>> {
+        let template = SubmitTemplate::Single(spec);
         Ok(self
-            .submit_traced(seq, Some(seq), at_s, next_s, spec)?
-            .map(|(id, _)| id))
-    }
-
-    /// Submits one request with an explicit trace id and returns the
-    /// correlation id together with the gateway's [`AckStamps`].
-    ///
-    /// # Errors
-    /// Socket/protocol errors, including an ack whose echoed trace does
-    /// not match what was sent.
-    pub fn submit_traced(
-        &mut self,
-        seq: u64,
-        trace: Option<u64>,
-        at_s: Option<f64>,
-        next_s: Option<f64>,
-        spec: SeededSpec,
-    ) -> std::io::Result<Result<(u64, AckStamps), WireError>> {
-        self.submit_template_traced(seq, trace, at_s, next_s, &SubmitTemplate::Single(spec))
+            .submit_template_traced(seq, Some(seq), at_s, next_s, &template)?
+            .map(|ack| ack.id))
     }
 
     /// Submits one template — a single transform (`Submit`, acked with
     /// `SubmitAck`) or a whole pipeline DAG (`PipelineSubmit`, acked with
-    /// `PipelineAck`) — and returns the correlation id with the gateway's
-    /// [`AckStamps`]. The two ack shapes are identical, so callers stream
-    /// mixed traffic through one loop.
+    /// `PipelineAck`) — and returns the gateway's [`Ack`]: the correlation
+    /// id and the wall stamps. The two ack shapes are identical, so callers
+    /// stream mixed traffic through one loop.
     ///
     /// # Errors
     /// Socket/protocol errors, including an ack whose echoed trace does
@@ -262,55 +223,19 @@ impl ServeClient {
         at_s: Option<f64>,
         next_s: Option<f64>,
         template: &SubmitTemplate,
-    ) -> std::io::Result<Result<(u64, AckStamps), WireError>> {
-        match template {
-            SubmitTemplate::Single(spec) => self.send(&Frame::Submit {
-                seq,
-                at_s,
-                next_s,
-                trace,
-                spec: *spec,
-            })?,
-            SubmitTemplate::Pipeline(pipe) => self.send(&Frame::PipelineSubmit {
-                seq,
-                at_s,
-                next_s,
-                trace,
-                pipe: pipe.clone(),
-            })?,
+    ) -> std::io::Result<Result<Ack, WireError>> {
+        self.send(&Frame::submit(seq, at_s, next_s, trace, template))?;
+        let reply = self.recv()?;
+        if let Some(ack) = reply.as_ack().filter(|a| a.seq == seq) {
+            if ack.trace != trace {
+                return Err(io_err(format!(
+                    "ack for seq {seq} echoed trace {:?}, sent {trace:?}",
+                    ack.trace
+                )));
+            }
+            return Ok(Ok(ack));
         }
-        match self.recv()? {
-            Frame::SubmitAck {
-                seq: got,
-                id,
-                trace: echoed,
-                recv_s,
-                enq_s,
-                ack_s,
-            }
-            | Frame::PipelineAck {
-                seq: got,
-                id,
-                trace: echoed,
-                recv_s,
-                enq_s,
-                ack_s,
-            } if got == seq => {
-                if echoed != trace {
-                    return Err(io_err(format!(
-                        "ack for seq {seq} echoed trace {echoed:?}, sent {trace:?}"
-                    )));
-                }
-                Ok(Ok((
-                    id,
-                    AckStamps {
-                        trace: echoed,
-                        recv_s,
-                        enq_s,
-                        ack_s,
-                    },
-                )))
-            }
+        match reply {
             Frame::Error {
                 code,
                 kind,

@@ -2,13 +2,13 @@
 //!
 //! The serve core (`fft_serve::FftService`) is a deterministic,
 //! virtual-time discrete-event simulation. This crate exposes it over a
-//! real TCP socket speaking **`bifft-wire-v1.1`** — a versioned,
+//! real TCP socket speaking **`bifft-wire-v1.3`** — a versioned,
 //! length-prefixed frame protocol with JSON payloads — without giving up
 //! the determinism:
 //!
-//! - [`proto`] defines the frame grammar (19 frame types, typed error
-//!   codes mapped 1:1 from the `Rejection` taxonomy) and the incremental
-//!   [`FrameDecoder`];
+//! - [`proto`] defines the frame grammar (21 frame types declared once
+//!   in a codec table, typed error codes mapped 1:1 from the `Rejection`
+//!   taxonomy) and the incremental [`FrameDecoder`];
 //! - [`bridge`] is the wall-clock ↔ virtual-time merge that reassembles a
 //!   recorded arrival schedule from racing TCP connections, so a
 //!   `--seed`-driven network load test produces the *byte-identical*
@@ -39,7 +39,7 @@ pub mod server;
 pub use fft_math::json;
 
 pub use bridge::{HeldSubmit, PacedBridge};
-pub use client::{AckStamps, PollAnswer, ServeClient, ServerInfo, WireError};
+pub use client::{PollAnswer, ServeClient, ServerInfo, WireError};
 pub use loadnet::{control, run_closed_loop_net, run_open_loop_net, NetLoad};
-pub use proto::{code, rejection_code, Frame, FrameDecoder, Mode, PROTO};
+pub use proto::{code, rejection_code, Ack, Frame, FrameDecoder, Mode, PROTO};
 pub use server::{GateConfig, GateServer};

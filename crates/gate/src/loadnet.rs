@@ -11,7 +11,7 @@
 //! in-process, which the N-client integration test pins.
 
 use crate::client::ServeClient;
-use crate::proto::{Frame, Mode};
+use crate::proto::{Ack, Frame, Mode};
 use fft_serve::loadgen::open_loop_templates;
 use fft_serve::{SubmitTemplate, Workload};
 use std::io::ErrorKind;
@@ -38,6 +38,12 @@ pub struct NetLoad {
 }
 
 impl NetLoad {
+    fn note_ack(&mut self, ack: &Ack) {
+        self.accepted += 1;
+        self.traced_acks += 1;
+        self.gate_hold_s += ack.hold_s();
+    }
+
     fn absorb_code(&mut self, code: u16) {
         self.rejected += 1;
         match self.rejected_by_code.binary_search_by_key(&code, |e| e.0) {
@@ -81,7 +87,6 @@ fn deal(schedule: &[(f64, SubmitTemplate)], clients: usize) -> Vec<Slice> {
     slices
 }
 
-/// Streams one worker's slice through a windowed paced connection.
 /// Opens the paced connection that will stream `slice`, announcing its
 /// first arrival in the handshake.
 fn connect_slice(addr: &str, name: &str, slice: &Slice) -> std::io::Result<ServeClient> {
@@ -91,6 +96,7 @@ fn connect_slice(addr: &str, name: &str, slice: &Slice) -> std::io::Result<Serve
     Ok(client)
 }
 
+/// Streams one worker's slice through a windowed paced connection.
 fn stream_slice(mut client: ServeClient, slice: Slice) -> std::io::Result<NetLoad> {
     let window = client.info().window.max(1) as usize;
     let mut load = NetLoad {
@@ -102,33 +108,24 @@ fn stream_slice(mut client: ServeClient, slice: Slice) -> std::io::Result<NetLoa
     while next < slice.len() || inflight > 0 {
         if next < slice.len() && inflight < window {
             let (seq, at_s, next_s, template) = &slice[next];
-            match template {
-                SubmitTemplate::Single(spec) => client.send(&Frame::Submit {
-                    seq: *seq,
-                    at_s: Some(*at_s),
-                    next_s: *next_s,
-                    trace: Some(*seq),
-                    spec: *spec,
-                })?,
-                SubmitTemplate::Pipeline(pipe) => client.send(&Frame::PipelineSubmit {
-                    seq: *seq,
-                    at_s: Some(*at_s),
-                    next_s: *next_s,
-                    trace: Some(*seq),
-                    pipe: pipe.clone(),
-                })?,
-            }
+            client.send(&Frame::submit(
+                *seq,
+                Some(*at_s),
+                *next_s,
+                Some(*seq),
+                template,
+            ))?;
             next += 1;
             inflight += 1;
             continue;
         }
-        match client.recv()? {
-            Frame::SubmitAck { recv_s, ack_s, .. } | Frame::PipelineAck { recv_s, ack_s, .. } => {
-                load.accepted += 1;
-                load.traced_acks += 1;
-                load.gate_hold_s += ack_s - recv_s;
-                inflight -= 1;
-            }
+        let reply = client.recv()?;
+        if let Some(ack) = reply.as_ack() {
+            load.note_ack(&ack);
+            inflight -= 1;
+            continue;
+        }
+        match reply {
             Frame::Error {
                 code, seq, message, ..
             } => {
@@ -236,11 +233,7 @@ pub fn run_closed_loop_net(
             // forward), so `at` itself is a valid watermark.
             let next_s = if last_overall { None } else { Some(at) };
             match client.submit_template_traced(seq, Some(seq), Some(at), next_s, &template)? {
-                Ok((_, stamps)) => {
-                    load.accepted += 1;
-                    load.traced_acks += 1;
-                    load.gate_hold_s += stamps.hold_s();
-                }
+                Ok(ack) => load.note_ack(&ack),
                 Err(e) => load.absorb_code(e.code),
             }
             seq += 1;

@@ -26,7 +26,7 @@
 
 use crate::bridge::PacedBridge;
 use crate::proto::{
-    code, rejection_code, rejection_kind, Frame, FrameDecoder, Mode, PROTO, PROTO_V12,
+    code, rejection_code, rejection_kind, Ack, Frame, FrameDecoder, Mode, PROTO, PROTO_V12,
 };
 use fft_serve::{FftService, Rejection, RequestId, ServeConfig, SubmitTemplate, Ticket};
 use std::collections::BTreeMap;
@@ -101,12 +101,6 @@ struct Conn {
     pause: Pause,
     /// Close once the out-buffer flushes.
     closing: bool,
-}
-
-impl Conn {
-    fn queue_frame(&mut self, f: &Frame) {
-        self.out.extend_from_slice(&f.encode());
-    }
 }
 
 /// One submit's reply coordinates: the connection it came in on, the
@@ -419,26 +413,32 @@ impl GateServer {
             code::UNSUPPORTED_STAGE => "unsupported_stage",
             _ => "bad_frame",
         };
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.queue_frame(&Frame::Error {
+        self.reply(
+            id,
+            &Frame::Error {
                 seq,
                 code: ecode,
                 kind: kind.to_string(),
                 message: msg.to_string(),
-            });
+            },
+        );
+        if let Some(conn) = self.conns.get_mut(&id) {
             conn.closing = true;
         }
-        self.note_frame_out();
         self.bridge.close(id);
     }
 
-    fn note_frame_out(&mut self) {
+    /// Queues `frame` for write on connection `id` (when it is still open)
+    /// and counts it.
+    fn reply(&mut self, id: u64, frame: &Frame) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.out.extend_from_slice(&frame.encode());
+        }
         self.svc.telemetry_mut().registry.inc(names::FRAMES_OUT);
     }
 
     fn handle_frame(&mut self, id: u64, frame: Frame) {
-        let mode = self.conns.get(&id).and_then(|c| c.mode);
-        if mode.is_none() {
+        let Some(mode) = self.conns.get(&id).and_then(|c| c.mode) else {
             // The handshake: nothing but Hello is acceptable first.
             match frame {
                 Frame::Hello {
@@ -474,9 +474,8 @@ impl GateServer {
                     };
                     if let Some(conn) = self.conns.get_mut(&id) {
                         conn.mode = Some(mode);
-                        conn.queue_frame(&ack);
                     }
-                    self.note_frame_out();
+                    self.reply(id, &ack);
                 }
                 _ => {
                     self.protocol_error(
@@ -488,7 +487,7 @@ impl GateServer {
                 }
             }
             return;
-        }
+        };
         match frame {
             Frame::Hello { .. } => {
                 self.protocol_error(id, None, code::BAD_REQUEST, "duplicate Hello");
@@ -500,11 +499,8 @@ impl GateServer {
                 trace,
                 spec,
             } => {
-                // The frame-received stamp for the v1.1 ack: gateway wall
-                // clock at the moment the submit was decoded.
-                let recv_s = self.started.elapsed().as_secs_f64();
                 let tpl = SubmitTemplate::Single(spec);
-                self.handle_submit(id, mode, seq, at_s, next_s, trace, recv_s, tpl);
+                self.handle_submit(id, mode, seq, at_s, next_s, trace, tpl);
             }
             Frame::PipelineSubmit {
                 seq,
@@ -513,24 +509,17 @@ impl GateServer {
                 trace,
                 pipe,
             } => {
-                let recv_s = self.started.elapsed().as_secs_f64();
                 let tpl = SubmitTemplate::Pipeline(pipe);
-                self.handle_submit(id, mode, seq, at_s, next_s, trace, recv_s, tpl);
+                self.handle_submit(id, mode, seq, at_s, next_s, trace, tpl);
             }
             Frame::Poll { id: rid } => {
                 self.svc.telemetry_mut().registry.inc(names::POLLS);
                 let reply = poll_reply(&self.svc, rid);
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.queue_frame(&reply);
-                }
-                self.note_frame_out();
+                self.reply(id, &reply);
             }
             Frame::Ping { nonce } => {
                 let now_s = self.svc.now_s();
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.queue_frame(&Frame::Pong { nonce, now_s });
-                }
-                self.note_frame_out();
+                self.reply(id, &Frame::Pong { nonce, now_s });
             }
             Frame::Drain => {
                 if self.bridge.held_total() > 0 {
@@ -543,24 +532,15 @@ impl GateServer {
                     return;
                 }
                 let now_s = self.svc.drain();
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.queue_frame(&Frame::DrainAck { now_s });
-                }
-                self.note_frame_out();
+                self.reply(id, &Frame::DrainAck { now_s });
             }
             Frame::Report => {
                 let json = self.svc.report().to_json();
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.queue_frame(&Frame::ReportReply { json });
-                }
-                self.note_frame_out();
+                self.reply(id, &Frame::ReportReply { json });
             }
             Frame::MetricsReq => {
                 let json = self.svc.metrics_json();
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.queue_frame(&Frame::MetricsReply { json });
-                }
-                self.note_frame_out();
+                self.reply(id, &Frame::MetricsReply { json });
             }
             Frame::CheckReq => {
                 let rep = self.svc.check_report();
@@ -578,18 +558,14 @@ impl GateServer {
                         findings: 0,
                     },
                 };
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.queue_frame(&reply);
-                }
-                self.note_frame_out();
+                self.reply(id, &reply);
             }
             Frame::Shutdown => {
                 self.shutdown = true;
+                self.reply(id, &Frame::Bye);
                 if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.queue_frame(&Frame::Bye);
                     conn.closing = true;
                 }
-                self.note_frame_out();
             }
             Frame::Bye => {
                 if let Some(conn) = self.conns.get_mut(&id) {
@@ -617,16 +593,18 @@ impl GateServer {
     fn handle_submit(
         &mut self,
         id: u64,
-        mode: Option<Mode>,
+        mode: Mode,
         seq: u64,
         at_s: Option<f64>,
         next_s: Option<f64>,
         trace: Option<u64>,
-        recv_s: f64,
         template: SubmitTemplate,
     ) {
+        // The frame-received stamp for the ack: gateway wall clock at the
+        // moment the submit was decoded.
+        let recv_s = self.started.elapsed().as_secs_f64();
         match mode {
-            Some(Mode::Paced) => {
+            Mode::Paced => {
                 let Some(at) = at_s else {
                     self.protocol_error(
                         id,
@@ -653,7 +631,7 @@ impl GateServer {
                         .inc(names::BACKPRESSURE_STALLS);
                 }
             }
-            Some(Mode::Live) => {
+            Mode::Live => {
                 // Wall clock drives virtual time for interactive clients:
                 // elapsed real seconds since the gateway started, never
                 // running virtual time backwards.
@@ -687,7 +665,6 @@ impl GateServer {
                     }
                 }
             }
-            None => unreachable!("handshake checked before dispatch"),
         }
     }
 
@@ -709,26 +686,15 @@ impl GateServer {
         let reply = match result {
             Ok(ticket) => {
                 reg.inc(names::SUBMITS);
-                let (id, trace) = (ticket.correlation(), trace);
-                if pipeline {
-                    Frame::PipelineAck {
-                        seq,
-                        id,
-                        trace,
-                        recv_s,
-                        enq_s,
-                        ack_s,
-                    }
-                } else {
-                    Frame::SubmitAck {
-                        seq,
-                        id,
-                        trace,
-                        recv_s,
-                        enq_s,
-                        ack_s,
-                    }
-                }
+                let ack = Ack {
+                    seq,
+                    id: ticket.correlation(),
+                    trace,
+                    recv_s,
+                    enq_s,
+                    ack_s,
+                };
+                Frame::ack(pipeline, ack)
             }
             Err(r) => {
                 reg.inc(names::REJECTED);
@@ -740,10 +706,7 @@ impl GateServer {
                 }
             }
         };
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.queue_frame(&reply);
-        }
-        self.note_frame_out();
+        self.reply(id, &reply);
     }
 
     /// Releases whatever the bridge allows, submits it in schedule order,
