@@ -17,10 +17,10 @@
 //! file I/O), 2 on a usage error.
 
 use bifft::plan::Algorithm;
-use fft_bench::profile::{card, diff_metrics, parse_metrics, run_profile_any};
+use fft_bench::profile::{diff_metrics, parse_metrics, run_profile_any};
 use gpu_sim::DeviceSpec;
 
-const USAGE: &str = "usage: profile --algo NAME --n N [--card gt|gts|gtx] [--streams K] [--gpus N] [--trace PATH] [--metrics PATH] [--check-hazards]\n       profile --diff A.json B.json";
+const USAGE: &str = "usage: profile --algo NAME --n N [--card gt|gts|gtx|c1060] [--streams K] [--gpus N] [--trace PATH] [--metrics PATH] [--check-hazards]\n       profile --diff A.json B.json";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("profile: {msg}");
@@ -69,7 +69,7 @@ fn main() {
                 let name = it
                     .next()
                     .unwrap_or_else(|| usage_error("--card needs NAME"));
-                spec = card(name).unwrap_or_else(|e| usage_error(&e));
+                spec = name.parse().unwrap_or_else(|e: String| usage_error(&e));
             }
             "--streams" => {
                 streams = it

@@ -12,16 +12,6 @@ use fft_math::twiddle::Direction;
 use fft_math::Complex32;
 use gpu_sim::{CheckReport, DeviceSpec, Gpu, Trace};
 
-/// Resolves a CLI card name to a device spec (`gt`, `gts`, `gtx`).
-pub fn card(name: &str) -> Result<DeviceSpec, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "gt" | "8800gt" => Ok(DeviceSpec::gt8800()),
-        "gts" | "8800gts" => Ok(DeviceSpec::gts8800()),
-        "gtx" | "8800gtx" => Ok(DeviceSpec::gtx8800()),
-        other => Err(format!("unknown card '{other}' (expected gt, gts or gtx)")),
-    }
-}
-
 /// Deterministic test volume (no RNG, so traces are byte-reproducible).
 fn signal(len: usize) -> Vec<Complex32> {
     (0..len)
@@ -310,11 +300,5 @@ mod tests {
             assert!(rep.clean(), "{}: {rep}", algo.name());
             assert!(rep.kernels_checked > 0);
         }
-    }
-
-    #[test]
-    fn card_names_resolve() {
-        assert_eq!(card("gts").unwrap().name, DeviceSpec::gts8800().name);
-        assert!(card("titan").is_err());
     }
 }

@@ -21,8 +21,9 @@ use fft_math::Complex32;
 use gpu_sim::timing::KernelTiming;
 use gpu_sim::{AllocError, BufferId, DeviceSpec, FreeQueue, Gpu};
 
-/// Which 3-D FFT algorithm a plan uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// Which 3-D FFT algorithm a plan uses. Declaration order is the order
+/// serving keys (batch keys, plan caches) sort in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Algorithm {
     /// The paper's bandwidth-intensive five-step kernel (the default).
     #[default]

@@ -188,9 +188,43 @@ impl DeviceSpec {
     }
 }
 
+impl std::str::FromStr for DeviceSpec {
+    type Err = String;
+
+    /// Parses a CLI card name, case-insensitively: `gt`, `gts`, `gtx` (or
+    /// `8800gt`, `8800gts`, `8800gtx`) and `c1060` (or `tesla`).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "gt" | "8800gt" => Ok(Self::gt8800()),
+            "gts" | "8800gts" => Ok(Self::gts8800()),
+            "gtx" | "8800gtx" => Ok(Self::gtx8800()),
+            "c1060" | "tesla" => Ok(Self::tesla_c1060()),
+            other => Err(format!(
+                "unknown card '{other}' (expected gt, gts, gtx or c1060)"
+            )),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_short_card_name_parses() {
+        for (name, want) in [
+            ("gt", DeviceSpec::gt8800()),
+            ("gts", DeviceSpec::gts8800()),
+            ("gtx", DeviceSpec::gtx8800()),
+            ("c1060", DeviceSpec::tesla_c1060()),
+        ] {
+            let got: DeviceSpec = name.parse().unwrap();
+            assert_eq!(got.name, want.name, "{name}");
+            let upper: DeviceSpec = name.to_uppercase().parse().unwrap();
+            assert_eq!(upper.name, want.name, "{name} upper-case");
+        }
+        assert!("titan".parse::<DeviceSpec>().is_err());
+    }
 
     #[test]
     fn table1_gflops_match_paper() {

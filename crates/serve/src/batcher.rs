@@ -26,19 +26,8 @@ pub struct BatchKey {
     pub shape: ShapeKey,
     /// True for forward transforms.
     pub forward: bool,
-    /// Algorithm rank (see [`algo_rank`]); only meaningful for volumes.
-    pub algo: u8,
-}
-
-/// A stable small-integer rank for [`Algorithm`] so batch keys are `Ord`.
-pub fn algo_rank(a: Algorithm) -> u8 {
-    match a {
-        Algorithm::FiveStep => 0,
-        Algorithm::SixStep => 1,
-        Algorithm::CufftLike => 2,
-        Algorithm::OutOfCore => 3,
-        Algorithm::MultiGpu => 4,
-    }
+    /// The effective algorithm; only meaningful for volumes.
+    pub algo: Algorithm,
 }
 
 /// Builds the batch key of one request spec under the service default
@@ -47,7 +36,7 @@ pub fn key_of_spec(spec: &crate::request::RequestSpec, default_algo: Algorithm) 
     BatchKey {
         shape: spec.shape.key(),
         forward: spec.direction == Direction::Forward,
-        algo: algo_rank(spec.algorithm.unwrap_or(default_algo)),
+        algo: spec.algorithm.unwrap_or(default_algo),
     }
 }
 
@@ -180,7 +169,7 @@ mod tests {
         BatchKey {
             shape: ShapeKey::Rows1d { n },
             forward: true,
-            algo: 0,
+            algo: Algorithm::FiveStep,
         }
     }
 

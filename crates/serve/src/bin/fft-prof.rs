@@ -1,4 +1,5 @@
-//! `fft-prof` — offline analysis of `bifft-attr-v2` attribution documents.
+//! `fft-prof` — offline analysis of [`fft_serve::ATTR_SCHEMA`] attribution
+//! documents.
 //!
 //! ```text
 //! cargo run --release -p fft-serve --bin fft-serve -- --smoke --attr-out attr.json

@@ -22,7 +22,7 @@
 //! re-reads a previously written JSON metrics file and exits 0 only when
 //! the schema validates AND the recorded SLO verdict is ok — the CI gate
 //! (it also surfaces the run's dropped-lifecycle-stamp counter).
-//! `--attr-out` writes the run's `bifft-attr-v2` attribution document
+//! `--attr-out` writes the run's [`crate::ATTR_SCHEMA`] attribution document
 //! (what `fft-prof` analyzes) and `--attr-audit` fails the process when
 //! any completed request's ledger breaks the conservation invariant.
 //! `--tenants N` spreads the workload across `N` tenants with weighted

@@ -1,4 +1,4 @@
-//! The `fft-prof` binary: offline forensics over `bifft-attr-v2`
+//! The `fft-prof` binary: offline forensics over [`crate::ATTR_SCHEMA`]
 //! attribution documents ([`crate::telemetry::attribution`]).
 //!
 //! ```text

@@ -15,7 +15,6 @@
 //! additionally memoises process-wide in [`bifft::wisdom`]), so a hot shape
 //! plans once per card and never again.
 
-use crate::batcher::algo_rank;
 use crate::pipeline::{consumer_counts, Operand, PipelineStage, PointwiseOp, ReduceOp, StageKind};
 use bifft::batch::Fft1dBatchGpu;
 use bifft::elementwise::{run_argmax_norm, run_energy, run_pointwise_mul, run_scale};
@@ -74,11 +73,11 @@ struct PipePlan {
 #[derive(Default)]
 struct PlanCache {
     one_d: BTreeMap<usize, Fft1dBatchGpu>,
-    volumes: BTreeMap<(usize, usize, usize, u8), Fft3d>,
+    volumes: BTreeMap<(usize, usize, usize, Algorithm), Fft3d>,
     pipes: BTreeMap<(usize, usize, usize), PipePlan>,
     /// Volume keys this card could not allocate — route to the sharder
     /// without re-trying the allocation every dispatch.
-    oversized: BTreeSet<(usize, usize, usize, u8)>,
+    oversized: BTreeSet<(usize, usize, usize, Algorithm)>,
     stats: PlanCacheStats,
 }
 
@@ -100,7 +99,7 @@ impl PlanCache {
         dims: (usize, usize, usize),
         algo: Algorithm,
     ) -> Result<Option<&'c Fft3d>, FftError> {
-        let key = (dims.0, dims.1, dims.2, algo_rank(algo));
+        let key = (dims.0, dims.1, dims.2, algo);
         if self.oversized.contains(&key) {
             self.stats.hits += 1;
             return Ok(None);

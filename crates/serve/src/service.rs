@@ -1287,7 +1287,7 @@ impl FftService {
         telemetry::attribution::collect(&self.books.telemetry.lifecycle)
     }
 
-    /// Renders the run's `bifft-attr-v2` attribution document. Call after
+    /// Renders the run's [`crate::ATTR_SCHEMA`] attribution document. Call after
     /// [`FftService::drain`] so every completed request is ledgered.
     pub fn attribution_json(&self) -> String {
         telemetry::attribution::render_attr_json(&self.ledgers())

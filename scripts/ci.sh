@@ -141,3 +141,10 @@ cargo run --release -p fft-gate --bin fft-gate --offline -- \
 wait "$GATE_PID"
 cargo run --release -p fft-serve --bin fft-serve --offline -- \
     --validate-metrics target/ci-gate-metrics.json
+# DAG frames over TCP: a self-contained gateway run (no --addr, so bench
+# boots its own gateway on an ephemeral loopback port) of the pipeline
+# workload, so PipelineSubmit/PipelineAck cross a real socket under the
+# hazard validator and the report must match the in-process run byte for
+# byte.
+cargo run --release -p fft-gate --bin fft-gate --offline -- \
+    bench --workload pipeline --check-hazards --compare-local

@@ -47,16 +47,6 @@ fn parse_dims(s: &str) -> Result<(usize, usize, usize), String> {
     }
 }
 
-fn parse_device(s: &str) -> Result<DeviceSpec, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "gt" | "8800gt" => Ok(DeviceSpec::gt8800()),
-        "gts" | "8800gts" => Ok(DeviceSpec::gts8800()),
-        "gtx" | "8800gtx" => Ok(DeviceSpec::gtx8800()),
-        "c1060" | "tesla" => Ok(DeviceSpec::tesla_c1060()),
-        other => Err(format!("unknown device '{other}' (gt|gts|gtx|c1060)")),
-    }
-}
-
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         dims: (64, 64, 64),
@@ -81,7 +71,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match a.as_str() {
             "--dims" => args.dims = parse_dims(&next("--dims")?)?,
             "--algo" => args.algo = next("--algo")?.parse()?,
-            "--device" => args.device = parse_device(&next("--device")?)?,
+            "--device" => args.device = next("--device")?.parse()?,
             "--inverse" => args.dir = Direction::Inverse,
             "--gpus" => {
                 args.gpus = next("--gpus")?
@@ -316,9 +306,10 @@ mod tests {
 
     #[test]
     fn device_parse() {
-        assert_eq!(parse_device("gtx").unwrap().name, "8800 GTX");
-        assert_eq!(parse_device("C1060").unwrap().name, "Tesla C1060");
-        assert!(parse_device("rtx4090").is_err());
+        let parse = |s: &str| parse_args(&["--device".to_string(), s.to_string()]);
+        assert_eq!(parse("gtx").unwrap().device.name, "8800 GTX");
+        assert_eq!(parse("C1060").unwrap().device.name, "Tesla C1060");
+        assert!(parse("rtx4090").is_err());
     }
 
     #[test]
