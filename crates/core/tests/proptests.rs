@@ -203,7 +203,7 @@ fn stream_interleavings_match_serial_schedule() {
                     }
                 };
                 let rep = if use_streams {
-                    gpu.launch_on(streams[s], &cfg, body)
+                    gpu.with_stream(streams[s], |g| g.launch(&cfg, body))
                 } else {
                     gpu.launch(&cfg, body)
                 };

@@ -43,8 +43,8 @@ pub use analysis::{
 };
 pub use check::{AccessDiag, AccessKind, CheckReport, HazardDiag, HazardKind};
 pub use exec::{
-    ConstId, Gpu, KernelReport, KernelStats, LaunchConfig, SimError, TexAccess, TextureId,
-    Textures, ThreadCtx,
+    ConstId, Gpu, KernelReport, KernelStats, LaunchConfig, TexAccess, TextureId, Textures,
+    ThreadCtx,
 };
 pub use memory::{AllocError, Backed, BufferId, DeviceMemory, FreeQueue};
 pub use occupancy::{occupancy, KernelResources, Occupancy};

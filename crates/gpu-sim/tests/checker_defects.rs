@@ -153,13 +153,15 @@ fn racing_async_memcpy_vs_kernel_needs_an_event() {
         gpu.memcpy_h2d_async(s0, buf, 0, &host, 1, "seed_h2d");
         let cfg = LaunchConfig::copy("square_inplace", 8, 64);
         let total = 8 * 64;
-        gpu.launch_on(s0, &cfg, |t| {
-            let mut i = t.gid();
-            while i < n {
-                let v = t.ld(buf, i);
-                t.st(buf, i, v * v);
-                i += total;
-            }
+        gpu.with_stream(s0, |g| {
+            g.launch(&cfg, |t| {
+                let mut i = t.gid();
+                while i < n {
+                    let v = t.ld(buf, i);
+                    t.st(buf, i, v * v);
+                    i += total;
+                }
+            })
         });
         if with_event {
             let done = gpu.event_record(s0);
@@ -199,13 +201,15 @@ fn same_stream_copy_after_kernel_is_ordered() {
     gpu.memcpy_h2d_async(s0, buf, 0, &host, 1, "h2d");
     let cfg = LaunchConfig::copy("scale", 4, 64);
     let total = 4 * 64;
-    gpu.launch_on(s0, &cfg, |t| {
-        let mut i = t.gid();
-        while i < n {
-            let v = t.ld(buf, i);
-            t.st(buf, i, v.scale(2.0));
-            i += total;
-        }
+    gpu.with_stream(s0, |g| {
+        g.launch(&cfg, |t| {
+            let mut i = t.gid();
+            while i < n {
+                let v = t.ld(buf, i);
+                t.st(buf, i, v.scale(2.0));
+                i += total;
+            }
+        })
     });
     let mut out = vec![Complex32::ZERO; n];
     gpu.memcpy_d2h_async(s0, buf, 0, &mut out, 1, "d2h");
