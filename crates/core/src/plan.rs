@@ -69,16 +69,6 @@ impl Algorithm {
         }
     }
 
-    /// True for the single-card in-core algorithms [`Fft3d`] plans directly;
-    /// false for the out-of-core and multi-GPU pipelines, which have their
-    /// own entry points.
-    pub fn is_in_core(self) -> bool {
-        matches!(
-            self,
-            Algorithm::FiveStep | Algorithm::SixStep | Algorithm::CufftLike
-        )
-    }
-
     /// Analytic per-kernel estimate for the in-core algorithms (`None` for
     /// the out-of-core and multi-GPU pipelines, whose estimates live on
     /// their own types and are not per-kernel).

@@ -9,8 +9,6 @@
 //!   register-resident 16-point workhorse),
 //! * [`fft1d`] — Stockham autosort and the 256 = 16 x 16 two-step transform,
 //! * [`fft64`] — the double-precision path (§4.5 future work),
-//! * [`multirow`] — batched strided-row FFTs (the vector-machine formulation
-//!   the GPU algorithm inherits),
 //! * [`layout`] — the 5-D view `V(X,16,16,16,16)`, Table 2's access patterns
 //!   A–D, and the digit bookkeeping of the five-step algorithm,
 //! * [`dft`] — O(N²) reference oracle,
@@ -33,7 +31,6 @@ pub mod fft64;
 pub mod flops;
 pub mod json;
 pub mod layout;
-pub mod multirow;
 pub mod rng;
 pub mod stats;
 pub mod twiddle;

@@ -10,7 +10,6 @@ use fft_math::complex::{c32, Complex32};
 use fft_math::fft1d::{fft256_two_step, fft_pow2};
 use fft_math::fft64::fft_pow2_f64;
 use fft_math::layout::{FiveStepPlanLayout, View5};
-use fft_math::multirow::{multirow_fft, RowLayout};
 use fft_math::rng::SplitMix64;
 use fft_math::twiddle::{twiddle_f64, Direction, TwiddleTable};
 
@@ -236,27 +235,6 @@ fn plan_layout_bijective() {
                         }
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Multirow over interleaved rows equals row-by-row transforms.
-#[test]
-fn multirow_matches_rowwise() {
-    let mut rng = SplitMix64::new(0xF0F0_000B);
-    for case in 0..CASES {
-        let data = arb_signal(&mut rng, 128);
-        let rows = 1usize << (case % 4); // 1,2,4,8
-        let n = 16usize;
-        let layout = RowLayout::interleaved(n, rows);
-        let mut batch = data[..layout.required_len()].to_vec();
-        multirow_fft(&mut batch, layout, Direction::Forward);
-        for r in 0..rows {
-            let mut row: Vec<Complex32> = (0..n).map(|j| data[layout.index(r, j)]).collect();
-            fft_pow2(&mut row, Direction::Forward);
-            for (j, want) in row.iter().enumerate() {
-                assert!((batch[layout.index(r, j)] - *want).abs() < 1e-4);
             }
         }
     }
