@@ -406,15 +406,6 @@ fn scaling_point(gpus: usize, n: usize, check: bool) -> (ScalingPoint, Option<Ch
     )
 }
 
-/// The named load mix: `rows`, or `mixed` for any other name.
-fn workload(name: &str) -> Workload {
-    if name == "rows" {
-        Workload::rows()
-    } else {
-        Workload::mixed()
-    }
-}
-
 /// Brings up the fleet `cfg` describes and drains one seeded open-loop run
 /// through it.
 fn drained_run(
@@ -443,7 +434,8 @@ fn served(
         .gpus(gpus)
         .streams(streams)
         .check_hazards(check);
-    drained_run(cfg, &workload(workload_name), requests, rate_rps, seed)
+    let workload = workload_name.parse().expect("LOADS names a workload");
+    drained_run(cfg, &workload, requests, rate_rps, seed)
 }
 
 /// One fft-serve load point: `load`'s drained run, reported through the
@@ -531,7 +523,7 @@ fn tenancy_point(
     &(workload_name, gpus, streams, requests, rate_rps, seed): &Load,
     tenants: u32,
 ) -> TenancyPoint {
-    let mut workload = workload(workload_name);
+    let mut workload: Workload = workload_name.parse().expect("LOADS names a workload");
     workload.tenants = tenants;
     let mut qos = QosConfig {
         preemption: true,
@@ -674,7 +666,7 @@ fn gateway_point(
     local: &FftService,
     clients: usize,
 ) -> GatewayPoint {
-    let workload = workload(workload_name);
+    let workload: Workload = workload_name.parse().expect("LOADS names a workload");
     let cfg = GateConfig {
         serve: ServeConfig::builder()
             .gpus(gpus)

@@ -30,7 +30,6 @@
 use crate::loadnet::{control, run_closed_loop_net, run_open_loop_net, NetLoad};
 use crate::server::{GateConfig, GateServer};
 use fft_math::json::{self, Value};
-use fft_serve::loadgen::open_loop_templates;
 use fft_serve::{validate_metrics_json, FftService, ServeConfig, Workload};
 
 struct Cli {
@@ -267,11 +266,7 @@ fn local_report(cli: &Cli, workload: &Workload) -> Result<String, String> {
             fft_serve::run_closed_loop(&mut svc, workload, cli.requests, c, cli.seed);
         }
         None => {
-            for (at_s, template) in
-                open_loop_templates(workload, cli.requests, cli.rate_rps, cli.seed)
-            {
-                let _ = template.submit(&mut svc, at_s);
-            }
+            fft_serve::run_open_loop(&mut svc, workload, cli.requests, cli.rate_rps, cli.seed);
         }
     }
     svc.drain();
@@ -279,12 +274,10 @@ fn local_report(cli: &Cli, workload: &Workload) -> Result<String, String> {
 }
 
 fn cmd_bench(cli: &Cli) -> i32 {
-    let mut workload = match cli.workload.as_str() {
-        "rows" => Workload::rows(),
-        "mixed" => Workload::mixed(),
-        "pipeline" => Workload::pipeline(),
-        other => {
-            eprintln!("fft-gate: unknown workload '{other}' (rows|mixed|pipeline)");
+    let mut workload: Workload = match cli.workload.parse() {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("fft-gate: {e}");
             return 2;
         }
     };

@@ -10,7 +10,7 @@ use fft_gate::server::{names, GateConfig, GateServer};
 use fft_gate::{control, run_open_loop_net, ServeClient};
 use fft_math::rng::SplitMix64;
 use fft_math::twiddle::Direction;
-use fft_serve::loadgen::{open_loop_schedule, open_loop_templates};
+use fft_serve::loadgen::open_loop_templates;
 use fft_serve::pipeline::docking_stages;
 use fft_serve::{FftService, Priority, SeededPipeline, SeededSpec, ServeConfig, Shape, Workload};
 use std::io::{Read, Write};
@@ -218,8 +218,8 @@ fn eight_clients_same_seed_report_matches_in_process() {
     handle.join().expect("server thread");
 
     let mut svc = FftService::new(serve_cfg(2, 64)).expect("local service");
-    for (at_s, template) in open_loop_schedule(&workload, requests, rate, seed) {
-        let _ = svc.submit(template.materialize(), at_s);
+    for (at_s, template) in open_loop_templates(&workload, requests, rate, seed) {
+        let _ = template.submit(&mut svc, at_s);
     }
     svc.drain();
     let local_report = svc.report().to_json();
@@ -368,6 +368,59 @@ fn unknown_stage_kind_rejects_with_the_stable_wire_code() {
     let mut probe = control(&addr).expect("probe");
     probe.ping(7).expect("alive after the rejection");
     probe.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+/// A sub-KiB `Submit` naming a shape whose payload would take gigabytes to
+/// petabytes gets its typed rejection from the template alone, and the
+/// gateway keeps answering on the same connection.
+#[test]
+fn hostile_submit_shapes_reject_before_any_payload_exists() {
+    let cfg = GateConfig {
+        serve: serve_cfg(1, 16),
+        window: 4,
+    };
+    let (addr, handle) = GateServer::spawn("127.0.0.1:0", cfg).expect("spawn gateway");
+    let addr = addr.to_string();
+    let mut c = ServeClient::connect(&addr, "hostile", Mode::Live, None).expect("connect");
+    c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    let cases = [
+        // 2^33 samples, 64 GiB: in the envelope, but past a staging slot.
+        (
+            Shape::Rows1d {
+                n: 512,
+                rows: 1 << 24,
+            },
+            code::OVERSIZED,
+        ),
+        // 2^48 samples, 2 PiB: the length envelope bounces it.
+        (
+            Shape::Rows1d {
+                n: 1 << 24,
+                rows: 1 << 24,
+            },
+            code::UNSUPPORTED,
+        ),
+        // The product of the axes overflows 64 bits.
+        (
+            Shape::Volume {
+                nx: 1 << 24,
+                ny: 1 << 24,
+                nz: 1 << 24,
+            },
+            code::UNSUPPORTED,
+        ),
+    ];
+    for (seq, (shape, want)) in (1..).zip(cases) {
+        let spec = SeededSpec {
+            shape,
+            ..sample_spec(seq)
+        };
+        let verdict = c.submit(seq, None, None, spec).expect("answered");
+        assert_eq!(verdict.map_err(|e| e.code), Err(want), "{shape:?}");
+    }
+    c.ping(9).expect("the connection still answers");
+    c.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
 

@@ -30,20 +30,20 @@ pub struct BatchKey {
     pub algo: Algorithm,
 }
 
-/// Builds the batch key of one request spec under the service default
-/// algorithm.
-pub fn key_of_spec(spec: &crate::request::RequestSpec, default_algo: Algorithm) -> BatchKey {
+/// Builds the batch key of one request spec; a volume without a hint
+/// keys on the default algorithm.
+pub fn key_of_spec(spec: &crate::request::RequestSpec) -> BatchKey {
     BatchKey {
         shape: spec.shape.key(),
         forward: spec.direction == Direction::Forward,
-        algo: spec.algorithm.unwrap_or(default_algo),
+        algo: spec.algorithm.unwrap_or_default(),
     }
 }
 
-/// Builds the batch key of one pending request under the service default
-/// algorithm; `None` for a pipeline, which never coalesces.
-pub fn key_of(p: &Pending, default_algo: Algorithm) -> Option<BatchKey> {
-    p.transform().map(|spec| key_of_spec(spec, default_algo))
+/// Builds the batch key of one pending request; `None` for a pipeline,
+/// which never coalesces.
+pub fn key_of(p: &Pending) -> Option<BatchKey> {
+    p.transform().map(key_of_spec)
 }
 
 /// Caps the batcher adapts within.
@@ -124,13 +124,12 @@ pub fn form_batch(
     limits: &BatchLimits,
     est: &Estimator<BatchKey>,
     key: BatchKey,
-    default_algo: Algorithm,
 ) -> Vec<Pending> {
     // Grow the member list while every cap holds.
     let mut ids = Vec::new();
     let mut elems = 0usize;
     for p in queue.iter() {
-        if key_of(p, default_algo) != Some(key) {
+        if key_of(p) != Some(key) {
             continue;
         }
         let e = p.spec().shape.elems();
@@ -193,7 +192,7 @@ mod tests {
             push_rows(&mut q, id, 256, 4);
         }
         let est = Estimator::new();
-        let b = form_batch(&mut q, &limits(), &est, rows_key(256), Algorithm::FiveStep);
+        let b = form_batch(&mut q, &limits(), &est, rows_key(256));
         assert_eq!(b.len(), 4, "request cap");
         let elems: usize = b.iter().map(|p| p.spec().shape.elems()).sum();
         assert_eq!(elems, 4 * 256 * 4);
@@ -209,7 +208,7 @@ mod tests {
         push_rows(&mut q, 1, 128, 4);
         push_rows(&mut q, 2, 256, 4);
         let est = Estimator::new();
-        let b = form_batch(&mut q, &limits(), &est, rows_key(256), Algorithm::FiveStep);
+        let b = form_batch(&mut q, &limits(), &est, rows_key(256));
         let ids: Vec<u64> = b.iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![0, 2], "only same-n rows coalesce");
         assert_eq!(q.depth(), 1);
@@ -225,7 +224,7 @@ mod tests {
         let one = est.estimate_s(rows_key(256), 2 * 256 * 4);
         let mut tight = limits();
         tight.latency_budget_s = one; // two requests fit, three don't
-        let b = form_batch(&mut q, &tight, &est, rows_key(256), Algorithm::FiveStep);
+        let b = form_batch(&mut q, &tight, &est, rows_key(256));
         assert_eq!(b.len(), 2);
     }
 
@@ -253,7 +252,7 @@ mod tests {
         let est = Estimator::new();
         // The head is an unplaceable volume; the caller passes the next
         // distinct key, and the batch forms behind the volume.
-        let b = form_batch(&mut q, &limits(), &est, rows_key(256), Algorithm::FiveStep);
+        let b = form_batch(&mut q, &limits(), &est, rows_key(256));
         assert_eq!(b[0].id.0, 1, "bypassed the skipped volume");
         assert_eq!(q.depth(), 1, "volume still queued");
     }

@@ -198,12 +198,10 @@ pub fn cli_main() -> i32 {
         };
     }
 
-    let mut workload = match cli.workload.as_str() {
-        "rows" => Workload::rows(),
-        "mixed" => Workload::mixed(),
-        "pipeline" => Workload::pipeline(),
-        other => {
-            eprintln!("fft-serve: unknown workload '{other}' (rows|mixed|pipeline)");
+    let mut workload: Workload = match cli.workload.parse() {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("fft-serve: {e}");
             return 2;
         }
     };

@@ -48,8 +48,7 @@ pub mod service;
 pub mod telemetry;
 
 pub use loadgen::{
-    open_loop_schedule, open_loop_templates, run_closed_loop, run_open_loop, OfferedLoad,
-    SubmitTemplate, Workload,
+    open_loop_templates, run_closed_loop, run_open_loop, OfferedLoad, SubmitTemplate, Workload,
 };
 pub use pipeline::{
     Operand, PipelineRequest, PipelineStage, PointwiseOp, ReduceOp, SeededPipeline, StageKind,

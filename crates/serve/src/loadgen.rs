@@ -14,6 +14,20 @@ use crate::service::FftService;
 use fft_math::rng::SplitMix64;
 use fft_math::twiddle::Direction;
 
+impl std::str::FromStr for Workload {
+    type Err = String;
+
+    /// Parses a CLI workload name: `rows`, `mixed` or `pipeline`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "rows" => Ok(Workload::rows()),
+            "mixed" => Ok(Workload::mixed()),
+            "pipeline" => Ok(Workload::pipeline()),
+            other => Err(format!("unknown workload '{other}' (rows|mixed|pipeline)")),
+        }
+    }
+}
+
 /// One submission as a generator draws it: either a single transform or a
 /// whole pipeline DAG. Both variants are wire-transportable seeds-only
 /// templates, so a recorded schedule replays bit-identically on either
@@ -27,14 +41,14 @@ pub enum SubmitTemplate {
 }
 
 impl SubmitTemplate {
-    /// Submits to the matching service entry point. Pipelines go through
-    /// [`FftService::submit_seeded_pipeline`], which validates the
-    /// template's dims/DAG envelope *before* materializing any payload —
-    /// a hostile wire template cannot force a multi-gigabyte expansion by
-    /// naming absurd dims or seed counts.
+    /// Submits to the matching service entry point. Both kinds run every
+    /// admission check on the template *before* materializing any payload
+    /// ([`FftService::submit_seeded_pipeline`] for DAGs) — a hostile wire
+    /// template cannot force a multi-gigabyte expansion by naming absurd
+    /// dims or seed counts.
     pub fn submit(&self, svc: &mut FftService, at_s: f64) -> Result<Ticket, Rejection> {
         match self {
-            SubmitTemplate::Single(spec) => svc.submit(spec.materialize(), at_s),
+            SubmitTemplate::Single(spec) => svc.submit_seeded(spec, at_s),
             SubmitTemplate::Pipeline(pipe) => svc.submit_seeded_pipeline(pipe.clone(), at_s),
         }
     }
@@ -192,32 +206,14 @@ impl Workload {
 }
 
 /// The recorded arrival schedule an open-loop run replays: `(at_s,
-/// template)` pairs in arrival order. This is what `fft-gate` ships to the
-/// server side — same seed, same schedule, same [`ServeReport`] whether the
-/// requests arrive in-process or over TCP.
-///
-/// [`ServeReport`]: crate::report::ServeReport
-pub fn open_loop_schedule(
-    workload: &Workload,
-    requests: u64,
-    rate_rps: f64,
-    seed: u64,
-) -> Vec<(f64, SeededSpec)> {
-    open_loop_templates(workload, requests, rate_rps, seed)
-        .into_iter()
-        .map(|(t, tpl)| match tpl {
-            SubmitTemplate::Single(spec) => (t, spec),
-            SubmitTemplate::Pipeline(_) => {
-                panic!("pipeline workloads need open_loop_templates, not open_loop_schedule")
-            }
-        })
-        .collect()
-}
-
-/// The generalized arrival schedule: `(at_s, template)` pairs where a
-/// template is a single transform *or* a pipeline DAG. For workloads with
+/// template)` pairs in arrival order, where a template is a single
+/// transform *or* a pipeline DAG. This is what `fft-gate` ships to the
+/// server side — same seed, same schedule, same [`ServeReport`] whether
+/// the requests arrive in-process or over TCP. For workloads with
 /// `pipeline_pct = 0` this consumes the same rng values as the original
 /// single-only schedule, so pre-pipeline seeds replay bit-identically.
+///
+/// [`ServeReport`]: crate::report::ServeReport
 pub fn open_loop_templates(
     workload: &Workload,
     requests: u64,
@@ -432,35 +428,36 @@ mod tests {
         assert!(r.resident_hits > 0, "intermediates stayed device-resident");
     }
 
+    /// A replayed schedule reports exactly what the open-loop run does,
+    /// with its singles submitted as full specs: the seeded admission path
+    /// and the full-payload one are interchangeable.
     #[test]
-    fn schedule_replay_matches_run_open_loop() {
-        let run = |mut svc: FftService| {
-            run_open_loop(&mut svc, &Workload::mixed(), 24, 2000.0, 11);
-            svc.finish().to_json()
-        };
-        let replay = |mut svc: FftService| {
-            for (at_s, template) in open_loop_schedule(&Workload::mixed(), 24, 2000.0, 11) {
-                let _ = svc.submit(template.materialize(), at_s);
-            }
-            svc.finish().to_json()
-        };
-        let mk = || ServeConfig::builder().build_service().unwrap();
-        assert_eq!(run(mk()), replay(mk()));
+    fn template_schedule_replay_matches_pipeline_run() {
+        for workload in [Workload::mixed(), Workload::pipeline()] {
+            let run = |mut svc: FftService| {
+                run_open_loop(&mut svc, &workload, 24, 2000.0, 11);
+                svc.finish().to_json()
+            };
+            let replay = |mut svc: FftService| {
+                for (at_s, tpl) in open_loop_templates(&workload, 24, 2000.0, 11) {
+                    let _ = match tpl {
+                        SubmitTemplate::Single(spec) => svc.submit(spec.materialize(), at_s),
+                        pipe => pipe.submit(&mut svc, at_s),
+                    };
+                }
+                svc.finish().to_json()
+            };
+            let mk = || ServeConfig::builder().build_service().unwrap();
+            assert_eq!(run(mk()), replay(mk()));
+        }
     }
 
     #[test]
-    fn template_schedule_replay_matches_pipeline_run() {
-        let run = |mut svc: FftService| {
-            run_open_loop(&mut svc, &Workload::pipeline(), 24, 2000.0, 11);
-            svc.finish().to_json()
-        };
-        let replay = |mut svc: FftService| {
-            for (at_s, tpl) in open_loop_templates(&Workload::pipeline(), 24, 2000.0, 11) {
-                let _ = tpl.submit(&mut svc, at_s);
-            }
-            svc.finish().to_json()
-        };
-        let mk = || ServeConfig::builder().build_service().unwrap();
-        assert_eq!(run(mk()), replay(mk()));
+    fn workload_names_parse_and_unknown_ones_are_named() {
+        for name in ["rows", "mixed", "pipeline"] {
+            assert!(name.parse::<Workload>().is_ok(), "{name}");
+        }
+        let err = "bogus".parse::<Workload>().unwrap_err();
+        assert_eq!(err, "unknown workload 'bogus' (rows|mixed|pipeline)");
     }
 }

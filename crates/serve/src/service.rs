@@ -37,7 +37,8 @@ use crate::qos::{QosBook, QosConfig, TenantId};
 use crate::queue::{Pending, SubmitQueue, Work};
 use crate::report::{LatencyStats, ServeReport, TenantReport};
 use crate::request::{
-    Completion, PollStatus, Priority, Rejection, RequestId, RequestSpec, Shape, ShapeKey, Ticket,
+    seeded_payload, Completion, PollStatus, Priority, Rejection, RequestId, RequestSpec,
+    SeededSpec, Shape, ShapeKey, Ticket,
 };
 use crate::scheduler::{Card, Outcome, Phases};
 use crate::telemetry::books::{Books, Event};
@@ -68,19 +69,11 @@ pub struct ServeConfig {
     /// Most payload elements one launch may coalesce (also the staging-slot
     /// size allocated per lane).
     pub max_batch_elems: usize,
-    /// A batch stops growing once its estimated service time exceeds this.
-    pub latency_budget_s: f64,
-    /// Algorithm for volume requests without a hint.
-    pub default_algorithm: Algorithm,
     /// Keep transformed payloads in completions (tests want them; load
     /// generators usually don't).
     pub keep_outputs: bool,
     /// Run every card under the PR 4 memcheck/racecheck-style validator.
     pub check_hazards: bool,
-    /// The telemetry sampling tick, simulated seconds.
-    pub tick_s: f64,
-    /// The SLO objectives the run is held to.
-    pub slo: SloPolicy,
     /// Record per-card sim-prof traces for the merged Chrome export
     /// ([`FftService::chrome_trace`]).
     pub record_trace: bool,
@@ -99,12 +92,8 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_batch_requests: 8,
             max_batch_elems: 1 << 20,
-            latency_budget_s: 10e-3,
-            default_algorithm: Algorithm::FiveStep,
             keep_outputs: false,
             check_hazards: false,
-            tick_s: 1e-3,
-            slo: SloPolicy::default(),
             record_trace: false,
             qos: QosConfig::default(),
         }
@@ -133,8 +122,8 @@ impl ServeConfig {
     ///
     /// # Errors
     /// [`FftError::BadPlanConfig`] naming the offending parameter: zero or
-    /// non-power-of-two fleet, zero queue/batch bounds, or a non-positive
-    /// telemetry tick.
+    /// non-power-of-two fleet, zero queue/batch bounds, or an invalid QoS
+    /// config.
     pub fn validate(&self) -> Result<(), FftError> {
         if self.n_gpus == 0 || !self.n_gpus.is_power_of_two() {
             return Err(FftError::BadPlanConfig {
@@ -155,13 +144,6 @@ impl ServeConfig {
                     reason: "must be at least 1".to_string(),
                 });
             }
-        }
-        if self.tick_s <= 0.0 || self.tick_s.is_nan() {
-            return Err(FftError::BadPlanConfig {
-                param: "tick_s",
-                value: 0,
-                reason: "the telemetry tick must be a positive duration".to_string(),
-            });
         }
         if let Err(reason) = self.qos.validate() {
             return Err(FftError::BadPlanConfig {
@@ -220,18 +202,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the batch latency budget, simulated seconds.
-    pub fn latency_budget_s(mut self, s: f64) -> Self {
-        self.cfg.latency_budget_s = s;
-        self
-    }
-
-    /// Sets the algorithm for volume requests without a hint.
-    pub fn algorithm(mut self, a: Algorithm) -> Self {
-        self.cfg.default_algorithm = a;
-        self
-    }
-
     /// Keeps transformed payloads in completions.
     pub fn keep_outputs(mut self, keep: bool) -> Self {
         self.cfg.keep_outputs = keep;
@@ -241,18 +211,6 @@ impl ServeConfigBuilder {
     /// Runs every card under the memcheck/racecheck-style validator.
     pub fn check_hazards(mut self, check: bool) -> Self {
         self.cfg.check_hazards = check;
-        self
-    }
-
-    /// Sets the telemetry sampling tick, simulated seconds.
-    pub fn tick_s(mut self, s: f64) -> Self {
-        self.cfg.tick_s = s;
-        self
-    }
-
-    /// Sets the SLO objectives the run is held to.
-    pub fn slo(mut self, slo: SloPolicy) -> Self {
-        self.cfg.slo = slo;
         self
     }
 
@@ -286,6 +244,13 @@ impl ServeConfigBuilder {
         FftService::new(self.build()?)
     }
 }
+
+/// A batch stops growing once its estimated service time exceeds this many
+/// simulated seconds.
+const LATENCY_BUDGET_S: f64 = 10e-3;
+
+/// The telemetry sampling tick, simulated seconds.
+const TICK_S: f64 = 1e-3;
 
 /// Expected extra service time of a dispatch whose card has not memoised
 /// the 1-D plan yet (placement's cold-plan penalty; roughly a plan build
@@ -382,11 +347,11 @@ impl FftService {
         let limits = BatchLimits {
             max_requests: cfg.max_batch_requests,
             max_elems: cfg.max_batch_elems,
-            latency_budget_s: cfg.latency_budget_s,
+            latency_budget_s: LATENCY_BUDGET_S,
         };
         let n = cfg.n_gpus;
         Ok(FftService {
-            books: Books::new(cfg.tick_s, n, cfg.slo.latency_p95_ms),
+            books: Books::new(TICK_S, n, SloPolicy::default().latency_p95_ms),
             util_gauges: (0..n)
                 .map(|i| (names::card_compute_util(i), names::card_copy_util(i)))
                 .collect(),
@@ -463,31 +428,55 @@ impl FftService {
     /// # Errors
     /// The [`Rejection`] taxonomy above; a rejected request leaves its
     /// rejection counter and a terminal lifecycle waterfall, nothing more.
-    pub fn submit(&mut self, spec: RequestSpec, at_s: f64) -> Result<Ticket, Rejection> {
+    pub fn submit(&mut self, mut spec: RequestSpec, at_s: f64) -> Result<Ticket, Rejection> {
+        let payload = std::mem::take(&mut spec.payload);
+        self.submit_transform(spec, Some(payload.len()), at_s, || payload)
+    }
+
+    /// [`FftService::submit`] for a seeds-only template: every admission
+    /// check runs on the template, and its payload is materialized only
+    /// once it is admitted — so a hostile wire template naming a
+    /// multi-gigabyte shape rejects without allocating a sample.
+    pub(crate) fn submit_seeded(&mut self, t: &SeededSpec, at_s: f64) -> Result<Ticket, Rejection> {
+        self.submit_transform(t.header(), None, at_s, || seeded_payload(t.shape, t.seed))
+    }
+
+    /// The single-transform admission path: `spec` without its payload,
+    /// the length of the payload a full spec carried, and the payload
+    /// itself, built only once the request is admitted.
+    fn submit_transform(
+        &mut self,
+        spec: RequestSpec,
+        payload_len: Option<usize>,
+        at_s: f64,
+        payload: impl FnOnce() -> Vec<Complex32>,
+    ) -> Result<Ticket, Rejection> {
         // Attribution profile keys: rows always run the coalesced 1-D
-        // kernel; volumes run their hint or the service default.
+        // kernel; volumes run their hint or the default algorithm.
         let algo_label = match spec.shape {
             Shape::Rows1d { .. } => "batch-1d",
-            Shape::Volume { .. } => spec.algorithm.unwrap_or(self.cfg.default_algorithm).name(),
+            Shape::Volume { .. } => spec.algorithm.unwrap_or_default().name(),
         };
         let label = spec.shape.label();
         let id = self.open(at_s, spec.tenant, label, spec.priority, algo_label);
-        if let Err(r) = self.check_spec(&spec) {
+        if let Err(r) = self.check_spec(&spec, payload_len) {
             return Err(self.reject(id, r));
         }
         // The deadline estimate: the earliest free lane, then this request
         // behind every queued one sharing its batch key.
         let deadline = spec.deadline_s.map(|deadline_s| {
-            let algo = self.cfg.default_algorithm;
-            let key = key_of_spec(&spec, algo);
-            let same_key = self.queue.iter().filter(|p| key_of(p, algo) == Some(key));
+            let key = key_of_spec(&spec);
+            let same_key = self.queue.iter().filter(|p| key_of(p) == Some(key));
             let elems: usize = same_key.map(|p| p.spec().shape.elems()).sum();
             let wait_s = (self.earliest_free_s() - self.now_s).max(0.0);
             let est_s = self.estimator.estimate_s(key, elems + spec.shape.elems());
             (wait_s + est_s, deadline_s)
         });
         self.admit(id, spec.tenant, deadline, spec.shape.elems(), || {
-            Work::Transform(spec)
+            Work::Transform(RequestSpec {
+                payload: payload(),
+                ..spec
+            })
         })
     }
 
@@ -661,22 +650,35 @@ impl FftService {
         r
     }
 
-    /// The transform-specific admission checks: malformed shapes, rows
-    /// payloads bigger than a staging slot, and volumes a previous attempt
-    /// proved even the whole fleet cannot allocate.
-    fn check_spec(&self, spec: &RequestSpec) -> Result<(), Rejection> {
-        validate_spec(spec).map_err(Rejection::Unsupported)?;
+    /// The transform-specific admission checks, in order: the shape
+    /// envelope (before any product of the dims is formed), the length of
+    /// a full spec's payload (`payload_len`; a seeded one has none yet),
+    /// rows payloads bigger than a staging slot, and volumes a previous
+    /// attempt proved even the whole fleet cannot allocate.
+    fn check_spec(&self, spec: &RequestSpec, payload_len: Option<usize>) -> Result<(), Rejection> {
+        validate_shape(spec).map_err(Rejection::Unsupported)?;
+        // Every axis is at most 512 now, so only a rows count can overflow
+        // the product; it saturates.
+        let elems = match spec.shape {
+            Shape::Rows1d { n, rows } => n.saturating_mul(rows),
+            volume => volume.elems(),
+        };
+        if let Some(got) = payload_len.filter(|&got| got != elems) {
+            let mismatch = FftError::VolumeMismatch {
+                expected: elems,
+                got,
+            };
+            return Err(Rejection::Unsupported(mismatch));
+        }
         match spec.shape {
             // A single rows request must fit a lane's staging slot on its
             // own: the batcher's element cap only bounds coalescing, so an
             // oversized head request would otherwise dispatch unchecked and
             // overrun the slot mid-upload.
-            Shape::Rows1d { n, rows } if n * rows > self.cfg.max_batch_elems => {
-                Err(Rejection::Oversized {
-                    elems: n * rows,
-                    limit_elems: self.cfg.max_batch_elems,
-                })
-            }
+            Shape::Rows1d { .. } if elems > self.cfg.max_batch_elems => Err(Rejection::Oversized {
+                elems,
+                limit_elems: self.cfg.max_batch_elems,
+            }),
             Shape::Volume { nx, ny, nz } => match self.fleet_oversized.get(&(nx, ny, nz)) {
                 Some(err) => Err(Rejection::Unallocatable(err.clone())),
                 None => Ok(()),
@@ -741,12 +743,11 @@ impl FftService {
     /// Dispatches everything placeable at the current instant.
     fn pump(&mut self) {
         self.pump_pipes();
-        let algo = self.cfg.default_algorithm;
         let mut skip: Vec<BatchKey> = Vec::new();
         loop {
             // The head of the first key not skipped: its key and elements.
             let Some((key, head_elems)) = self.queue.iter().find_map(|p| {
-                let k = key_of(p, algo).filter(|k| !skip.contains(k))?;
+                let k = key_of(p).filter(|k| !skip.contains(k))?;
                 Some((k, p.spec().shape.elems()))
             }) else {
                 break;
@@ -801,7 +802,7 @@ impl FftService {
                     }
                 },
             };
-            let batch = form_batch(&mut self.queue, &self.limits, &self.estimator, key, algo);
+            let batch = form_batch(&mut self.queue, &self.limits, &self.estimator, key);
             self.books
                 .apply(self.now_s, Event::Batched { unit: &batch });
             if !self.dispatch(place, batch) {
@@ -858,7 +859,7 @@ impl FftService {
         let Some(head_priority) = self
             .queue
             .iter()
-            .filter(|p| key_of(p, self.cfg.default_algorithm) == Some(*key))
+            .filter(|p| key_of(p) == Some(*key))
             .map(Pending::priority)
             .min()
         else {
@@ -942,7 +943,7 @@ impl FftService {
         };
         match &members[0].work {
             Work::Transform(spec) => {
-                let key = key_of_spec(spec, self.cfg.default_algorithm);
+                let key = key_of_spec(spec);
                 let elems = members.iter().map(|p| p.spec().shape.elems()).sum();
                 let service_s = outcome.phases.completion_s - self.now_s;
                 self.estimator.observe(key, elems, service_s);
@@ -1000,7 +1001,7 @@ impl FftService {
             .map(|p| p.spec().payload.as_slice())
             .collect();
         let dir = spec.direction;
-        let algo = spec.algorithm.unwrap_or(self.cfg.default_algorithm);
+        let algo = spec.algorithm.unwrap_or_default();
         match (place, spec.shape) {
             (Place::Lane(ci, li), Shape::Rows1d { n, .. }) => self.cards[ci]
                 .dispatch_rows(li, n, &payloads, dir, now, keep)
@@ -1225,7 +1226,7 @@ impl FftService {
             .map(|(&t, b)| b.row.good_bytes as f64 / share(t))
             .collect();
         r.fairness_index = jain_index(&weighted);
-        let p95_ms = self.cfg.slo.latency_p95_ms;
+        let p95_ms = SloPolicy::default().latency_p95_ms;
         r.tenants = (books.tenants.iter())
             .map(|(&t, b)| {
                 let p95_s = LatencyStats::from_latencies(b.latencies_s.clone()).p95_s;
@@ -1263,11 +1264,12 @@ impl FftService {
         LatencyStats::from_latencies(lat.collect())
     }
 
-    /// Evaluates the configured SLO policy against the run so far.
+    /// Evaluates the default [`SloPolicy`] against the run so far.
     pub fn slo_report(&self) -> SloReport {
         let p95_ms = self.latency_stats().p95_s * 1e3;
         let (goodput, t) = (self.books.goodput_gbs(), &self.books.telemetry);
-        slo::evaluate(&self.cfg.slo, p95_ms, goodput, &t.registry, &t.timeline)
+        let policy = SloPolicy::default();
+        slo::evaluate(&policy, p95_ms, goodput, &t.registry, &t.timeline)
     }
 
     /// Renders the run's `bifft-metrics-v1` document. Call after
@@ -1337,17 +1339,11 @@ impl FftService {
     }
 }
 
-/// Shape/payload validation — everything admission can reject as malformed
-/// without touching a card. Fleet-capacity rejections (oversized rows,
-/// unallocatable volumes) are the service's own taxonomy, decided in
-/// `submit`.
-fn validate_spec(spec: &RequestSpec) -> Result<(), FftError> {
-    if spec.payload.len() != spec.shape.elems() {
-        return Err(FftError::VolumeMismatch {
-            expected: spec.shape.elems(),
-            got: spec.payload.len(),
-        });
-    }
+/// The shape envelope — every malformed shape or hint admission can reject
+/// without touching a card, checked axis by axis so no product of the dims
+/// is formed. The payload length and the fleet-capacity rejections
+/// (oversized rows, unallocatable volumes) follow in `check_spec`.
+fn validate_shape(spec: &RequestSpec) -> Result<(), FftError> {
     match spec.shape {
         Shape::Rows1d { n, rows } => {
             if rows == 0 {
@@ -1744,7 +1740,6 @@ mod tests {
             .streams(3)
             .queue_capacity(16)
             .batch_requests(2)
-            .latency_budget_s(5e-3)
             .build()
             .unwrap();
         assert_eq!(cfg.n_gpus, 4);
@@ -1762,13 +1757,6 @@ mod tests {
             ServeConfig::builder().queue_capacity(0).build(),
             Err(FftError::BadPlanConfig {
                 param: "queue_capacity",
-                ..
-            })
-        ));
-        assert!(matches!(
-            ServeConfig::builder().tick_s(0.0).build(),
-            Err(FftError::BadPlanConfig {
-                param: "tick_s",
                 ..
             })
         ));
@@ -2032,6 +2020,71 @@ mod tests {
         let r = svc.finish();
         assert_eq!(r.rejected_unsupported, 1);
         assert_eq!(r.pipelines, 1);
+    }
+
+    #[test]
+    fn seeded_singles_check_the_shape_before_materializing() {
+        let mut svc = tiny_service(ServeConfig::builder().keep_outputs(true).build().unwrap());
+        let seeded = |shape| SeededSpec {
+            shape,
+            direction: Direction::Forward,
+            algorithm: None,
+            priority: Priority::Normal,
+            deadline_s: None,
+            tenant: TenantId::default(),
+            seed: 3,
+        };
+        let mut submit = |shape| svc.submit_seeded(&seeded(shape), 0.0);
+        // 2^33 samples (64 GiB) if materialized: bounced as oversized.
+        let rows = Shape::Rows1d {
+            n: 512,
+            rows: 1 << 24,
+        };
+        assert!(matches!(
+            submit(rows),
+            Err(Rejection::Oversized {
+                elems: 0x2_0000_0000,
+                limit_elems: 0x10_0000,
+            })
+        ));
+        // 2^48 samples: the length envelope bounces it first.
+        let long = Shape::Rows1d {
+            n: 1 << 24,
+            rows: 1 << 24,
+        };
+        assert!(matches!(
+            submit(long),
+            Err(Rejection::Unsupported(FftError::BadPlanConfig {
+                param: "n",
+                ..
+            }))
+        ));
+        // The product of these axes overflows: the axis check runs first.
+        let huge = Shape::Volume {
+            nx: 1 << 24,
+            ny: 1 << 24,
+            nz: 1 << 24,
+        };
+        assert!(matches!(
+            submit(huge),
+            Err(Rejection::Unsupported(FftError::UnsupportedSize {
+                axis: 'x',
+                ..
+            }))
+        ));
+        // A valid template transforms the payload `materialize` builds.
+        let ok = seeded(Shape::Rows1d { n: 64, rows: 2 });
+        let seeded_id = svc.submit_seeded(&ok, 0.0).unwrap().id;
+        let full_id = svc.submit(ok.materialize(), 0.0).unwrap().id;
+        svc.drain();
+        let output = |id| match svc.poll(Ticket { id, at_s: 0.0 }) {
+            PollStatus::Done(c) => c.output.expect("outputs kept"),
+            other => panic!("expected a completion, got {other:?}"),
+        };
+        assert_eq!(output(seeded_id), output(full_id));
+        let r = svc.report();
+        assert_eq!((r.rejected_oversized, r.rejected_unsupported), (1, 2));
+        assert_eq!(r.completed, 2);
     }
 
     #[test]
