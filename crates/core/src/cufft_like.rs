@@ -12,7 +12,13 @@
 //!   per thread needs ~1024 registers, so only 8 threads fit on an SM
 //!   (§3.1), and achieved bandwidth collapses to a quarter of saturation.
 //!   The Z axis additionally walks C/D-class strides.
+//!
+//! The plan owns the multirow kernels' spill area, so a transform's buffers
+//! are the same every time and all five launches go through
+//! [`Gpu::launch_replay`]: the first transform of a shape is simulated, and
+//! later ones run native loops and reuse its counters.
 
+use crate::plan::BufferGuard;
 use crate::report::RunReport;
 use fft_math::fft1d::Fft1dPlan;
 use fft_math::flops::{nominal_flops_1d, nominal_flops_3d};
@@ -22,11 +28,41 @@ use fft_math::Complex32;
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::timing::{estimate_pass, KernelTiming};
 use gpu_sim::{
-    AllocError, BufferId, DeviceSpec, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig,
+    AllocError, BufferId, DeviceMemory, DeviceSpec, Gpu, KernelClass, KernelReport,
+    KernelResources, LaunchConfig,
 };
 
+/// The two legacy 1-D passes' block shape.
+const RES_1D: KernelResources = KernelResources {
+    threads_per_block: 64,
+    regs_per_thread: 32,
+    shared_bytes_per_block: 4 * 1024,
+};
+
+/// The multirow kernels' block shape: >512 data registers round to a
+/// 1024-register allocation, so 8-thread blocks are the only launchable
+/// shape (§3.1).
+const RES_MULTIROW: KernelResources = KernelResources {
+    threads_per_block: 8,
+    regs_per_thread: 1024,
+    shared_bytes_per_block: 0,
+};
+
+/// The final copy's block shape.
+const RES_COPY: KernelResources = KernelResources {
+    threads_per_block: 64,
+    regs_per_thread: 16,
+    shared_bytes_per_block: 0,
+};
+
+/// Rows the native multirow executor gathers at once: consecutive rows sit
+/// side by side in memory, so a tile of them uses every element of the
+/// cache lines a strided gather touches.
+const TILE_ROWS: usize = 16;
+
 /// Batched 1-D FFT the way CUFFT 1.1 ran it: the transform's arithmetic
-/// split over two full passes through device memory.
+/// split over two full passes through device memory, each through
+/// [`Gpu::launch_replay`].
 ///
 /// Functionally, pass 1 computes the whole transform and pass 2 copies —
 /// together they move exactly the traffic (2 x read+write) and execute
@@ -34,22 +70,18 @@ use gpu_sim::{
 /// radix pipeline.
 pub fn cufft1d_batch(
     gpu: &mut Gpu,
+    plan: &Fft1dPlan,
     src: BufferId,
     dst: BufferId,
-    n: usize,
     rows: usize,
     dir: Direction,
 ) -> Vec<KernelReport> {
-    let res = KernelResources {
-        threads_per_block: 64,
-        regs_per_thread: 32,
-        shared_bytes_per_block: 4 * 1024,
-    };
-    let grid = gpu.fill_grid(&res);
+    let n = plan.len();
+    let grid = gpu.fill_grid(&RES_1D);
     let cfg = |name: &'static str| LaunchConfig {
         name,
         grid_blocks: grid,
-        resources: res,
+        resources: RES_1D,
         class: KernelClass::LegacyFft,
         read_pattern: AccessPattern::X,
         write_pattern: AccessPattern::X,
@@ -57,13 +89,62 @@ pub fn cufft1d_batch(
         nominal_flops: rows as u64 * nominal_flops_1d(n) / 2,
         streams: 1,
     };
-    let plan = Fft1dPlan::new(n);
-    // Pass 1: one block per row (grid-strided), lanes own interleaved
-    // elements so loads and stores coalesce — the shape of the historical
-    // radix kernels. The row maths runs at block level over the staged data.
+    // The direction picks only the arithmetic, never an address, count or
+    // branch a counter sees, so it is not part of either pass's shape.
+    let shape = [n as u64, rows as u64];
+    let pass1 = cfg("cufft1d_pass1");
+    let r1 = gpu.launch_replay(
+        &pass1,
+        &[src, dst],
+        &shape,
+        |g| simulate_pass1(g, &pass1, plan, src, dst, rows, dir),
+        |mem, _| {
+            let (src, dst) = mem.src_dst(src, dst, rows * n);
+            let mut scratch = vec![Complex32::ZERO; n];
+            for (r, row) in dst.chunks_exact_mut(n).enumerate() {
+                src.read(r * n, row);
+                plan.execute(row, &mut scratch, dir);
+            }
+        },
+    );
+    let pass2 = cfg("cufft1d_pass2");
+    let r2 = gpu.launch_replay(
+        &pass2,
+        &[dst],
+        &shape,
+        |g| {
+            g.launch_items(&pass2, rows * n, |t, i| {
+                let v = t.ld(dst, i);
+                t.st(dst, i, v);
+                t.flops(5 * n as u64 / 2);
+            })
+        },
+        // Every element stores the value it loaded, and pass 1 has already
+        // backed all of them.
+        |mem, _| {
+            mem.backed_mut(dst, rows * n);
+        },
+    );
+    vec![r1, r2]
+}
+
+/// The simulated pass 1: one block per row (grid-strided), lanes own
+/// interleaved elements so loads and stores coalesce — the shape of the
+/// historical radix kernels. The row maths runs at block level over the
+/// staged data.
+fn simulate_pass1(
+    gpu: &mut Gpu,
+    cfg: &LaunchConfig,
+    plan: &Fft1dPlan,
+    src: BufferId,
+    dst: BufferId,
+    rows: usize,
+    dir: Direction,
+) -> KernelReport {
+    let n = plan.len();
     let mut scratch = vec![Complex32::ZERO; n];
     let mut row_buf = vec![Complex32::ZERO; n];
-    let r1 = gpu.launch_coop_items(&cfg("cufft1d_pass1"), rows, |blk, r| {
+    gpu.launch_coop_items(cfg, rows, |blk, r| {
         blk.threads(|tid, ctx| {
             for j in (tid..n).step_by(64) {
                 row_buf[j] = ctx.ld(src, r * n + j);
@@ -78,13 +159,17 @@ pub fn cufft1d_batch(
                 ctx.st(dst, r * n + j, row_buf[j]);
             }
         });
-    });
-    let r2 = gpu.launch_items(&cfg("cufft1d_pass2"), rows * n, |t, i| {
-        let v = t.ld(dst, i);
-        t.st(dst, i, v);
-        t.flops(5 * n as u64 / 2);
-    });
-    vec![r1, r2]
+    })
+}
+
+/// Element offset of the first point of row `r` of an `n`-point axis whose
+/// points lie `stride` elements apart: rows run along the `stride`
+/// faster-varying elements, then on to the next block of `n * stride`. For
+/// Y (`stride = nx`) that is `x + nx*ny*z`; for Z (`stride = nx*ny`) it is
+/// `r` itself.
+#[inline]
+fn row_base(r: usize, n: usize, stride: usize) -> usize {
+    r % stride + n * stride * (r / stride)
 }
 
 /// The multirow whole-axis-per-thread kernel CUFFT 1.1 used for the Y and Z
@@ -95,72 +180,181 @@ pub fn cufft1d_batch(
 /// 8192-register file; the compiler spills roughly half of it to *local
 /// memory* — which on G80 is plain device memory, thread-interleaved so the
 /// spill traffic at least coalesces. The kernel models that faithfully: half
-/// the row takes one extra round trip through a device-resident spill
-/// buffer, adding 50% to the pass's useful traffic. Combined with the
-/// 8-thread occupancy (§3.1), this reproduces Figure 1's CUFFT3D bars.
+/// the row takes one extra round trip through `spill`, the plan-owned area
+/// [`CufftLikeFft::new`] allocates, adding 50% to the pass's useful traffic.
+/// Combined with the 8-thread occupancy (§3.1), this reproduces Figure 1's
+/// CUFFT3D bars.
+///
+/// The launch goes through [`Gpu::launch_replay`]. Its shape is `n`, the
+/// stride and the row count, which fix the row mapping ([`row_base`]) and
+/// so the axis; the spill area is one of the buffers its key names.
 #[allow(clippy::too_many_arguments)]
 fn run_multirow_axis(
     gpu: &mut Gpu,
     buf: BufferId,
-    n: usize,
+    spill: BufferId,
+    plan: &Fft1dPlan,
     stride: usize,
     rows: usize,
-    row_index: impl Fn(usize) -> usize + Copy,
-    pattern: AccessPattern,
     dir: Direction,
     name: &'static str,
 ) -> KernelReport {
-    // >512 data registers round to a 1024-register allocation; 8-thread
-    // blocks are the only launchable shape (§3.1).
-    let res = KernelResources {
-        threads_per_block: 8,
-        regs_per_thread: 1024,
-        shared_bytes_per_block: 0,
-    };
-    let grid = gpu.fill_grid(&res);
-    let cfg = LaunchConfig {
+    let n = plan.len();
+    let cfg = multirow_config(gpu, n, stride, rows, name);
+    gpu.launch_replay(
+        &cfg,
+        &[buf, spill],
+        &[n as u64, stride as u64, rows as u64],
+        |g| simulate_multirow(g, &cfg, buf, spill, plan, stride, rows, dir),
+        |mem, _| native_multirow(mem, &cfg, buf, spill, plan, stride, rows, dir),
+    )
+}
+
+/// The multirow launch over `rows` rows of an `n`-point axis `stride`
+/// elements apart.
+fn multirow_config(
+    gpu: &Gpu,
+    n: usize,
+    stride: usize,
+    rows: usize,
+    name: &'static str,
+) -> LaunchConfig {
+    let pattern = classify_stride(stride * 8);
+    LaunchConfig {
         name,
-        grid_blocks: grid,
-        resources: res,
+        grid_blocks: gpu.fill_grid(&RES_MULTIROW),
+        resources: RES_MULTIROW,
         class: KernelClass::LegacyFft,
         read_pattern: pattern,
         write_pattern: pattern,
         in_place: true,
         nominal_flops: rows as u64 * nominal_flops_1d(n),
         streams: n,
-    };
-    let plan = Fft1dPlan::new(n);
-    let total = grid * 8;
-    let spill_elems = n / 2;
-    // Thread-interleaved local-memory spill area (as the hardware lays it out).
-    let spill = gpu
-        .mem_mut()
-        .alloc(spill_elems * total)
-        .expect("spill area fits");
+    }
+}
+
+/// The simulated multirow pass: one thread per row, grid-strided.
+#[allow(clippy::too_many_arguments)]
+fn simulate_multirow(
+    gpu: &mut Gpu,
+    cfg: &LaunchConfig,
+    buf: BufferId,
+    spill: BufferId,
+    plan: &Fft1dPlan,
+    stride: usize,
+    rows: usize,
+    dir: Direction,
+) -> KernelReport {
+    let n = plan.len();
+    let total = cfg.grid_blocks * cfg.resources.threads_per_block;
+    let half = n / 2;
     let mut scratch = vec![Complex32::ZERO; n];
     let mut row_buf = vec![Complex32::ZERO; n];
-    let rep = gpu.launch_items(&cfg, rows, |t, r| {
+    gpu.launch_items(cfg, rows, |t, r| {
         let gid = t.gid();
-        let base = row_index(r);
+        let base = row_base(r, n, stride);
         for (j, v) in row_buf.iter_mut().enumerate() {
             *v = t.ld(buf, base + j * stride);
         }
         // Spill the second half of the working set to local memory and
         // reload it (one round trip), then transform.
-        for j in 0..spill_elems {
-            t.st(spill, j * total + gid, row_buf[spill_elems + j]);
+        for j in 0..half {
+            t.st(spill, j * total + gid, row_buf[half + j]);
         }
-        for j in 0..spill_elems {
-            row_buf[spill_elems + j] = t.ld(spill, j * total + gid);
+        for j in 0..half {
+            row_buf[half + j] = t.ld(spill, j * total + gid);
         }
         plan.execute(&mut row_buf, &mut scratch, dir);
         t.flops(5 * n as u64 * n.trailing_zeros() as u64);
         for (j, v) in row_buf.iter().enumerate() {
             t.st(buf, base + j * stride, *v);
         }
-    });
-    gpu.mem_mut().free(spill);
-    rep
+    })
+}
+
+/// The native multirow pass. The spill area ends as the simulation leaves
+/// it: each thread's slots hold the untransformed second half of the last
+/// row it ran (items run round-major, so thread `gid` runs rows `gid`,
+/// `gid + total`, ...), backed up to the last slot a thread wrote. The rows
+/// themselves are transformed a tile of neighbours at a time.
+#[allow(clippy::too_many_arguments)]
+fn native_multirow(
+    mem: &mut DeviceMemory,
+    cfg: &LaunchConfig,
+    buf: BufferId,
+    spill: BufferId,
+    plan: &Fft1dPlan,
+    stride: usize,
+    rows: usize,
+    dir: Direction,
+) {
+    let n = plan.len();
+    let total = cfg.grid_blocks * cfg.resources.threads_per_block;
+    let half = n / 2;
+    let ran = rows.min(total);
+    let end = (half * total).saturating_sub(total - ran);
+    let (data, slots) = mem.src_dst(buf, spill, end);
+    for gid in 0..ran {
+        let base = row_base(gid + (rows - 1 - gid) / total * total, n, stride);
+        for j in 0..half {
+            slots[j * total + gid] = data.get(base + (half + j) * stride);
+        }
+    }
+    // Rows tile the volume: `rows` is a multiple of `stride`, and the last
+    // row's last point is element `rows * n - 1`.
+    let data = mem.backed_mut(buf, rows * n);
+    let tile = TILE_ROWS.min(stride);
+    let mut tiles = vec![Complex32::ZERO; tile * n];
+    let mut scratch = vec![Complex32::ZERO; n];
+    for r0 in (0..rows).step_by(tile) {
+        let base = row_base(r0, n, stride);
+        for j in 0..n {
+            let at = base + j * stride;
+            for (b, v) in data[at..at + tile].iter().enumerate() {
+                tiles[b * n + j] = *v;
+            }
+        }
+        for row in tiles.chunks_exact_mut(n) {
+            plan.execute(row, &mut scratch, dir);
+        }
+        for j in 0..n {
+            let at = base + j * stride;
+            for (b, v) in data[at..at + tile].iter_mut().enumerate() {
+                *v = tiles[b * n + j];
+            }
+        }
+    }
+}
+
+/// The final copy back into the caller's buffer, as CUFFT's API contract
+/// (out-of-place into the user buffer) required.
+fn copyback(gpu: &mut Gpu, src: BufferId, dst: BufferId, vol: usize) -> KernelReport {
+    let cfg = LaunchConfig {
+        name: "cufft_copyback",
+        grid_blocks: gpu.fill_grid(&RES_COPY),
+        resources: RES_COPY,
+        class: KernelClass::Copy,
+        read_pattern: AccessPattern::X,
+        write_pattern: AccessPattern::X,
+        in_place: false,
+        nominal_flops: 0,
+        streams: 1,
+    };
+    gpu.launch_replay(
+        &cfg,
+        &[src, dst],
+        &[vol as u64],
+        |g| {
+            g.launch_items(&cfg, vol, |t, i| {
+                let val = t.ld(src, i);
+                t.st(dst, i, val);
+            })
+        },
+        |mem, _| {
+            let (src, dst) = mem.src_dst(src, dst, vol);
+            src.read(0, dst);
+        },
+    )
 }
 
 /// A CUFFT-1.1-style 3-D FFT on the natural layout.
@@ -168,12 +362,40 @@ pub struct CufftLikeFft {
     nx: usize,
     ny: usize,
     nz: usize,
+    /// One planned 1-D transform per distinct axis length.
+    plans: Vec<Fft1dPlan>,
+    /// The Y and Z multirow kernels' shared spill area, or why it did not
+    /// fit on the card.
+    spill: Result<BufferId, AllocError>,
+    /// Held only for its `Drop`, which frees the spill area.
+    _guard: BufferGuard,
 }
 
 impl CufftLikeFft {
-    /// Plans the transform.
-    pub fn new(_gpu: &mut Gpu, nx: usize, ny: usize, nz: usize) -> Self {
-        CufftLikeFft { nx, ny, nz }
+    /// Plans the transform and allocates its spill area: the
+    /// thread-interleaved local memory of the Y and Z multirow kernels,
+    /// `max(ny, nz) / 2` elements for each thread of their grid, shared by
+    /// both and freed when the plan drops. Like `cufftPlan3d`'s work area it
+    /// is allocated once, so every launch after a shape's first replays.
+    /// When it does not fit, [`CufftLikeFft::alloc_buffers`] reports the
+    /// error.
+    pub fn new(gpu: &mut Gpu, nx: usize, ny: usize, nz: usize) -> Self {
+        let threads = gpu.fill_grid(&RES_MULTIROW) * RES_MULTIROW.threads_per_block;
+        let spill = gpu.mem_mut().alloc(ny.max(nz) / 2 * threads);
+        let mut plans: Vec<Fft1dPlan> = Vec::new();
+        for n in [nx, ny, nz] {
+            if plans.iter().all(|p| p.len() != n) {
+                plans.push(Fft1dPlan::new(n));
+            }
+        }
+        CufftLikeFft {
+            nx,
+            ny,
+            nz,
+            plans,
+            spill,
+            _guard: BufferGuard::new(gpu, spill.iter().copied().collect()),
+        }
     }
 
     /// Total elements.
@@ -181,83 +403,79 @@ impl CufftLikeFft {
         self.nx * self.ny * self.nz
     }
 
-    /// Allocates data + scratch.
+    /// The planned 1-D transform of length `n`, one of the axis lengths.
+    fn plan(&self, n: usize) -> &Fft1dPlan {
+        self.plans
+            .iter()
+            .find(|p| p.len() == n)
+            .expect("axis planned")
+    }
+
+    /// The spill area's buffer, when it fit — mainly for diagnosing checker
+    /// reports, which cite buffers by id.
+    pub fn spill(&self) -> Option<BufferId> {
+        self.spill.ok()
+    }
+
+    /// Allocates data + scratch. Nothing stays allocated on failure.
+    ///
+    /// # Errors
+    /// Returns the allocation error when either buffer, or the spill area
+    /// [`CufftLikeFft::new`] tried to allocate, does not fit on the card.
     pub fn alloc_buffers(&self, gpu: &mut Gpu) -> Result<(BufferId, BufferId), AllocError> {
-        Ok((
-            gpu.mem_mut().alloc(self.volume())?,
-            gpu.mem_mut().alloc(self.volume())?,
-        ))
+        self.spill?;
+        let v = gpu.mem_mut().alloc(self.volume())?;
+        match gpu.mem_mut().alloc(self.volume()) {
+            Ok(work) => Ok((v, work)),
+            Err(e) => {
+                gpu.mem_mut().free(v);
+                Err(e)
+            }
+        }
     }
 
     /// Executes: X via the two-pass 1-D path, Y and Z via strided multirow
     /// kernels. Input/output in `v`, natural order.
+    ///
+    /// # Panics
+    /// Panics when the spill area did not fit on the card.
     pub fn execute(&self, gpu: &mut Gpu, v: BufferId, work: BufferId, dir: Direction) -> RunReport {
+        let spill = self.spill.expect("spill area fits");
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let vol = self.volume();
         gpu.span_begin("cufft_like");
         gpu.span_begin("cufft_1d_x");
-        let mut steps = cufft1d_batch(gpu, v, work, nx, vol / nx, dir);
+        let mut steps = cufft1d_batch(gpu, self.plan(nx), v, work, vol / nx, dir);
         gpu.span_end("cufft_1d_x");
-        // Copy result back into v (the 1-D path is out-of-place). Real CUFFT
-        // alternated buffers; we fold this copy into the pass structure by
-        // running Y from `work` in place... keep it simple: Y and Z operate
-        // on `work`, and the final result lives there; we swap names below.
-        let y_pattern = classify_stride(nx * 8);
+        // The 1-D path is out of place, so its result lands in `work`; the
+        // Y and Z kernels transform `work` in place, and a final copy
+        // returns the result to `v`.
         gpu.span_begin("cufft_y");
         steps.push(run_multirow_axis(
             gpu,
             work,
-            ny,
+            spill,
+            self.plan(ny),
             nx,
             vol / ny,
-            move |r| {
-                let x = r % nx;
-                let z = r / nx;
-                x + nx * ny * z
-            },
-            y_pattern,
             dir,
             "cufft_y_multirow",
         ));
         gpu.span_end("cufft_y");
-        let z_pattern = classify_stride(nx * ny * 8);
         gpu.span_begin("cufft_z");
         steps.push(run_multirow_axis(
             gpu,
             work,
-            nz,
+            spill,
+            self.plan(nz),
             nx * ny,
             vol / nz,
-            move |r| r,
-            z_pattern,
             dir,
             "cufft_z_multirow",
         ));
         gpu.span_end("cufft_z");
-        // Final copy back to v, as CUFFT's API contract (out-of-place into
-        // the user buffer) required.
         gpu.span_begin("cufft_copyback");
-        let res = KernelResources {
-            threads_per_block: 64,
-            regs_per_thread: 16,
-            shared_bytes_per_block: 0,
-        };
-        let grid = gpu.fill_grid(&res);
-        let cfg = LaunchConfig {
-            name: "cufft_copyback",
-            grid_blocks: grid,
-            resources: res,
-            class: KernelClass::Copy,
-            read_pattern: AccessPattern::X,
-            write_pattern: AccessPattern::X,
-            in_place: false,
-            nominal_flops: 0,
-            streams: 1,
-        };
-        steps.push(gpu.launch_items(&cfg, vol, |t, i| {
-            let val = t.ld(work, i);
-            t.st(v, i, val);
-        }));
+        steps.push(copyback(gpu, work, v, vol));
         gpu.span_end("cufft_copyback");
         gpu.span_end("cufft_like");
         RunReport {
@@ -282,18 +500,13 @@ impl CufftLikeFft {
         let vol = (nx * ny * nz) as u64;
         let mut out = Vec::new();
         // Two legacy 1-D passes along X.
-        let res1d = KernelResources {
-            threads_per_block: 64,
-            regs_per_thread: 32,
-            shared_bytes_per_block: 4 * 1024,
-        };
-        let occ = occupancy(&spec.arch, &res1d);
+        let occ = occupancy(&spec.arch, &RES_1D);
         let grid = spec.sms * occ.blocks_per_sm;
         for name in ["cufft1d_pass1", "cufft1d_pass2"] {
             let cfg = LaunchConfig {
                 name,
                 grid_blocks: grid,
-                resources: res1d,
+                resources: RES_1D,
                 class: KernelClass::LegacyFft,
                 read_pattern: AccessPattern::X,
                 write_pattern: AccessPattern::X,
@@ -304,12 +517,7 @@ impl CufftLikeFft {
             out.push((name, estimate_pass(spec, &cfg, &occ, vol)));
         }
         // Whole-axis-per-thread multirow passes for Y and Z.
-        let res_mr = KernelResources {
-            threads_per_block: 8,
-            regs_per_thread: 1024,
-            shared_bytes_per_block: 0,
-        };
-        let occ = occupancy(&spec.arch, &res_mr);
+        let occ = occupancy(&spec.arch, &RES_MULTIROW);
         let grid = spec.sms * occ.blocks_per_sm;
         for (axis, n, stride, name) in [
             ('y', ny, nx * 8, "cufft_y_multirow"),
@@ -320,7 +528,7 @@ impl CufftLikeFft {
             let cfg = LaunchConfig {
                 name,
                 grid_blocks: grid,
-                resources: res_mr,
+                resources: RES_MULTIROW,
                 class: KernelClass::LegacyFft,
                 read_pattern: p,
                 write_pattern: p,
@@ -333,16 +541,11 @@ impl CufftLikeFft {
             out.push((name, estimate_pass(spec, &cfg, &occ, vol * 3 / 2)));
         }
         // Final copy back into the caller's buffer.
-        let res_cp = KernelResources {
-            threads_per_block: 64,
-            regs_per_thread: 16,
-            shared_bytes_per_block: 0,
-        };
-        let occ = occupancy(&spec.arch, &res_cp);
+        let occ = occupancy(&spec.arch, &RES_COPY);
         let cfg = LaunchConfig {
             name: "cufft_copyback",
             grid_blocks: spec.sms * occ.blocks_per_sm,
-            resources: res_cp,
+            resources: RES_COPY,
             class: KernelClass::Copy,
             read_pattern: AccessPattern::X,
             write_pattern: AccessPattern::X,
@@ -417,12 +620,65 @@ mod tests {
         assert_eq!(classify_stride(8 * 1024 * 1024), AccessPattern::D);
     }
 
+    /// The multirow kernel replayed against its simulation, launch by
+    /// launch: row counts below and above the grid's thread count, and a
+    /// spill area larger than one launch backs.
+    #[test]
+    fn replayed_multirow_matches_simulation() {
+        let mut rng = SplitMix64::new(0x5911_0001);
+        for (n, stride, rows) in [(16, 2, 6), (16, 16, 64), (32, 64, 512), (64, 16, 128)] {
+            let plan = Fft1dPlan::new(n);
+            let mut cards = [
+                Gpu::new(DeviceSpec::gt8800()),
+                Gpu::new(DeviceSpec::gt8800()),
+            ];
+            let bufs = cards.each_mut().map(|g| {
+                let threads = g.fill_grid(&RES_MULTIROW) * RES_MULTIROW.threads_per_block;
+                let spill = g.mem_mut().alloc(64 * threads).unwrap();
+                (g.mem_mut().alloc(rows * n).unwrap(), spill)
+            });
+            assert_eq!(bufs[0], bufs[1]);
+            let (buf, spill) = bufs[0];
+            for k in 0..3 {
+                let host: Vec<Complex32> = (0..rows * n)
+                    .map(|_| Complex32::new(rng.uniform_f32(-1.0, 1.0), 0.5))
+                    .collect();
+                let dir = [Direction::Forward, Direction::Inverse][k % 2];
+                let mut seen = Vec::new();
+                for (i, g) in cards.iter_mut().enumerate() {
+                    g.mem_mut().upload(buf, 0, &host);
+                    let rep = if i == 0 {
+                        run_multirow_axis(g, buf, spill, &plan, stride, rows, dir, "mr")
+                    } else {
+                        let cfg = multirow_config(g, n, stride, rows, "mr");
+                        simulate_multirow(g, &cfg, buf, spill, &plan, stride, rows, dir)
+                    };
+                    let mut out = vec![Complex32::ZERO; rows * n + g.mem().len(spill)];
+                    let (data, slots) = out.split_at_mut(rows * n);
+                    g.mem().download(buf, 0, data);
+                    g.mem().download(spill, 0, slots);
+                    let out: Vec<_> = out
+                        .iter()
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                        .collect();
+                    seen.push((out, rep, g.mem().backed_bytes(), g.clock_s().to_bits()));
+                }
+                assert!(
+                    seen[0] == seen[1],
+                    "n={n} stride={stride} rows={rows}: launch {k}"
+                );
+            }
+            assert_eq!(cards[0].launch_counts(), (3, 2));
+        }
+    }
+
     #[test]
     fn cufft1d_is_two_passes() {
         let mut gpu = Gpu::new(DeviceSpec::gtx8800());
         let src = gpu.mem_mut().alloc(256 * 4).unwrap();
         let dst = gpu.mem_mut().alloc(256 * 4).unwrap();
-        let reps = cufft1d_batch(&mut gpu, src, dst, 256, 4, Direction::Forward);
+        let plan = Fft1dPlan::new(256);
+        let reps = cufft1d_batch(&mut gpu, &plan, src, dst, 4, Direction::Forward);
         assert_eq!(reps.len(), 2);
     }
 }

@@ -195,9 +195,19 @@ impl From<AllocError> for FftError {
 
 /// RAII ownership of a plan's device buffers: on drop, the ids are queued on
 /// the arena's deferred-free queue (see [`gpu_sim::FreeQueue`]).
-struct BufferGuard {
+pub(crate) struct BufferGuard {
     ids: Vec<BufferId>,
     queue: FreeQueue,
+}
+
+impl BufferGuard {
+    /// Owns `ids`, buffers of `gpu`'s arena.
+    pub(crate) fn new(gpu: &Gpu, ids: Vec<BufferId>) -> Self {
+        BufferGuard {
+            ids,
+            queue: gpu.mem().free_queue(),
+        }
+    }
 }
 
 impl Drop for BufferGuard {
@@ -219,7 +229,8 @@ pub struct Fft3d {
     v: BufferId,
     work: BufferId,
     dims: (usize, usize, usize),
-    /// Held only for its `Drop`, which frees `v` and `work`.
+    /// Held only for its `Drop`, which frees `v` and `work`. A cufft-like
+    /// `inner` frees its spill area the same way when it drops with them.
     _guard: BufferGuard,
 }
 
@@ -307,10 +318,7 @@ impl Fft3dBuilder {
             v,
             work,
             dims: (nx, ny, nz),
-            _guard: BufferGuard {
-                ids: vec![v, work],
-                queue: gpu.mem().free_queue(),
-            },
+            _guard: BufferGuard::new(gpu, vec![v, work]),
         })
     }
 }

@@ -137,3 +137,35 @@ fn algorithm_parse_error_lists_the_choices() {
          cufft-like, out-of-core or multi-gpu)"
     );
 }
+
+/// A cufft-like plan's spill area is charged to the card from planning on
+/// and freed with the plan's buffers, also when the build fails.
+#[test]
+fn cufft_like_plans_leak_no_device_memory() {
+    let mut gpu = Gpu::new(DeviceSpec::gts8800());
+    let start = gpu.mem().used_bytes();
+    let build = |gpu: &mut Gpu, nx, ny, nz| {
+        Fft3d::builder(nx, ny, nz)
+            .algorithm(Algorithm::CufftLike)
+            .build(gpu)
+    };
+    let plan = build(&mut gpu, 32, 16, 64).unwrap();
+    let vol = 32 * 16 * 64;
+    assert!(gpu.mem().used_bytes() > start + 2 * vol as u64 * 8);
+    let host = vec![Complex32::new(1.0, 0.0); vol];
+    for _ in 0..2 {
+        plan.transform(&mut gpu, &host, Direction::Forward).unwrap();
+    }
+    drop(plan);
+    assert_eq!(gpu.mem().used_bytes(), start);
+    // Builds that fail at the spill area (a 4 KiB card), at `work` (64³
+    // needs 2 × 2 MiB) and at `v` (512³ on the 512 MiB GTS).
+    for (mib, n) in [(1.0 / 256.0, 16), (3.0, 64), (512.0, 512)] {
+        let mut spec = DeviceSpec::gts8800();
+        spec.memory_bytes = (mib * 1024.0 * 1024.0) as u64;
+        let mut gpu = Gpu::new(spec);
+        let err = build(&mut gpu, n, n, n).err().unwrap();
+        assert!(matches!(err, FftError::Alloc(_)), "{n}³: {err:?}");
+        assert_eq!(gpu.mem().used_bytes(), 0, "{n}³ on {mib} MiB");
+    }
+}

@@ -1,12 +1,13 @@
 //! Replayed launches against the simulation they replay.
 //!
-//! The five-step and six-step plans launch through `Gpu::launch_replay`:
-//! the first launch of a shape is simulated, later ones run native loops and
-//! reuse the recorded report. The reference for every check here is a fresh
+//! The five-step, six-step and cufft-like plans launch through
+//! `Gpu::launch_replay`: the first launch of a shape is simulated, later ones
+//! run native loops and reuse the recorded report. The reference for every check here is a fresh
 //! `Gpu`, whose first launch of any shape is always simulated, or the plain
 //! `run_*` kernel, which never replays. Outputs, every `KernelReport` field,
 //! the clock and the host backing must agree bit for bit.
 
+use bifft::cufft_like::CufftLikeFft;
 use bifft::five_step::FiveStepFft;
 use bifft::kernel16::{replay_strided_pass, run_strided_pass};
 use bifft::kernel256::{bind_twiddle_texture, replay_batched_fft, run_batched_fft, FineFftPlan};
@@ -46,10 +47,19 @@ fn trace_blocks(rng: &mut SplitMix64) -> usize {
     [0, 2, usize::MAX][rng.below(3)]
 }
 
-/// A five-step or six-step plan on one card, with its two buffers.
+/// A five-step, six-step or cufft-like plan on one card, with its two
+/// buffers.
 enum Plan3d {
     Five(FiveStepFft),
     Six(SixStepFft),
+    Cufft(CufftLikeFft),
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Algo {
+    Five,
+    Six,
+    Cufft,
 }
 
 struct Card {
@@ -60,20 +70,39 @@ struct Card {
 }
 
 impl Card {
-    fn new(six: bool, dims: (usize, usize, usize), trace_blocks: usize) -> Self {
+    fn new(algo: Algo, dims: (usize, usize, usize), trace_blocks: usize) -> Self {
         let mut gpu = Gpu::new(DeviceSpec::gts8800());
         gpu.trace_blocks = trace_blocks;
         let (nx, ny, nz) = dims;
-        let (plan, (v, w)) = if six {
-            let p = SixStepFft::new(&mut gpu, nx, ny, nz);
-            let b = p.alloc_buffers(&mut gpu).unwrap();
-            (Plan3d::Six(p), b)
-        } else {
-            let p = FiveStepFft::new(&mut gpu, nx, ny, nz);
-            let b = p.alloc_buffers(&mut gpu).unwrap();
-            (Plan3d::Five(p), b)
+        let (plan, (v, w)) = match algo {
+            Algo::Five => {
+                let p = FiveStepFft::new(&mut gpu, nx, ny, nz);
+                let b = p.alloc_buffers(&mut gpu).unwrap();
+                (Plan3d::Five(p), b)
+            }
+            Algo::Six => {
+                let p = SixStepFft::new(&mut gpu, nx, ny, nz);
+                let b = p.alloc_buffers(&mut gpu).unwrap();
+                (Plan3d::Six(p), b)
+            }
+            Algo::Cufft => {
+                let p = CufftLikeFft::new(&mut gpu, nx, ny, nz);
+                let b = p.alloc_buffers(&mut gpu).unwrap();
+                (Plan3d::Cufft(p), b)
+            }
         };
         Card { gpu, plan, v, w }
+    }
+
+    /// The cufft-like plan's spill area, whole; empty for the other plans.
+    fn spill(&mut self) -> Vec<(u32, u32)> {
+        let Plan3d::Cufft(p) = &self.plan else {
+            return Vec::new();
+        };
+        let spill = p.spill().unwrap();
+        let mut out = vec![Complex32::ZERO; self.gpu.mem().len(spill)];
+        self.gpu.mem().download(spill, 0, &mut out);
+        bits(&out)
     }
 
     fn transform(&mut self, host: &[Complex32], dir: Direction) -> (Vec<Complex32>, RunReport) {
@@ -89,47 +118,65 @@ impl Card {
                 let rep = p.execute(g, v, w, dir);
                 (p.download(g, v), rep)
             }
+            Plan3d::Cufft(p) => {
+                g.mem_mut().upload(v, 0, host);
+                let rep = p.execute(g, v, w, dir);
+                let mut out = vec![Complex32::ZERO; host.len()];
+                g.mem().download(v, 0, &mut out);
+                (out, rep)
+            }
         }
     }
 }
 
-/// Random power-of-two five-step and six-step volumes (16–64 per axis),
-/// each algorithm under every `trace_blocks` setting: one card runs three transforms in random
-/// directions, replaying every launch after the first transform (the
-/// direction changes no counter, so it is not part of a launch's shape); a
-/// fresh card runs each input once; a checked card (which never replays)
-/// runs the same three in sequence.
+/// Random power-of-two five-step, six-step and cufft-like volumes (16–64
+/// per axis), each algorithm under every `trace_blocks` setting: one card
+/// runs three transforms in random directions, replaying every launch after
+/// the first transform (the direction changes no counter, so it is not part
+/// of a launch's shape); a fresh card runs each input once; a checked card
+/// (which never replays) runs the same three in sequence. The cufft-like
+/// spill area, which the plan keeps across transforms, must hold after each
+/// what the fresh card's holds.
 #[test]
 fn replayed_plans_match_fresh_simulation() {
     let mut rng = SplitMix64::new(0x5e91_a7ed);
-    for case in 0..6 {
-        let six = case % 2 == 1;
+    for case in 0..9 {
+        let algo = [Algo::Five, Algo::Six, Algo::Cufft][case % 3];
         let dims = (
             pow2(&mut rng, 4, 6),
             pow2(&mut rng, 4, 6),
             pow2(&mut rng, 4, 6),
         );
-        let tb = [0, 2, usize::MAX][case % 3];
-        let what = format!("case {case}: six={six} dims={dims:?} trace_blocks={tb}");
+        let tb = [0, 2, usize::MAX][case / 3];
+        let what = format!("case {case}: {algo:?} dims={dims:?} trace_blocks={tb}");
         let vol = dims.0 * dims.1 * dims.2;
         let inputs: Vec<_> = (0..3).map(|_| random_data(vol, &mut rng)).collect();
 
-        let mut card = Card::new(six, dims, tb);
-        let mut checked = Card::new(six, dims, tb);
+        let mut card = Card::new(algo, dims, tb);
+        let mut checked = Card::new(algo, dims, tb);
         checked.gpu.check_enable();
         let mut steps = 0;
         for (k, host) in inputs.iter().enumerate() {
             let dir = direction(&mut rng);
             let what = format!("{what} {dir:?}");
             let (out, rep) = card.transform(host, dir);
-            let mut fresh = Card::new(six, dims, tb);
+            let mut fresh = Card::new(algo, dims, tb);
             let (want, want_rep) = fresh.transform(host, dir);
             assert_eq!(bits(&out), bits(&want), "{what}: output {k}");
             assert_eq!(rep.steps, want_rep.steps, "{what}: report {k}");
+            assert_eq!(card.spill(), fresh.spill(), "{what}: spill {k}");
             let (chk_out, chk_rep) = checked.transform(host, dir);
             assert_eq!(bits(&chk_out), bits(&want), "{what}: checked output {k}");
             assert_eq!(chk_rep.steps, want_rep.steps, "{what}: checked report {k}");
+            assert_eq!(checked.spill(), fresh.spill(), "{what}: checked spill {k}");
             steps = rep.steps.len() as u64;
+            // Every launch after the first transform's replays.
+            let k = k as u64;
+            assert_eq!(
+                card.gpu.launch_counts(),
+                ((k + 1) * steps, k * steps),
+                "{what}: launches after transform {k}"
+            );
         }
         assert_eq!(
             card.gpu.clock_s().to_bits(),

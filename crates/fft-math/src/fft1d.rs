@@ -115,6 +115,7 @@ pub fn stockham_with_table(
         return;
     }
 
+    let tw = table.as_slice();
     let stages = n.trailing_zeros() as usize;
     let mut len = n; // current sub-transform length
     let mut stride = 1usize;
@@ -129,17 +130,21 @@ pub fn stockham_with_table(
             } else {
                 (&scratch[..n], &mut *data)
             };
-            for p in 0..m {
-                let w = table.get(p * twiddle_step);
-                let src_a = stride * p;
-                let src_b = stride * (p + m);
-                let dst_a = stride * 2 * p;
-                let dst_b = stride * (2 * p + 1);
+            // Group `p` reads `src[stride*p..]` and `src[stride*(p+m)..]` and
+            // writes `dst[2*stride*p..]`, a stride apart; its twiddle index
+            // `p * twiddle_step` stays below `n / 2`.
+            let (lo, hi) = src[..n].split_at(stride * m);
+            let groups = lo
+                .chunks_exact(stride)
+                .zip(hi.chunks_exact(stride))
+                .zip(dst[..n].chunks_exact_mut(2 * stride));
+            for (p, ((src_a, src_b), out)) in groups.enumerate() {
+                let w = tw[p * twiddle_step];
+                let (dst_a, dst_b) = out.split_at_mut(stride);
                 for q in 0..stride {
-                    let a = src[q + src_a];
-                    let b = src[q + src_b];
-                    dst[q + dst_a] = a + b;
-                    dst[q + dst_b] = (a - b) * w;
+                    let (a, b) = (src_a[q], src_b[q]);
+                    dst_a[q] = a + b;
+                    dst_b[q] = (a - b) * w;
                 }
             }
         }

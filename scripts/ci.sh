@@ -22,8 +22,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Functional smokes of paper-kernel and the serve workloads: perfbench
 # exits non-zero unless every output matches the oracle and same-seed (and,
 # for gate-small, wire) reports are byte-identical. paper-kernel's 1 s run
-# transforms each plan twice, so the second five-step and six-step
-# transforms replay their launches natively and are checked like the first.
+# transforms each plan twice, so the second five-step, six-step and
+# cufft-like transforms replay their launches natively and are checked
+# against the oracle like the first.
 # serve-pipeline is the one workload that runs DAGs, volumes and the shared
 # single/DAG queue through those checks.
 for w in paper-kernel serve-small serve-pipeline gate-small; do
