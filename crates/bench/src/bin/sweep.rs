@@ -9,7 +9,7 @@
 //!
 //! Output is CSV on stdout, one row per (size, card, algorithm).
 
-use bifft::plan::Algorithm;
+use bifft::plan::{Algorithm, FftError};
 use fft_math::flops::nominal_flops_3d;
 use gpu_sim::pcie::{transfer_time, Dir};
 use gpu_sim::spec::DeviceSpec;
@@ -26,12 +26,12 @@ fn total(est: &[(&'static str, gpu_sim::KernelTiming)]) -> f64 {
     est.iter().map(|(_, t)| t.time_s).sum()
 }
 
-fn gflops_series() {
+fn gflops_series() -> Result<(), FftError> {
     println!("size,card,algorithm,time_ms,gflops");
     for n in SIZES {
         for spec in cards() {
             for algo in Algorithm::IN_CORE {
-                let t = total(&algo.estimate_steps(&spec, n, n, n).expect("in-core"));
+                let t = total(&algo.estimate_steps(&spec, n, n, n)?);
                 println!(
                     "{n},{},{},{:.4},{:.2}",
                     spec.name,
@@ -42,15 +42,14 @@ fn gflops_series() {
             }
         }
     }
+    Ok(())
 }
 
-fn step_series() {
+fn step_series() -> Result<(), FftError> {
     println!("size,card,step,time_ms,achieved_gbs");
     for n in SIZES {
         for spec in cards() {
-            let steps = Algorithm::FiveStep
-                .estimate_steps(&spec, n, n, n)
-                .expect("in-core");
+            let steps = Algorithm::FiveStep.estimate_steps(&spec, n, n, n)?;
             for (name, t) in steps {
                 println!(
                     "{n},{},{name},{:.4},{:.2}",
@@ -61,18 +60,15 @@ fn step_series() {
             }
         }
     }
+    Ok(())
 }
 
-fn transfer_series() {
+fn transfer_series() -> Result<(), FftError> {
     println!("size,card,on_board_ms,h2d_ms,d2h_ms,total_ms,gflops_total");
     for n in SIZES {
         let bytes = (n * n * n * 8) as u64;
         for spec in cards() {
-            let fft = total(
-                &Algorithm::FiveStep
-                    .estimate_steps(&spec, n, n, n)
-                    .expect("in-core"),
-            );
+            let fft = total(&Algorithm::FiveStep.estimate_steps(&spec, n, n, n)?);
             let h2d = transfer_time(spec.pcie, Dir::H2D, bytes, 1).time_s;
             let d2h = transfer_time(spec.pcie, Dir::D2H, bytes, 1).time_s;
             let tot = fft + h2d + d2h;
@@ -87,9 +83,10 @@ fn transfer_series() {
             );
         }
     }
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), FftError> {
     match std::env::args().nth(1).as_deref() {
         None | Some("gflops") => gflops_series(),
         Some("steps") => step_series(),

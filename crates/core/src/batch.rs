@@ -23,12 +23,12 @@ pub struct Fft1dBatchGpu {
 }
 
 impl Fft1dBatchGpu {
-    /// Plans transforms of length `n` (power of two, 4..=512).
+    /// The rows envelope: the lengths the fine-grained kernel transforms,
+    /// powers of two in `4..=512`.
     ///
     /// # Errors
-    /// [`FftError::BadPlanConfig`] when `n` is outside what the fine-grained
-    /// kernel supports.
-    pub fn new(gpu: &mut Gpu, n: usize) -> Result<Self, FftError> {
+    /// [`FftError::BadPlanConfig`] naming `n` when it is outside.
+    pub fn check_len(n: usize) -> Result<(), FftError> {
         if !n.is_power_of_two() || !(4..=512).contains(&n) {
             return Err(FftError::BadPlanConfig {
                 param: "n",
@@ -36,6 +36,15 @@ impl Fft1dBatchGpu {
                 reason: "1-D batch length must be a power of two in 4..=512".to_string(),
             });
         }
+        Ok(())
+    }
+
+    /// Plans transforms of length `n`.
+    ///
+    /// # Errors
+    /// [`Fft1dBatchGpu::check_len`]'s, for a length outside the envelope.
+    pub fn new(gpu: &mut Gpu, n: usize) -> Result<Self, FftError> {
+        Self::check_len(n)?;
         let plan = wisdom::plan(n);
         let tw = [
             bind_twiddle_texture(gpu, n, Direction::Forward),

@@ -424,14 +424,7 @@ impl CufftLikeFft {
     /// [`CufftLikeFft::new`] tried to allocate, does not fit on the card.
     pub fn alloc_buffers(&self, gpu: &mut Gpu) -> Result<(BufferId, BufferId), AllocError> {
         self.spill?;
-        let v = gpu.mem_mut().alloc(self.volume())?;
-        match gpu.mem_mut().alloc(self.volume()) {
-            Ok(work) => Ok((v, work)),
-            Err(e) => {
-                gpu.mem_mut().free(v);
-                Err(e)
-            }
-        }
+        crate::plan::alloc_pair(gpu, self.volume())
     }
 
     /// Executes: X via the two-pass 1-D path, Y and Z via strided multirow

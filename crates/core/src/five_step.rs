@@ -101,11 +101,9 @@ impl FiveStepFft {
         self.layout.volume()
     }
 
-    /// Allocates the data and work buffers on the device.
+    /// Allocates the data and work buffers; none stays allocated on failure.
     pub fn alloc_buffers(&self, gpu: &mut Gpu) -> Result<(BufferId, BufferId), AllocError> {
-        let v = gpu.mem_mut().alloc(self.volume())?;
-        let work = gpu.mem_mut().alloc(self.volume())?;
-        Ok((v, work))
+        crate::plan::alloc_pair(gpu, self.volume())
     }
 
     /// Packs a natural-order volume (`x` fastest, then `y`, then `z`) into

@@ -26,7 +26,7 @@
 use crate::batch::{Fft1dBatchGpu, Fft2dGpu};
 use crate::cufft_like::classify_stride;
 use crate::kernel256::{batched_config, FineFftPlan};
-use crate::plan::FftError;
+use crate::plan::{Algorithm, FftError};
 use crate::transpose::{transpose_config, transpose_resources};
 use fft_math::flops::nominal_flops_3d;
 use fft_math::twiddle::Direction;
@@ -111,11 +111,8 @@ pub struct MultiGpuFft3d {
 }
 
 fn validate(n_gpus: usize, nx: usize, ny: usize, nz: usize) -> Result<(), FftError> {
-    for (axis, n) in [('x', nx), ('y', ny), ('z', nz)] {
-        if !n.is_power_of_two() || !(16..=512).contains(&n) {
-            return Err(FftError::UnsupportedSize { axis, n });
-        }
-    }
+    // Each card runs the six-step's passes: fine-kernel rows and transposes.
+    Algorithm::SixStep.check_shape(nx, ny, nz)?;
     if n_gpus == 0 || !n_gpus.is_power_of_two() {
         return Err(FftError::BadShardCount {
             n_gpus,
@@ -136,7 +133,7 @@ impl MultiGpuFft3d {
     /// each of `n_gpus` fresh simulated cards of the given model.
     ///
     /// # Errors
-    /// [`FftError::UnsupportedSize`] for dims outside the kernels' range,
+    /// [`FftError::UnsupportedSize`] for dims outside the six-step envelope,
     /// [`FftError::BadShardCount`] when `n_gpus` can't shard the volume, and
     /// [`FftError::Alloc`] when a card can't hold its share.
     pub fn new(
@@ -568,7 +565,11 @@ mod tests {
         ));
         assert!(matches!(
             MultiGpuFft3d::new(&spec, 2, 8, 32, 32),
-            Err(FftError::UnsupportedSize { axis: 'x', n: 8 })
+            Err(FftError::UnsupportedSize {
+                axis: 'x',
+                n: 8,
+                ..
+            })
         ));
         let mut plan = MultiGpuFft3d::new(&spec, 2, 16, 16, 16).unwrap();
         assert!(matches!(

@@ -22,7 +22,7 @@
 //! card.
 
 use crate::elementwise::run_slab_twiddle;
-use crate::plan::FftError;
+use crate::plan::{Algorithm, FftError};
 use crate::six_step::SixStepFft;
 use fft_math::codelets::{codelet_flops, fft_small};
 use fft_math::flops::{nominal_flops_1d, nominal_flops_3d};
@@ -92,14 +92,15 @@ pub struct OutOfCoreFft {
 }
 
 impl OutOfCoreFft {
-    /// Plans the decomposition. `slabs` must divide `nz`, the slab Z extent
-    /// must still be a power of two, and two slab buffers must fit on the
-    /// card.
+    /// Plans the decomposition. `slabs` must divide `nz` into slabs inside
+    /// the six-step envelope ([`Algorithm::check_shape`]), and two slab
+    /// buffers must fit on the card.
     ///
     /// # Errors
     /// [`FftError::BadPlanConfig`] for a slab count that cannot decimate
-    /// `nz`, and [`FftError::Alloc`] when even two slab buffers exceed
-    /// device memory.
+    /// `nz` into slabs of 16+ planes, [`FftError::UnsupportedSize`] for an
+    /// `nx` or `ny` outside the envelope, and [`FftError::Alloc`] when even
+    /// two slab buffers exceed device memory.
     pub fn new(
         spec: &DeviceSpec,
         nx: usize,
@@ -112,17 +113,18 @@ impl OutOfCoreFft {
             value: slabs,
             reason,
         };
-        if slabs < 2 || !nz.is_multiple_of(slabs) {
-            return Err(bad(format!("slabs must divide nz = {nz} (and be >= 2)")));
-        }
-        let slab_z = nz / slabs;
-        if !slab_z.is_power_of_two() || !slabs.is_power_of_two() {
+        // The cross-slab FFT is one codelet, so at most 16 slabs.
+        if !(2..=16).contains(&slabs) || !slabs.is_power_of_two() || !nz.is_multiple_of(slabs) {
             return Err(bad(format!(
-                "slabs and the slab Z extent {slab_z} must both be powers of two"
+                "slabs must be a power of two in 2..=16 dividing nz = {nz}"
             )));
         }
-        if slabs > 16 {
-            return Err(bad("cross-slab FFT must fit a codelet (<= 16)".into()));
+        // Each slab is an in-core six-step plan; a Z extent outside its
+        // envelope is the slab count's to fix.
+        let slab_z = nz / slabs;
+        match Algorithm::SixStep.check_shape(nx, ny, slab_z) {
+            Err(e @ FftError::UnsupportedSize { axis: 'z', .. }) => return Err(bad(e.to_string())),
+            r => r?,
         }
         let slab_bytes = (nx * ny * slab_z) as u64 * 8;
         if 2 * slab_bytes > spec.memory_bytes {
@@ -610,14 +612,27 @@ mod tests {
     #[test]
     fn bad_slab_count_rejected() {
         let spec = DeviceSpec::gt8800();
-        match OutOfCoreFft::new(&spec, 64, 64, 64, 3) {
-            Err(FftError::BadPlanConfig { param, value, .. }) => {
-                assert_eq!(param, "slabs");
-                assert_eq!(value, 3);
+        // Not a divisor, then slabs thinner than the 16 planes an in-slab
+        // six-step plan needs (which `execute` would trip over).
+        for (nx, ny, nz, slabs) in [(64, 64, 64, 3), (32, 32, 16, 2), (16, 16, 32, 4)] {
+            match OutOfCoreFft::new(&spec, nx, ny, nz, slabs) {
+                Err(FftError::BadPlanConfig { param, value, .. }) => {
+                    assert_eq!(param, "slabs");
+                    assert_eq!(value, slabs);
+                }
+                Err(other) => panic!("expected BadPlanConfig, got {other:?}"),
+                Ok(_) => panic!("expected BadPlanConfig, got a plan"),
             }
-            Err(other) => panic!("expected BadPlanConfig, got {other:?}"),
-            Ok(_) => panic!("expected BadPlanConfig, got a plan"),
         }
+        // An X the slab plan cannot run is no slab count's fault.
+        assert!(matches!(
+            OutOfCoreFft::new(&spec, 8, 16, 64, 4),
+            Err(FftError::UnsupportedSize {
+                axis: 'x',
+                n: 8,
+                ..
+            })
+        ));
         assert!(matches!(
             OutOfCoreFft::new(&spec, 64, 64, 64, 4)
                 .unwrap()

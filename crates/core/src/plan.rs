@@ -69,22 +69,60 @@ impl Algorithm {
         }
     }
 
-    /// Analytic per-kernel estimate for the in-core algorithms (`None` for
-    /// the out-of-core and multi-GPU pipelines, whose estimates live on
-    /// their own types and are not per-kernel).
+    /// The shape envelope of this algorithm's single-card plan, asked by
+    /// every entry point: each axis a power of two in `16..=512`, and for
+    /// the five-step kernel Y and Z at most 256 (each splits into two
+    /// 16-point register passes, §3.1).
+    ///
+    /// # Errors
+    /// [`FftError::UnsupportedSize`] for the first axis outside it, and
+    /// [`FftError::UnsupportedAlgorithm`] for the out-of-core / multi-GPU
+    /// pipelines, which have their own entry points.
+    pub fn check_shape(self, nx: usize, ny: usize, nz: usize) -> Result<(), FftError> {
+        let yz_max = match self {
+            Algorithm::FiveStep => 256,
+            Algorithm::SixStep | Algorithm::CufftLike => 512,
+            Algorithm::OutOfCore => {
+                return Err(FftError::UnsupportedAlgorithm {
+                    algorithm: self,
+                    reason: "use OutOfCoreFft::new for volumes larger than device memory",
+                })
+            }
+            Algorithm::MultiGpu => {
+                return Err(FftError::UnsupportedAlgorithm {
+                    algorithm: self,
+                    reason: "use MultiGpuFft3d::new to shard across several cards",
+                })
+            }
+        };
+        for (axis, n, max) in [('x', nx, 512), ('y', ny, yz_max), ('z', nz, yz_max)] {
+            if !n.is_power_of_two() || !(16..=max).contains(&n) {
+                return Err(FftError::UnsupportedSize { axis, n, max });
+            }
+        }
+        Ok(())
+    }
+
+    /// Analytic per-kernel estimate for the in-core algorithms (the
+    /// out-of-core and multi-GPU pipelines' estimates live on their own
+    /// types and are not per-kernel).
+    ///
+    /// # Errors
+    /// [`Algorithm::check_shape`]'s, for a shape outside the envelope.
     pub fn estimate_steps(
         self,
         spec: &DeviceSpec,
         nx: usize,
         ny: usize,
         nz: usize,
-    ) -> Option<Vec<(&'static str, KernelTiming)>> {
-        match self {
-            Algorithm::FiveStep => Some(FiveStepFft::estimate(spec, nx, ny, nz)),
-            Algorithm::SixStep => Some(SixStepFft::estimate(spec, nx, ny, nz)),
-            Algorithm::CufftLike => Some(CufftLikeFft::estimate(spec, nx, ny, nz)),
-            Algorithm::OutOfCore | Algorithm::MultiGpu => None,
-        }
+    ) -> Result<Vec<(&'static str, KernelTiming)>, FftError> {
+        self.check_shape(nx, ny, nz)?;
+        Ok(match self {
+            Algorithm::FiveStep => FiveStepFft::estimate(spec, nx, ny, nz),
+            Algorithm::SixStep => SixStepFft::estimate(spec, nx, ny, nz),
+            Algorithm::CufftLike => CufftLikeFft::estimate(spec, nx, ny, nz),
+            Algorithm::OutOfCore | Algorithm::MultiGpu => unreachable!("check_shape refused it"),
+        })
     }
 }
 
@@ -124,12 +162,15 @@ pub enum FftError {
         /// Elements the caller supplied.
         got: usize,
     },
-    /// A dimension is outside what the kernels support.
+    /// A dimension is outside the algorithm's shape envelope
+    /// ([`Algorithm::check_shape`]).
     UnsupportedSize {
         /// Which axis (`'x'`, `'y'` or `'z'`).
         axis: char,
         /// The offending length.
         n: usize,
+        /// The largest length the axis accepts.
+        max: usize,
     },
     /// A multi-GPU shard count that doesn't divide the volume.
     BadShardCount {
@@ -164,9 +205,9 @@ impl std::fmt::Display for FftError {
                 f,
                 "volume mismatch: plan covers {expected} elements, host slice has {got}"
             ),
-            FftError::UnsupportedSize { axis, n } => write!(
+            FftError::UnsupportedSize { axis, n, max } => write!(
                 f,
-                "unsupported {axis}-dimension {n}: must be a power of two in 16..=512"
+                "unsupported {axis}-dimension {n}: must be a power of two in 16..={max}"
             ),
             FftError::BadShardCount { n_gpus, reason } => {
                 write!(f, "cannot shard across {n_gpus} GPUs: {reason}")
@@ -214,6 +255,17 @@ impl Drop for BufferGuard {
     fn drop(&mut self) {
         self.queue.borrow_mut().extend(self.ids.drain(..));
     }
+}
+
+/// Allocates an in-core plan's data and work buffers of `elems` elements
+/// each; when `work` does not fit, `v` is freed before the error returns.
+pub(crate) fn alloc_pair(gpu: &mut Gpu, elems: usize) -> Result<(BufferId, BufferId), AllocError> {
+    let v = gpu.mem_mut().alloc(elems)?;
+    let work = gpu
+        .mem_mut()
+        .alloc(elems)
+        .inspect_err(|_| gpu.mem_mut().free(v))?;
+    Ok((v, work))
 }
 
 enum Inner {
@@ -267,9 +319,8 @@ impl Fft3dBuilder {
     /// buffers.
     ///
     /// # Errors
-    /// [`FftError::UnsupportedSize`] for dimensions the kernels cannot run,
-    /// [`FftError::UnsupportedAlgorithm`] for the out-of-core / multi-GPU
-    /// pipelines (use their own entry points), and [`FftError::Alloc`] when
+    /// [`Algorithm::check_shape`]'s for a shape outside the envelope or
+    /// the out-of-core / multi-GPU pipelines, and [`FftError::Alloc`] when
     /// the volume does not fit on the card — at which point
     /// [`crate::out_of_core::OutOfCoreFft`] is the tool.
     pub fn build(self, gpu: &mut Gpu) -> Result<Fft3d, FftError> {
@@ -279,40 +330,18 @@ impl Fft3dBuilder {
             gpu.check_enable();
         }
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        for (axis, n) in [('x', nx), ('y', ny), ('z', nz)] {
-            if !n.is_power_of_two() || !(16..=512).contains(&n) {
-                return Err(FftError::UnsupportedSize { axis, n });
-            }
-        }
-        let (inner, v, work) = match self.algorithm {
-            Algorithm::FiveStep => {
-                let p = FiveStepFft::new(gpu, nx, ny, nz);
-                let (v, w) = p.alloc_buffers(gpu)?;
-                (Inner::Five(p), v, w)
-            }
-            Algorithm::SixStep => {
-                let p = SixStepFft::new(gpu, nx, ny, nz);
-                let (v, w) = p.alloc_buffers(gpu)?;
-                (Inner::Six(p), v, w)
-            }
-            Algorithm::CufftLike => {
-                let p = CufftLikeFft::new(gpu, nx, ny, nz);
-                let (v, w) = p.alloc_buffers(gpu)?;
-                (Inner::Cufft(p), v, w)
-            }
-            Algorithm::OutOfCore => {
-                return Err(FftError::UnsupportedAlgorithm {
-                    algorithm: self.algorithm,
-                    reason: "use OutOfCoreFft::new for volumes larger than device memory",
-                })
-            }
-            Algorithm::MultiGpu => {
-                return Err(FftError::UnsupportedAlgorithm {
-                    algorithm: self.algorithm,
-                    reason: "use MultiGpuFft3d::new to shard across several cards",
-                })
-            }
+        self.algorithm.check_shape(nx, ny, nz)?;
+        let inner = match self.algorithm {
+            Algorithm::FiveStep => Inner::Five(FiveStepFft::new(gpu, nx, ny, nz)),
+            Algorithm::SixStep => Inner::Six(SixStepFft::new(gpu, nx, ny, nz)),
+            Algorithm::CufftLike => Inner::Cufft(CufftLikeFft::new(gpu, nx, ny, nz)),
+            Algorithm::OutOfCore | Algorithm::MultiGpu => unreachable!("check_shape refused it"),
         };
+        let (v, work) = match &inner {
+            Inner::Five(p) => p.alloc_buffers(gpu),
+            Inner::Six(p) => p.alloc_buffers(gpu),
+            Inner::Cufft(p) => p.alloc_buffers(gpu),
+        }?;
         Ok(Fft3d {
             inner,
             v,
@@ -474,10 +503,19 @@ mod tests {
         }
         assert!(Algorithm::OutOfCore
             .estimate_steps(&spec, 64, 64, 64)
-            .is_none());
+            .is_err());
         assert!(Algorithm::MultiGpu
             .estimate_steps(&spec, 64, 64, 64)
-            .is_none());
+            .is_err());
+        // The five-step estimator refuses what its builder refuses.
+        assert_eq!(
+            Algorithm::FiveStep.estimate_steps(&spec, 16, 512, 16).err(),
+            Some(FftError::UnsupportedSize {
+                axis: 'y',
+                n: 512,
+                max: 256
+            })
+        );
     }
 
     #[test]
@@ -517,11 +555,19 @@ mod tests {
         let mut gpu = Gpu::new(DeviceSpec::gt8800());
         assert_eq!(
             Fft3d::builder(8, 16, 16).build(&mut gpu).err(),
-            Some(FftError::UnsupportedSize { axis: 'x', n: 8 })
+            Some(FftError::UnsupportedSize {
+                axis: 'x',
+                n: 8,
+                max: 512
+            })
         );
         assert_eq!(
             Fft3d::builder(16, 24, 16).build(&mut gpu).err(),
-            Some(FftError::UnsupportedSize { axis: 'y', n: 24 })
+            Some(FftError::UnsupportedSize {
+                axis: 'y',
+                n: 24,
+                max: 256
+            })
         );
         assert!(matches!(
             Fft3d::builder(16, 16, 16)
@@ -539,7 +585,14 @@ mod tests {
             })
         );
         // Errors display something actionable.
-        let msg = format!("{}", FftError::UnsupportedSize { axis: 'z', n: 7 });
+        let msg = format!(
+            "{}",
+            FftError::UnsupportedSize {
+                axis: 'z',
+                n: 7,
+                max: 512
+            }
+        );
         assert!(msg.contains("power of two"));
     }
 

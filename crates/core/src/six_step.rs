@@ -35,7 +35,8 @@ pub struct SixStepFft {
 }
 
 impl SixStepFft {
-    /// Plans an `nx x ny x nz` transform (dims: powers of two, 16..=512).
+    /// Plans an `nx x ny x nz` transform with dims inside the six-step
+    /// envelope ([`crate::plan::Algorithm::check_shape`]).
     pub fn new(gpu: &mut Gpu, nx: usize, ny: usize, nz: usize) -> Self {
         let fine_x = crate::wisdom::plan(nx);
         let fine_y = crate::wisdom::plan(ny);
@@ -58,12 +59,9 @@ impl SixStepFft {
         self.nx * self.ny * self.nz
     }
 
-    /// Allocates data + scratch buffers.
+    /// Allocates data + scratch buffers. Nothing stays allocated on failure.
     pub fn alloc_buffers(&self, gpu: &mut Gpu) -> Result<(BufferId, BufferId), AllocError> {
-        Ok((
-            gpu.mem_mut().alloc(self.volume())?,
-            gpu.mem_mut().alloc(self.volume())?,
-        ))
+        crate::plan::alloc_pair(gpu, self.volume())
     }
 
     /// Uploads a natural-order volume.

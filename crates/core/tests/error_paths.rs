@@ -11,7 +11,7 @@ use gpu_sim::{DeviceSpec, Gpu};
 
 #[test]
 fn display_strings_are_pinned() {
-    let cases: [(FftError, &str); 4] = [
+    let cases: [(FftError, &str); 5] = [
         (
             FftError::VolumeMismatch {
                 expected: 4096,
@@ -20,8 +20,21 @@ fn display_strings_are_pinned() {
             "volume mismatch: plan covers 4096 elements, host slice has 4095",
         ),
         (
-            FftError::UnsupportedSize { axis: 'y', n: 24 },
+            FftError::UnsupportedSize {
+                axis: 'y',
+                n: 24,
+                max: 512,
+            },
             "unsupported y-dimension 24: must be a power of two in 16..=512",
+        ),
+        // The five-step Y/Z bound is the one the message names.
+        (
+            FftError::UnsupportedSize {
+                axis: 'z',
+                n: 512,
+                max: 256,
+            },
+            "unsupported z-dimension 512: must be a power of two in 16..=256",
         ),
         (
             FftError::BadShardCount {
@@ -47,14 +60,78 @@ fn display_strings_are_pinned() {
 #[test]
 fn builder_rejects_bad_sizes_per_axis() {
     let mut gpu = Gpu::new(DeviceSpec::gts8800());
-    // Too small, not a power of two, too large — each names its axis.
-    for (nx, ny, nz, axis, n) in [
-        (8usize, 64usize, 64usize, 'x', 8usize),
-        (64, 24, 64, 'y', 24),
-        (64, 64, 1024, 'z', 1024),
+    // Too small, not a power of two, too large — each names its axis and
+    // the bound the default five-step plan gives it.
+    for (nx, ny, nz, axis, n, max) in [
+        (8usize, 64usize, 64usize, 'x', 8usize, 512usize),
+        (64, 24, 64, 'y', 24, 256),
+        (64, 64, 1024, 'z', 1024, 256),
+        (64, 512, 64, 'y', 512, 256),
     ] {
         let err = Fft3d::builder(nx, ny, nz).build(&mut gpu).err().unwrap();
-        assert_eq!(err, FftError::UnsupportedSize { axis, n });
+        assert_eq!(err, FftError::UnsupportedSize { axis, n, max });
+    }
+}
+
+/// For every in-core algorithm, one axis varied across and around its
+/// envelope: the builder, the estimator and `check_shape` give the same
+/// verdict, and none of them panics.
+#[test]
+fn builder_estimator_and_envelope_agree() {
+    let spec = DeviceSpec::gts8800();
+    for algo in Algorithm::IN_CORE {
+        for axis in 0..3 {
+            for n in [8usize, 16, 24, 256, 512, 1024] {
+                let mut dims = [16usize; 3];
+                dims[axis] = n;
+                let [nx, ny, nz] = dims;
+                let verdicts = std::panic::catch_unwind(|| {
+                    let mut gpu = Gpu::new(spec);
+                    let built = Fft3d::builder(nx, ny, nz).algorithm(algo).build(&mut gpu);
+                    (
+                        algo.check_shape(nx, ny, nz),
+                        algo.estimate_steps(&spec, nx, ny, nz).map(drop),
+                        built.map(drop),
+                    )
+                });
+                let what = format!("{} {nx}x{ny}x{nz}", algo.name());
+                let (envelope, estimate, build) =
+                    verdicts.unwrap_or_else(|_| panic!("{what} panicked"));
+                assert_eq!(estimate, envelope, "{what}: estimator");
+                assert_eq!(build, envelope, "{what}: builder");
+                let max = if algo == Algorithm::FiveStep && axis > 0 {
+                    256
+                } else {
+                    512
+                };
+                let inside = n.is_power_of_two() && (16..=max).contains(&n);
+                assert_eq!(envelope.is_ok(), inside, "{what}: envelope");
+            }
+        }
+    }
+}
+
+/// A failed in-core build leaves the card's usage where it started: on a
+/// 3 MiB card a 64³ plan's data buffer (2 MiB) fits and its work buffer
+/// does not, and the data buffer is freed before the error returns.
+#[test]
+fn failed_in_core_builds_leak_no_device_memory() {
+    for algo in Algorithm::IN_CORE {
+        let mut spec = DeviceSpec::gts8800();
+        spec.memory_bytes = 3 << 20;
+        let mut gpu = Gpu::new(spec);
+        let start = gpu.mem().used_bytes();
+        let err = Fft3d::builder(64, 64, 64)
+            .algorithm(algo)
+            .build(&mut gpu)
+            .err()
+            .unwrap();
+        assert!(
+            matches!(err, FftError::Alloc(_)),
+            "{}: {err:?}",
+            algo.name()
+        );
+        assert_eq!(gpu.mem().used_bytes(), start, "{}", algo.name());
     }
 }
 

@@ -749,11 +749,11 @@ impl Wire for SeededSpec {
 /// newer client's DAG gets the typed rejection, not a generic bad-frame.
 /// Structural DAG rules (operand wiring, masks) are *not* checked here; the
 /// service validates at admission so both transports reject identically.
-/// The *resource envelope* is checked here, though: dims must be powers of
-/// two in `16..=512` (the five-step plan's envelope) and the seed and stage
-/// counts are bounded, so a hostile sub-KiB frame can never name a
-/// template whose expansion would allocate gigabytes or overflow the
-/// `nx*ny*nz` admission arithmetic.
+/// The *resource envelope* is checked here, though: dims must lie inside
+/// the five-step envelope ([`Algorithm::check_shape`]; the DAG executor
+/// runs five-step plans) and the seed and stage counts are bounded, so a
+/// hostile sub-KiB frame can never name a template whose expansion would
+/// allocate gigabytes or overflow the `nx*ny*nz` admission arithmetic.
 impl Wire for SeededPipeline {
     fn put(&self) -> Value {
         let stages = self
@@ -801,14 +801,12 @@ impl Wire for SeededPipeline {
         if dims_v.len() != 3 {
             return Err(format!("dims has {} entries, want 3", dims_v.len()));
         }
-        let dim = |i: usize| -> Result<usize, String> {
-            let d = dims_v[i].as_u64().ok_or("dims must be integers")?;
-            if !d.is_power_of_two() || !(16..=512).contains(&d) {
-                return Err(format!("dims[{i}] = {d} not a power of two in 16..=512"));
-            }
-            Ok(d as usize)
-        };
-        let dims = (dim(0)?, dim(1)?, dim(2)?);
+        let dim = |i: usize| dims_v[i].as_u64().ok_or("dims must be integers");
+        let [x, y, z] =
+            [dim(0)?, dim(1)?, dim(2)?].map(|d| usize::try_from(d).unwrap_or(usize::MAX));
+        Algorithm::FiveStep
+            .check_shape(x, y, z)
+            .map_err(|e| e.to_string())?;
         let seeds_v = json::need_arr(v, "seeds")?;
         if seeds_v.is_empty() || seeds_v.len() > MAX_INPUTS {
             return Err(format!("{} seeds outside 1..={MAX_INPUTS}", seeds_v.len()));
@@ -859,7 +857,7 @@ impl Wire for SeededPipeline {
         }
         let (priority, deadline_s, tenant) = qos_take(v)?;
         Ok(SeededPipeline {
-            dims,
+            dims: (x, y, z),
             input_seeds,
             stages,
             priority,
@@ -1093,7 +1091,11 @@ mod tests {
                 "deadline_infeasible",
             ),
             (
-                Rejection::Unsupported(FftError::UnsupportedSize { axis: 'x', n: 7 }),
+                Rejection::Unsupported(FftError::UnsupportedSize {
+                    axis: 'x',
+                    n: 7,
+                    max: 512,
+                }),
                 code::UNSUPPORTED,
                 "unsupported",
             ),
@@ -1106,7 +1108,11 @@ mod tests {
                 "oversized",
             ),
             (
-                Rejection::Unallocatable(FftError::UnsupportedSize { axis: 'y', n: 9 }),
+                Rejection::Unallocatable(FftError::UnsupportedSize {
+                    axis: 'y',
+                    n: 9,
+                    max: 256,
+                }),
                 code::UNALLOCATABLE,
                 "unallocatable",
             ),

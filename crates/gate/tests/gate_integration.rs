@@ -424,6 +424,100 @@ fn hostile_submit_shapes_reject_before_any_payload_exists() {
     handle.join().expect("server thread");
 }
 
+/// Shapes outside the five-step envelope get typed answers instead of a
+/// panic on the gateway's poll-loop thread: a hint-less 16×512×16 `Submit`
+/// is refused as `unsupported` while a six-step hint serves it, and a
+/// `PipelineSubmit` with a 512-point Z fails its decode. The gateway keeps
+/// answering pings throughout.
+#[test]
+fn shapes_outside_the_five_step_envelope_get_typed_answers() {
+    let cfg = GateConfig {
+        serve: serve_cfg(1, 16),
+        window: 4,
+    };
+    let (addr, handle) = GateServer::spawn("127.0.0.1:0", cfg).expect("spawn gateway");
+    let addr = addr.to_string();
+    let mut c = ServeClient::connect(&addr, "tall", Mode::Live, None).expect("connect");
+    c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    let tall = |algorithm| SeededSpec {
+        shape: Shape::Volume {
+            nx: 16,
+            ny: 512,
+            nz: 16,
+        },
+        algorithm,
+        deadline_s: None,
+        ..sample_spec(1)
+    };
+    let err = c.submit(1, None, None, tall(None)).expect("answered");
+    let err = err.expect_err("outside the five-step envelope");
+    assert_eq!(
+        (err.code, err.kind.as_str()),
+        (code::UNSUPPORTED, "unsupported")
+    );
+    assert!(err.message.contains("16..=256"), "{}", err.message);
+    c.ping(2).expect("the connection still answers");
+    let six_step = tall(Some(bifft::plan::Algorithm::SixStep));
+    let id = c.submit(3, None, None, six_step).expect("answered");
+    let id = id.expect("a six-step hint is admitted");
+    c.drain().expect("drain");
+    assert_eq!(c.poll(id).expect("poll").status, "done");
+
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let hello = Frame::Hello {
+        proto: PROTO.to_string(),
+        client: "tall-dag".to_string(),
+        mode: Mode::Live,
+        first_s: None,
+    };
+    let submit = Frame::PipelineSubmit {
+        seq: 1,
+        at_s: None,
+        next_s: None,
+        trace: None,
+        pipe: SeededPipeline {
+            dims: (16, 16, 512),
+            input_seeds: vec![1, 2],
+            stages: docking_stages(16 * 16 * 512),
+            priority: Priority::Normal,
+            deadline_s: None,
+            tenant: fft_serve::TenantId(0),
+        },
+    };
+    s.write_all(&[hello.encode(), submit.encode()].concat())
+        .expect("hello + pipeline submit");
+    let mut dec = fft_gate::proto::FrameDecoder::new();
+    let mut replies = Vec::new();
+    while replies.len() < 2 {
+        match dec.next_frame().expect("client-side decode") {
+            Some(f) => replies.push(f),
+            None => {
+                let mut chunk = [0u8; 4096];
+                let n = s.read(&mut chunk).expect("read");
+                assert!(n > 0, "server closed before answering");
+                dec.feed(&chunk[..n]);
+            }
+        }
+    }
+    assert!(matches!(replies[0], Frame::HelloAck { .. }));
+    match &replies[1] {
+        Frame::Error {
+            code: ecode,
+            message,
+            ..
+        } => {
+            assert_eq!(*ecode, code::BAD_FRAME);
+            assert!(message.contains("z-dimension 512"), "{message}");
+        }
+        other => panic!("expected the decode error, got {other:?}"),
+    }
+    drop(s);
+    c.ping(4).expect("alive after the hostile frames");
+    c.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
 /// Raw hostile bytes — truncations, lying length headers, junk JSON, junk
 /// types, mid-handshake garbage — never panic the gateway, and it keeps
 /// serving well-formed clients afterwards.

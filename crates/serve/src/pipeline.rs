@@ -19,6 +19,7 @@
 
 use crate::qos::TenantId;
 use crate::request::Priority;
+use bifft::plan::Algorithm;
 use fft_math::rng::SplitMix64;
 use fft_math::Complex32;
 
@@ -316,8 +317,8 @@ impl SeededPipeline {
 /// [`SeededPipeline`]. The rules exist so the executor can run every stage
 /// in place on residency slots with no hidden copies:
 ///
-/// 1. 1..=[`MAX_STAGES`] stages; 1..=[`MAX_INPUTS`] inputs; power-of-two
-///    dims in `16..=512` (the five-step plan's envelope);
+/// 1. 1..=[`MAX_STAGES`] stages; 1..=[`MAX_INPUTS`] inputs; dims inside
+///    the envelope of the five-step plans the executor runs;
 /// 2. operands reference existing inputs / *earlier* stages only, and the
 ///    `after_mask` names earlier stages only (the DAG arrives
 ///    topologically sorted);
@@ -343,11 +344,9 @@ pub fn validate_dag(
     if n_inputs == 0 || n_inputs > MAX_INPUTS {
         return Err(format!("{n_inputs} inputs outside 1..={MAX_INPUTS}"));
     }
-    for (name, n) in [("nx", dims.0), ("ny", dims.1), ("nz", dims.2)] {
-        if !n.is_power_of_two() || !(16..=512).contains(&n) {
-            return Err(format!("{name}={n} not a power of two in 16..=512"));
-        }
-    }
+    Algorithm::FiveStep
+        .check_shape(dims.0, dims.1, dims.2)
+        .map_err(|e| e.to_string())?;
     let check_operand = |idx: usize, op: Operand| -> Result<(), String> {
         match op {
             Operand::Input(i) => {

@@ -43,6 +43,7 @@ use crate::request::{
 use crate::scheduler::{Card, Outcome, Phases};
 use crate::telemetry::books::{Books, Event};
 use crate::telemetry::{self, names, slo, SloPolicy, SloReport, Stage, Telemetry};
+use bifft::batch::Fft1dBatchGpu;
 use bifft::multi_gpu::MultiGpuFft3d;
 use bifft::plan::{Algorithm, FftError};
 use fft_math::twiddle::Direction;
@@ -1341,41 +1342,29 @@ impl FftService {
 
 /// The shape envelope — every malformed shape or hint admission can reject
 /// without touching a card, checked axis by axis so no product of the dims
-/// is formed. The payload length and the fleet-capacity rejections
-/// (oversized rows, unallocatable volumes) follow in `check_spec`.
+/// is formed: rows ask [`Fft1dBatchGpu::check_len`], volumes the envelope
+/// of the algorithm they would run ([`Algorithm::check_shape`]). Neither
+/// allocates unless it fails. The payload length and the fleet-capacity
+/// rejections (oversized rows, unallocatable volumes) follow in
+/// `check_spec`.
 fn validate_shape(spec: &RequestSpec) -> Result<(), FftError> {
     match spec.shape {
-        Shape::Rows1d { n, rows } => {
-            if rows == 0 {
-                return Err(FftError::BadPlanConfig {
-                    param: "rows",
-                    value: 0,
-                    reason: "a rows request must carry at least one row".to_string(),
-                });
-            }
-            if !n.is_power_of_two() || !(4..=512).contains(&n) {
-                return Err(FftError::BadPlanConfig {
-                    param: "n",
-                    value: n,
-                    reason: "1-D batch length must be a power of two in 4..=512".to_string(),
-                });
-            }
-        }
-        Shape::Volume { nx, ny, nz } => {
-            for (axis, n) in [('x', nx), ('y', ny), ('z', nz)] {
-                if !n.is_power_of_two() || !(16..=512).contains(&n) {
-                    return Err(FftError::UnsupportedSize { axis, n });
-                }
-            }
-            if let Some(a @ (Algorithm::OutOfCore | Algorithm::MultiGpu)) = spec.algorithm {
-                return Err(FftError::UnsupportedAlgorithm {
-                    algorithm: a,
+        Shape::Rows1d { rows: 0, .. } => Err(FftError::BadPlanConfig {
+            param: "rows",
+            value: 0,
+            reason: "a rows request must carry at least one row".to_string(),
+        }),
+        Shape::Rows1d { n, .. } => Fft1dBatchGpu::check_len(n),
+        Shape::Volume { nx, ny, nz } => match spec.algorithm {
+            Some(algorithm @ (Algorithm::OutOfCore | Algorithm::MultiGpu)) => {
+                Err(FftError::UnsupportedAlgorithm {
+                    algorithm,
                     reason: "the service routes oversized volumes itself; hint a single-card algorithm or none",
-                });
+                })
             }
-        }
+            hint => hint.unwrap_or_default().check_shape(nx, ny, nz),
+        },
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1445,6 +1434,34 @@ mod tests {
         assert_eq!(r.submitted, 4);
         assert_eq!(r.rejected_unsupported, 4);
         assert_eq!(r.admitted, 0);
+    }
+
+    /// A volume is admitted by the envelope of the algorithm it would run:
+    /// a 512-point Y is outside the default five-step plan's and inside a
+    /// six-step hint's.
+    #[test]
+    fn volume_envelope_follows_the_hint() {
+        let mut svc = tiny_service(ServeConfig::default());
+        let tall = |seed| {
+            let shape = Shape::Volume {
+                nx: 16,
+                ny: 512,
+                nz: 16,
+            };
+            RequestSpec::seeded(shape, Direction::Forward, seed)
+        };
+        assert!(matches!(
+            svc.submit(tall(1), 0.0),
+            Err(Rejection::Unsupported(FftError::UnsupportedSize {
+                axis: 'y',
+                n: 512,
+                max: 256,
+            }))
+        ));
+        svc.submit(tall(2).algorithm(Algorithm::SixStep), 0.0)
+            .unwrap();
+        let r = svc.finish();
+        assert_eq!((r.rejected_unsupported, r.completed), (1, 1));
     }
 
     #[test]
@@ -2007,6 +2024,22 @@ mod tests {
             }
             other => panic!("expected UnsupportedStage, got {other:?}"),
         }
+        // The DAG executor runs five-step plans, so a 512-point Z is
+        // outside its envelope too.
+        let tall = crate::pipeline::SeededPipeline {
+            dims: (16, 16, 512),
+            input_seeds: vec![1, 2],
+            stages: crate::pipeline::convolution_stages(16 * 16 * 512),
+            priority: Priority::Normal,
+            deadline_s: None,
+            tenant: TenantId::default(),
+        };
+        match svc.submit_seeded_pipeline(tall, 0.0) {
+            Err(Rejection::UnsupportedStage(detail)) => {
+                assert!(detail.contains("16..=256"), "{detail}")
+            }
+            other => panic!("expected UnsupportedStage, got {other:?}"),
+        }
         // A valid template admits through the same entry point and runs.
         let ok = crate::pipeline::SeededPipeline {
             dims: (16, 16, 16),
@@ -2018,7 +2051,7 @@ mod tests {
         };
         svc.submit_seeded_pipeline(ok, 0.0).unwrap();
         let r = svc.finish();
-        assert_eq!(r.rejected_unsupported, 1);
+        assert_eq!(r.rejected_unsupported, 2);
         assert_eq!(r.pipelines, 1);
     }
 

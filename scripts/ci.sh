@@ -31,6 +31,14 @@ for w in paper-kernel serve-small serve-pipeline gate-small; do
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 1 --trace 0
 done
+# Shapes outside a planner's envelope are typed failures (exit 1), never a
+# panic (exit 101): a five-step Y of 512, and out-of-core slabs thinner than
+# the 16 planes an in-slab six-step plan needs.
+for cmd in "fft3d --dims 16x512x16" "profile --algo out-of-core --n 16"; do
+    status=0
+    target/release/$cmd > /dev/null 2>&1 || status=$?
+    [ "$status" -eq 1 ] || { echo "ci: '$cmd' exited $status, want 1" >&2; exit 1; }
+done
 # Benchmark-regression gate: the quick grid (64³, all algorithms × cards,
 # and every serving-derived section) against the committed baseline, with
 # every cell under the validation layer (DESIGN.md §11). All figures are

@@ -164,18 +164,7 @@ fn run_transform(args: &Args, host: &[Complex32]) -> Result<Vec<Complex32>, Stri
     let (nx, ny, nz) = args.dims;
     match args.algo {
         Algorithm::OutOfCore => {
-            let slabs = args.slabs;
-            if slabs < 2
-                || !slabs.is_power_of_two()
-                || slabs > 16
-                || !nz.is_multiple_of(slabs)
-                || nz / slabs < 16
-            {
-                return Err(format!(
-                    "--slabs {slabs} must be a power of two in 2..=16 dividing nz={nz} into slabs of 16+ planes"
-                ));
-            }
-            let plan = OutOfCoreFft::new(&args.device, nx, ny, nz, slabs)
+            let plan = OutOfCoreFft::new(&args.device, nx, ny, nz, args.slabs)
                 .and_then(|p| p.with_streams(args.streams))
                 .map_err(|e| e.to_string())?;
             let mut gpu = Gpu::new(args.device);
