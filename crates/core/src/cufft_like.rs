@@ -22,6 +22,9 @@ use crate::plan::BufferGuard;
 use crate::report::RunReport;
 use fft_math::fft1d::Fft1dPlan;
 use fft_math::flops::{nominal_flops_1d, nominal_flops_3d};
+use fft_math::lanes::{
+    lanes_to_rows, lanes_to_side_by_side, rows_to_lanes, side_by_side_to_lanes, C32x8, LANES,
+};
 use fft_math::layout::AccessPattern;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
@@ -55,10 +58,10 @@ const RES_COPY: KernelResources = KernelResources {
     shared_bytes_per_block: 0,
 };
 
-/// Rows the native multirow executor gathers at once: consecutive rows sit
-/// side by side in memory, so a tile of them uses every element of the
-/// cache lines a strided gather touches.
-const TILE_ROWS: usize = 16;
+/// Neighbouring rows the native multirow pass gathers per visit (eight
+/// groups of lanes): at each strided point they sit side by side, so a
+/// visit moves 512 contiguous bytes there instead of one cache line.
+const VISIT_ROWS: usize = 64;
 
 /// Batched 1-D FFT the way CUFFT 1.1 ran it: the transform's arithmetic
 /// split over two full passes through device memory, each through
@@ -98,14 +101,7 @@ pub fn cufft1d_batch(
         &[src, dst],
         &shape,
         |g| simulate_pass1(g, &pass1, plan, src, dst, rows, dir),
-        |mem, _| {
-            let (src, dst) = mem.src_dst(src, dst, rows * n);
-            let mut scratch = vec![Complex32::ZERO; n];
-            for (r, row) in dst.chunks_exact_mut(n).enumerate() {
-                src.read(r * n, row);
-                plan.execute(row, &mut scratch, dir);
-            }
-        },
+        |mem, _| native_pass1(mem, plan, src, dst, rows, dir),
     );
     let pass2 = cfg("cufft1d_pass2");
     let r2 = gpu.launch_replay(
@@ -160,6 +156,30 @@ fn simulate_pass1(
             }
         });
     })
+}
+
+/// The native pass 1: rows are copied to their place in `dst` eight at a
+/// time, go into [`C32x8`] lanes (the last group may be partial), and each
+/// group runs the plan's Stockham loop once.
+fn native_pass1(
+    mem: &mut DeviceMemory,
+    plan: &Fft1dPlan,
+    src: BufferId,
+    dst: BufferId,
+    rows: usize,
+    dir: Direction,
+) {
+    let n = plan.len();
+    let group = LANES * n;
+    let (src, dst) = mem.src_dst(src, dst, rows * n);
+    let mut buf = vec![C32x8::ZERO; 2 * n];
+    let (lanes, scratch) = buf.split_at_mut(n);
+    for (g, rows) in dst.chunks_mut(group).enumerate() {
+        src.read(g * group, rows);
+        rows_to_lanes(rows.len() / n, lanes, |i| rows[i]);
+        plan.execute(lanes, scratch, dir);
+        lanes_to_rows(lanes, rows);
+    }
 }
 
 /// Element offset of the first point of row `r` of an `n`-point axis whose
@@ -276,7 +296,10 @@ fn simulate_multirow(
 /// it: each thread's slots hold the untransformed second half of the last
 /// row it ran (items run round-major, so thread `gid` runs rows `gid`,
 /// `gid + total`, ...), backed up to the last slot a thread wrote. The rows
-/// themselves are transformed a tile of neighbours at a time.
+/// themselves go eight neighbours to a group of [`C32x8`] lanes, and
+/// [`VISIT_ROWS`] neighbours (fewer when `stride` is smaller) are gathered
+/// at once: at each point they sit side by side in memory, so a visit reads
+/// and writes one run there.
 #[allow(clippy::too_many_arguments)]
 fn native_multirow(
     mem: &mut DeviceMemory,
@@ -301,28 +324,20 @@ fn native_multirow(
         }
     }
     // Rows tile the volume: `rows` is a multiple of `stride`, and the last
-    // row's last point is element `rows * n - 1`.
+    // row's last point is element `rows * n - 1`. `stride` and
+    // `VISIT_ROWS` are powers of two, so a visit never straddles two blocks
+    // of `n * stride`.
     let data = mem.backed_mut(buf, rows * n);
-    let tile = TILE_ROWS.min(stride);
-    let mut tiles = vec![Complex32::ZERO; tile * n];
-    let mut scratch = vec![Complex32::ZERO; n];
-    for r0 in (0..rows).step_by(tile) {
+    let visit = VISIT_ROWS.min(stride);
+    let mut groups = vec![C32x8::ZERO; visit.div_ceil(LANES) * n];
+    let mut scratch = vec![C32x8::ZERO; n];
+    for r0 in (0..rows).step_by(visit) {
         let base = row_base(r0, n, stride);
-        for j in 0..n {
-            let at = base + j * stride;
-            for (b, v) in data[at..at + tile].iter().enumerate() {
-                tiles[b * n + j] = *v;
-            }
-        }
-        for row in tiles.chunks_exact_mut(n) {
+        side_by_side_to_lanes(visit, stride, &mut groups, |i| data[base + i]);
+        for row in groups.chunks_exact_mut(n) {
             plan.execute(row, &mut scratch, dir);
         }
-        for j in 0..n {
-            let at = base + j * stride;
-            for (b, v) in data[at..at + tile].iter_mut().enumerate() {
-                *v = tiles[b * n + j];
-            }
-        }
+        lanes_to_side_by_side(&groups, visit, stride, &mut data[base..]);
     }
 }
 

@@ -107,36 +107,32 @@ impl FiveStepFft {
     }
 
     /// Packs a natural-order volume (`x` fastest, then `y`, then `z`) into
-    /// the 5-D input layout. This is host-side work, done once per upload.
+    /// the 5-D input layout. This is host-side work, done once per upload:
+    /// X is contiguous in both orders, so each `nx`-point row is one copy.
     pub fn pack_input(&self, host: &[Complex32]) -> Vec<Complex32> {
         let l = &self.layout;
         assert_eq!(host.len(), l.volume(), "volume mismatch");
         let mut out = vec![Complex32::ZERO; host.len()];
-        let mut i = 0;
-        for z in 0..l.nz {
-            for y in 0..l.ny {
-                for x in 0..l.nx {
-                    out[l.input_index(x, y, z)] = host[i];
-                    i += 1;
-                }
-            }
+        for (r, row) in host.chunks_exact(l.nx).enumerate() {
+            let at = l.input_index(0, r % l.ny, r / l.ny);
+            out[at..at + l.nx].copy_from_slice(row);
         }
         out
     }
 
     /// Unpacks a downloaded 5-D *output*-layout buffer into natural order.
     pub fn unpack_output(&self, packed: &[Complex32]) -> Vec<Complex32> {
+        assert_eq!(packed.len(), self.volume(), "volume mismatch");
+        self.unpack_rows(|at, row| row.copy_from_slice(&packed[at..at + row.len()]))
+    }
+
+    /// A natural-order spectrum, filled one `nx`-point row at a time: `read`
+    /// copies the row whose first bin sits at 5-D output index `at`.
+    fn unpack_rows(&self, mut read: impl FnMut(usize, &mut [Complex32])) -> Vec<Complex32> {
         let l = &self.layout;
-        assert_eq!(packed.len(), l.volume(), "volume mismatch");
-        let mut out = vec![Complex32::ZERO; packed.len()];
-        let mut i = 0;
-        for kz in 0..l.nz {
-            for ky in 0..l.ny {
-                for kx in 0..l.nx {
-                    out[i] = packed[l.output_index(kx, ky, kz)];
-                    i += 1;
-                }
-            }
+        let mut out = vec![Complex32::ZERO; l.volume()];
+        for (r, row) in out.chunks_exact_mut(l.nx).enumerate() {
+            read(l.output_index(0, r % l.ny, r / l.ny), row);
         }
         out
     }
@@ -217,11 +213,10 @@ impl FiveStepFft {
         gpu.mem_mut().upload(v, 0, &packed);
     }
 
-    /// Convenience: download and unpack the spectrum to natural order.
+    /// Convenience: download the spectrum to natural order, each row
+    /// straight from device memory.
     pub fn download(&self, gpu: &Gpu, v: BufferId) -> Vec<Complex32> {
-        let mut packed = vec![Complex32::ZERO; self.volume()];
-        gpu.mem().download(v, 0, &mut packed);
-        self.unpack_output(&packed)
+        self.unpack_rows(|at, row| gpu.mem().download(v, at, row))
     }
 }
 

@@ -14,6 +14,7 @@
 
 use fft_math::codelets::{codelet_flops, fft_small};
 use fft_math::flops::nominal_flops_1d;
+use fft_math::lanes::{lanes_to_side_by_side, side_by_side_to_lanes, C32x8, FftValue, LANES};
 use fft_math::layout::{StridedPass, View5};
 use fft_math::twiddle::{Direction, InterTwiddle};
 use fft_math::Complex32;
@@ -83,11 +84,12 @@ fn out_index(pass: &StridedPass, x: usize, [f1, f2, f3]: [usize; 3], k: usize) -
 
 /// The register-resident arithmetic of one row: the small FFT, then for
 /// first halves the inter-digit twiddle, whose `n2` is the input slot-3
-/// digit `f3`. Returns the twiddle's FLOPs. The simulated body and the
-/// native executor both call this.
+/// digit `f3`. Returns the twiddle's FLOPs. The simulated body (one row of
+/// [`Complex32`]) and the native executor (eight rows in [`C32x8`] lanes)
+/// both call this.
 #[inline]
-fn coarse_row(
-    row: &mut [Complex32],
+fn coarse_row<T: FftValue>(
+    row: &mut [T],
     dir: Direction,
     inter: Option<&InterTwiddle>,
     f3: usize,
@@ -212,9 +214,13 @@ fn simulate_strided_pass(
     })
 }
 
-/// The native pass: the same rows, in the same order, gathered and
-/// scattered in plain loops. Both views are linear in every digit, so each
-/// row's elements sit at a fixed stride from its first.
+/// The native pass: the same rows, eight consecutive `x` to a group of
+/// [`C32x8`] lanes (the last group partial when 8 does not divide `nx`),
+/// gathered and scattered in plain loops. Both views are linear in every
+/// digit, so each row's elements sit at a fixed stride from its first, and
+/// at each of those offsets the `nx` rows of one `(f1, f2, f3)` are
+/// consecutive: all their groups are gathered at once, so every strided
+/// point is read and written as one `nx`-long run.
 fn native_strided_pass(
     mem: &mut DeviceMemory,
     src: BufferId,
@@ -224,27 +230,23 @@ fn native_strided_pass(
 ) {
     let n = pass.fft_len;
     let in_view = pass.input;
+    let nx = in_view.nx;
     let inter = inter_twiddle(pass, dir);
     let in_stride = in_view.slot_stride(4);
     let out_stride = out_index(pass, 0, [0; 3], 1);
     let (src, dst) = mem.src_dst(src, dst, pass.output.len());
-    let mut buf = [Complex32::ZERO; 16];
+    let mut groups = vec![C32x8::ZERO; nx.div_ceil(LANES) * n];
     let [e1, e2, e3, _] = in_view.extents;
     for f3 in 0..e3 {
         for f2 in 0..e2 {
             for f1 in 0..e1 {
-                for x in 0..in_view.nx {
-                    let f = [f1, f2, f3];
-                    let from = in_view.index(x, [f1, f2, f3, 0]);
-                    for (j, v) in buf[..n].iter_mut().enumerate() {
-                        *v = src.get(from + j * in_stride);
-                    }
-                    coarse_row(&mut buf[..n], dir, inter.as_ref(), f3);
-                    let to = out_index(pass, x, f, 0);
-                    for (k, v) in buf[..n].iter().enumerate() {
-                        dst[to + k * out_stride] = *v;
-                    }
+                let from = in_view.index(0, [f1, f2, f3, 0]);
+                side_by_side_to_lanes(nx, in_stride, &mut groups, |i| src.get(from + i));
+                for row in groups.chunks_exact_mut(n) {
+                    coarse_row(row, dir, inter.as_ref(), f3);
                 }
+                let to = out_index(pass, 0, [f1, f2, f3], 0);
+                lanes_to_side_by_side(&groups, nx, out_stride, &mut dst[to..]);
             }
         }
     }

@@ -18,6 +18,7 @@
 //! texture memory (§3.2's option 3, the paper's choice for this kernel).
 
 use fft_math::flops::nominal_flops_1d;
+use fft_math::lanes::{lanes_to_rows, rows_to_lanes, C32x8, FftValue, LANES};
 use fft_math::layout::AccessPattern;
 use fft_math::twiddle::{Direction, TwiddleTable};
 use fft_math::Complex32;
@@ -339,17 +340,18 @@ pub fn batched_config(
 /// One twiddled butterfly of stage `st` at sub-transform `p`: the radix-4
 /// butterfly on `x` (or the radix-2 tail on `x[..2]`), then every output
 /// `r > 0` times `W_n^{r·p·tw_step}`, fetched through `tw`. Returns the
-/// outputs and the FLOPs the kernel charges for them. The simulated body and
-/// the native executor both call this, so their arithmetic is one copy.
+/// outputs and the FLOPs the kernel charges for them. The simulated body
+/// (on [`Complex32`]) and the native executor (on eight rows in
+/// [`C32x8`] lanes) both call this, so their arithmetic is one copy.
 #[inline(always)]
-fn butterfly(
+fn butterfly<T: FftValue>(
     st: &Stage,
     p: usize,
     n: usize,
     dir: Direction,
-    x: &[Complex32],
+    x: &[T],
     mut tw: impl FnMut(usize) -> Complex32,
-) -> ([Complex32; 4], u64) {
+) -> ([T; 4], u64) {
     let tw_step = n / (st.m * st.radix); // index scale into W_n
     if st.radix == 4 {
         let (a, b, c, d) = (x[0], x[1], x[2], x[3]);
@@ -377,7 +379,7 @@ fn butterfly(
             y1 *= tw((p * tw_step) & (n - 1));
             fl += 6;
         }
-        ([a + b, y1, Complex32::ZERO, Complex32::ZERO], fl)
+        ([a + b, y1, T::ZERO, T::ZERO], fl)
     }
 }
 
@@ -550,8 +552,12 @@ fn simulate_batched_fft(
     })
 }
 
-/// The native batched pass: each row runs the plan's Stockham stages in
-/// plain loops, with the twiddles read from the bound texture's contents.
+/// The native batched pass: rows go eight at a time into [`C32x8`] lanes
+/// (the last group may be partial; out of place, the group is first copied
+/// to its place in `dst`), and each group runs the plan's Stockham stages
+/// once through the shared [`butterfly`], with the twiddles read from the
+/// bound texture's contents. Stage inputs and outputs sit at the same
+/// indices the simulated kernel's loads, shared exchanges and stores use.
 #[allow(clippy::too_many_arguments)]
 fn native_batched_fft(
     mem: &mut DeviceMemory,
@@ -563,37 +569,39 @@ fn native_batched_fft(
     dir: Direction,
 ) {
     let n = plan.n;
-    let (mut x, mut y) = (vec![Complex32::ZERO; n], vec![Complex32::ZERO; n]);
+    let group = LANES * n;
+    let mut lanes = vec![C32x8::ZERO; 2 * n];
+    let mut transform = |rows: &mut [Complex32]| {
+        rows_to_lanes(rows.len() / n, &mut lanes[..n], |i| rows[i]);
+        lanes_to_rows(lane_stages(plan, dir, tw, &mut lanes), rows);
+    };
     if src == dst {
-        for row in mem.backed_mut(dst, rows * n).chunks_exact_mut(n) {
-            x.copy_from_slice(row);
-            native_row(plan, dir, tw, &mut x, &mut y);
-            row.copy_from_slice(&x);
-        }
+        mem.backed_mut(dst, rows * n)
+            .chunks_mut(group)
+            .for_each(transform);
     } else {
         let (src, dst) = mem.src_dst(src, dst, rows * n);
-        for (r, row) in dst.chunks_exact_mut(n).enumerate() {
-            src.read(r * n, &mut x);
-            native_row(plan, dir, tw, &mut x, &mut y);
-            row.copy_from_slice(&x);
+        for (g, rows) in dst.chunks_mut(group).enumerate() {
+            src.read(g * group, rows);
+            transform(rows);
         }
     }
 }
 
-/// Transforms the row in `x` through every stage of `plan`, ping-ponging
-/// with the scratch `y`: stage inputs and outputs sit at the same indices
-/// the simulated kernel's loads, shared exchanges and stores use.
-fn native_row(
+/// Transforms the eight rows in the lanes of `buf[..n]` through every stage
+/// of `plan`, ping-ponging with the scratch `buf[n..]`, and returns the half
+/// holding the result.
+fn lane_stages<'a>(
     plan: &FineFftPlan,
     dir: Direction,
     tw: &[Complex32],
-    x: &mut Vec<Complex32>,
-    y: &mut Vec<Complex32>,
-) {
+    buf: &'a mut [C32x8],
+) -> &'a [C32x8] {
+    let (mut x, mut y) = buf.split_at_mut(plan.n);
     for st in &plan.stages {
         for p in 0..st.m {
             for q in 0..st.s {
-                let mut inp = [Complex32::ZERO; 4];
+                let mut inp = [C32x8::ZERO; 4];
                 for (k, v) in inp[..st.radix].iter_mut().enumerate() {
                     *v = x[q + st.s * (p + k * st.m)];
                 }
@@ -603,8 +611,9 @@ fn native_row(
                 }
             }
         }
-        std::mem::swap(x, y);
+        std::mem::swap(&mut x, &mut y);
     }
+    x
 }
 
 #[cfg(test)]

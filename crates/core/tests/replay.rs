@@ -129,14 +129,64 @@ impl Card {
     }
 }
 
+/// Runs the three `inputs` of `dims` in the directions `dirs` on one card,
+/// which replays every launch after the first transform (the direction
+/// changes no counter, so it is not part of a launch's shape); a fresh card
+/// runs each input once; a checked card (which never replays) runs the same
+/// three in sequence. Outputs, reports and the cufft-like spill area, which
+/// the plan keeps across transforms, must match the fresh card's after
+/// each, and the final clock and host backing the checked card's.
+fn plan_matches_fresh(
+    what: &str,
+    algo: Algo,
+    dims: (usize, usize, usize),
+    tb: usize,
+    inputs: &[Vec<Complex32>],
+    dirs: [Direction; 3],
+) {
+    let mut card = Card::new(algo, dims, tb);
+    let mut checked = Card::new(algo, dims, tb);
+    checked.gpu.check_enable();
+    let mut steps = 0;
+    for (k, (host, dir)) in inputs.iter().zip(dirs).enumerate() {
+        let what = format!("{what} {dir:?}");
+        let (out, rep) = card.transform(host, dir);
+        let mut fresh = Card::new(algo, dims, tb);
+        let (want, want_rep) = fresh.transform(host, dir);
+        assert_eq!(bits(&out), bits(&want), "{what}: output {k}");
+        assert_eq!(rep.steps, want_rep.steps, "{what}: report {k}");
+        assert_eq!(card.spill(), fresh.spill(), "{what}: spill {k}");
+        let (chk_out, chk_rep) = checked.transform(host, dir);
+        assert_eq!(bits(&chk_out), bits(&want), "{what}: checked output {k}");
+        assert_eq!(chk_rep.steps, want_rep.steps, "{what}: checked report {k}");
+        assert_eq!(checked.spill(), fresh.spill(), "{what}: checked spill {k}");
+        steps = rep.steps.len() as u64;
+        // Every launch after the first transform's replays.
+        let k = k as u64;
+        assert_eq!(
+            card.gpu.launch_counts(),
+            ((k + 1) * steps, k * steps),
+            "{what}: launches after transform {k}"
+        );
+    }
+    assert_eq!(
+        card.gpu.clock_s().to_bits(),
+        checked.gpu.clock_s().to_bits(),
+        "{what}: final clock"
+    );
+    assert_eq!(
+        card.gpu.mem().backed_bytes(),
+        checked.gpu.mem().backed_bytes(),
+        "{what}: host backing"
+    );
+    assert_eq!(card.gpu.launch_counts(), (3 * steps, 2 * steps), "{what}");
+    assert_eq!(checked.gpu.launch_counts(), (3 * steps, 0), "{what}");
+    assert!(checked.gpu.check_report().unwrap().clean(), "{what}");
+}
+
 /// Random power-of-two five-step, six-step and cufft-like volumes (16–64
-/// per axis), each algorithm under every `trace_blocks` setting: one card
-/// runs three transforms in random directions, replaying every launch after
-/// the first transform (the direction changes no counter, so it is not part
-/// of a launch's shape); a fresh card runs each input once; a checked card
-/// (which never replays) runs the same three in sequence. The cufft-like
-/// spill area, which the plan keeps across transforms, must hold after each
-/// what the fresh card's holds.
+/// per axis), each algorithm under every `trace_blocks` setting, in random
+/// directions.
 #[test]
 fn replayed_plans_match_fresh_simulation() {
     let mut rng = SplitMix64::new(0x5e91_a7ed);
@@ -151,52 +201,33 @@ fn replayed_plans_match_fresh_simulation() {
         let what = format!("case {case}: {algo:?} dims={dims:?} trace_blocks={tb}");
         let vol = dims.0 * dims.1 * dims.2;
         let inputs: Vec<_> = (0..3).map(|_| random_data(vol, &mut rng)).collect();
+        let dirs = [(); 3].map(|_| direction(&mut rng));
+        plan_matches_fresh(&what, algo, dims, tb, &inputs, dirs);
+    }
+}
 
-        let mut card = Card::new(algo, dims, tb);
-        let mut checked = Card::new(algo, dims, tb);
-        checked.gpu.check_enable();
-        let mut steps = 0;
-        for (k, host) in inputs.iter().enumerate() {
-            let dir = direction(&mut rng);
-            let what = format!("{what} {dir:?}");
-            let (out, rep) = card.transform(host, dir);
-            let mut fresh = Card::new(algo, dims, tb);
-            let (want, want_rep) = fresh.transform(host, dir);
-            assert_eq!(bits(&out), bits(&want), "{what}: output {k}");
-            assert_eq!(rep.steps, want_rep.steps, "{what}: report {k}");
-            assert_eq!(card.spill(), fresh.spill(), "{what}: spill {k}");
-            let (chk_out, chk_rep) = checked.transform(host, dir);
-            assert_eq!(bits(&chk_out), bits(&want), "{what}: checked output {k}");
-            assert_eq!(chk_rep.steps, want_rep.steps, "{what}: checked report {k}");
-            assert_eq!(checked.spill(), fresh.spill(), "{what}: checked spill {k}");
-            steps = rep.steps.len() as u64;
-            // Every launch after the first transform's replays.
-            let k = k as u64;
-            assert_eq!(
-                card.gpu.launch_counts(),
-                ((k + 1) * steps, k * steps),
-                "{what}: launches after transform {k}"
-            );
+/// The native executors batch eight rows into lanes: eight consecutive `x`
+/// for the strided passes, eight neighbouring rows for the multirow passes.
+/// Plans whose X or multirow stride is 16 fill two groups, and an X of 4 or
+/// 8 leaves one partial group; both directions.
+#[test]
+fn replayed_plans_on_narrow_axes_match_fresh_simulation() {
+    let mut rng = SplitMix64::new(0x5e91_a7ee);
+    let dirs = [Direction::Forward, Direction::Inverse, Direction::Forward];
+    for algo in [Algo::Five, Algo::Cufft] {
+        for dims in [(16, 16, 16), (16, 32, 16), (8, 16, 32), (4, 16, 16)] {
+            let tb = trace_blocks(&mut rng);
+            let what = format!("{algo:?} dims={dims:?} trace_blocks={tb}");
+            let vol = dims.0 * dims.1 * dims.2;
+            let inputs: Vec<_> = (0..3).map(|_| random_data(vol, &mut rng)).collect();
+            plan_matches_fresh(&what, algo, dims, tb, &inputs, dirs);
         }
-        assert_eq!(
-            card.gpu.clock_s().to_bits(),
-            checked.gpu.clock_s().to_bits(),
-            "{what}: final clock"
-        );
-        assert_eq!(
-            card.gpu.mem().backed_bytes(),
-            checked.gpu.mem().backed_bytes(),
-            "{what}: host backing"
-        );
-        assert_eq!(card.gpu.launch_counts(), (3 * steps, 2 * steps), "{what}");
-        assert_eq!(checked.gpu.launch_counts(), (3 * steps, 0), "{what}");
-        assert!(checked.gpu.check_report().unwrap().clean(), "{what}");
     }
 }
 
 /// Runs a kernel three times on each of two identical cards, with fresh
-/// contents in `src` before each and a random direction: `replay` on one
-/// card, `simulate` on the other. Outputs (all of `dst`), reports, clocks
+/// contents in `src` before each, forward, inverse, then a random
+/// direction: `replay` on one card, `simulate` on the other. Outputs (all of `dst`), reports, clocks
 /// and host backing must agree, and the replaying card must have replayed
 /// the last two.
 fn same_as_simulated(
@@ -219,7 +250,7 @@ fn same_as_simulated(
     assert_eq!(bufs[0], bufs[1]);
     for k in 0..3 {
         let host = random_data(written, rng);
-        let dir = direction(rng);
+        let dir = [Direction::Forward, Direction::Inverse, direction(rng)][k];
         let what = format!("{what} {dir:?}");
         let mut outs = Vec::new();
         let mut reps = Vec::new();
@@ -251,41 +282,79 @@ fn same_as_simulated(
     assert_eq!(a.launch_counts(), (3, 2), "{what}");
 }
 
+/// The row FFT of `rows` rows of `n` points, in place or out of place.
+/// `src` has a tail past the rows that is never uploaded (it reads as zero)
+/// and `dst` one that the pass never writes (it stays unbacked).
+fn row_fft_matches(n: usize, rows: usize, in_place: bool, rng: &mut SplitMix64) {
+    let plan = FineFftPlan::new(n);
+    let what = format!("n={n} rows={rows} in_place={in_place}");
+    let setup = |g: &mut Gpu| {
+        let src = g.mem_mut().alloc(rows * n + 3).unwrap();
+        let dst = if in_place {
+            src
+        } else {
+            g.mem_mut().alloc(rows * n + 5).unwrap()
+        };
+        (src, dst, rows * n - n / 2)
+    };
+    same_as_simulated(
+        &what,
+        rng,
+        setup,
+        |g, s, d, dir| {
+            let tw = bind_twiddle_texture(g, n, dir);
+            replay_batched_fft(g, &plan, s, d, rows, dir, tw, "rows")
+        },
+        |g, s, d, dir| {
+            let tw = bind_twiddle_texture(g, n, dir);
+            run_batched_fft(g, &plan, s, d, rows, dir, tw, "rows")
+        },
+    );
+}
+
 /// The row FFT at every supported length and random row counts, in place
-/// and out of place. `src` has a tail past the rows that is never uploaded
-/// (it reads as zero) and `dst` one that the pass never writes (it stays
-/// unbacked).
+/// and out of place.
 #[test]
 fn replayed_row_fft_matches_simulation() {
     let mut rng = SplitMix64::new(0x0f17_0001);
     for n in [16usize, 32, 64, 128, 256, 512] {
         for in_place in [true, false] {
             let rows = 1 + rng.below(9);
-            let plan = FineFftPlan::new(n);
-            let what = format!("n={n} rows={rows} in_place={in_place}");
-            let setup = |g: &mut Gpu| {
-                let src = g.mem_mut().alloc(rows * n + 3).unwrap();
-                let dst = if in_place {
-                    src
-                } else {
-                    g.mem_mut().alloc(rows * n + 5).unwrap()
-                };
-                (src, dst, rows * n - n / 2)
-            };
-            same_as_simulated(
-                &what,
-                &mut rng,
-                setup,
-                |g, s, d, dir| {
-                    let tw = bind_twiddle_texture(g, n, dir);
-                    replay_batched_fft(g, &plan, s, d, rows, dir, tw, "rows")
-                },
-                |g, s, d, dir| {
-                    let tw = bind_twiddle_texture(g, n, dir);
-                    run_batched_fft(g, &plan, s, d, rows, dir, tw, "rows")
-                },
-            );
+            row_fft_matches(n, rows, in_place, &mut rng);
         }
+    }
+}
+
+/// The native row FFT runs eight rows per group of lanes: row counts that
+/// leave the last group partial (1, 3, 9 and 17 rows) at the shortest, a
+/// middle and the longest length, in place and out of place.
+#[test]
+fn replayed_row_fft_covers_partial_lane_groups() {
+    let mut rng = SplitMix64::new(0x0f17_0004);
+    for n in [16usize, 128, 512] {
+        for rows in [1usize, 3, 9, 17] {
+            for in_place in [true, false] {
+                row_fft_matches(n, rows, in_place, &mut rng);
+            }
+        }
+    }
+}
+
+/// Every strided pass of `layout`.
+fn strided_passes_match(layout: FiveStepPlanLayout, rng: &mut SplitMix64) {
+    for pass in layout.strided_passes() {
+        let what = format!("{layout:?} step {}", pass.step);
+        let vol = layout.volume();
+        same_as_simulated(
+            &what,
+            rng,
+            |g| {
+                let src = g.mem_mut().alloc(vol).unwrap();
+                (src, g.mem_mut().alloc(vol + 7).unwrap(), vol)
+            },
+            |g, s, d, dir| replay_strided_pass(g, s, d, &pass, dir, "pass"),
+            |g, s, d, dir| run_strided_pass(g, s, d, &pass, dir, "pass"),
+        );
     }
 }
 
@@ -299,20 +368,18 @@ fn replayed_strided_passes_match_simulation() {
         let (ya, yb) = (pow2(&mut rng, 1, 3), pow2(&mut rng, 1, 3));
         let (za, zb) = (pow2(&mut rng, 1, 3), pow2(&mut rng, 1, 3));
         let layout = FiveStepPlanLayout::with_splits(nx, ya * yb, za * zb, (ya, yb), (za, zb));
-        for pass in layout.strided_passes() {
-            let what = format!("{layout:?} step {}", pass.step);
-            let vol = layout.volume();
-            same_as_simulated(
-                &what,
-                &mut rng,
-                |g| {
-                    let src = g.mem_mut().alloc(vol).unwrap();
-                    (src, g.mem_mut().alloc(vol + 7).unwrap(), vol)
-                },
-                |g, s, d, dir| replay_strided_pass(g, s, d, &pass, dir, "pass"),
-                |g, s, d, dir| run_strided_pass(g, s, d, &pass, dir, "pass"),
-            );
-        }
+        strided_passes_match(layout, &mut rng);
+    }
+}
+
+/// The native strided pass puts eight consecutive `x` in its lanes: 16-wide
+/// Y and Z axes under an X of 16 (two full groups per row), 8 (one) and 4
+/// (one partial group).
+#[test]
+fn replayed_strided_passes_on_16_wide_axes_match_simulation() {
+    let mut rng = SplitMix64::new(0x0f17_0005);
+    for nx in [16usize, 8, 4] {
+        strided_passes_match(FiveStepPlanLayout::new(nx, 16, 16), &mut rng);
     }
 }
 

@@ -12,15 +12,18 @@
 //! * are direction-parameterised (forward `e^{-2·pi·i·k/N}` / inverse conjugate),
 //! * exploit trivial twiddles (±1, ±i) as sign swaps, exactly like
 //!   hand-written CUDA codelets, so the FLOP counts reported by
-//!   [`codelet_flops`] reflect what the SPs would really execute.
+//!   [`codelet_flops`] reflect what the SPs would really execute,
+//! * are generic over [`FftValue`]: one [`Complex32`] row, or eight rows in
+//!   the lanes of a [`crate::lanes::C32x8`] with bit-identical lanes.
 
 use crate::complex::Complex32;
+use crate::lanes::FftValue;
 use crate::twiddle::{twiddle, Direction};
 use std::sync::OnceLock;
 
 /// In-place 2-point FFT (a single butterfly). Direction is irrelevant at N=2.
 #[inline(always)]
-pub fn fft2(d: &mut [Complex32; 2]) {
+pub fn fft2<T: FftValue>(d: &mut [T; 2]) {
     let (a, b) = (d[0], d[1]);
     d[0] = a + b;
     d[1] = a - b;
@@ -28,7 +31,7 @@ pub fn fft2(d: &mut [Complex32; 2]) {
 
 /// In-place 4-point FFT, natural order in and out.
 #[inline(always)]
-pub fn fft4(d: &mut [Complex32; 4], dir: Direction) {
+pub fn fft4<T: FftValue>(d: &mut [T; 4], dir: Direction) {
     // Stage 1: two butterflies over stride 2 (decimation in time).
     let t0 = d[0] + d[2];
     let t1 = d[0] - d[2];
@@ -47,7 +50,7 @@ pub fn fft4(d: &mut [Complex32; 4], dir: Direction) {
 
 /// In-place 8-point FFT, natural order in and out.
 #[inline(always)]
-pub fn fft8(d: &mut [Complex32; 8], dir: Direction) {
+pub fn fft8<T: FftValue>(d: &mut [T; 8], dir: Direction) {
     // DIT split into even and odd 4-point FFTs.
     let mut even = [d[0], d[2], d[4], d[6]];
     let mut odd = [d[1], d[3], d[5], d[7]];
@@ -110,9 +113,9 @@ fn w16(e: usize, dir: Direction) -> Complex32 {
 /// §3.1 on real hardware.
 #[inline]
 #[allow(clippy::needless_range_loop)] // explicit digit indexing mirrors the maths
-pub fn fft16(d: &mut [Complex32; 16], dir: Direction) {
+pub fn fft16<T: FftValue>(d: &mut [T; 16], dir: Direction) {
     // n = 4*n1 + n2; column FFTs over n1 for each residue n2.
-    let mut col = [[Complex32::ZERO; 4]; 4];
+    let mut col = [[T::ZERO; 4]; 4];
     for n2 in 0..4 {
         let mut c = [d[n2], d[4 + n2], d[8 + n2], d[12 + n2]];
         fft4(&mut c, dir);
@@ -146,7 +149,7 @@ pub fn fft16(d: &mut [Complex32; 16], dir: Direction) {
 ///
 /// # Panics
 /// Panics if `d.len() != n` or `n` is not a supported codelet size.
-pub fn fft_small(d: &mut [Complex32], dir: Direction) {
+pub fn fft_small<T: FftValue>(d: &mut [T], dir: Direction) {
     match d.len() {
         1 => {}
         2 => fft2(d.try_into().expect("length checked")),

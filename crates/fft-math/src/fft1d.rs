@@ -13,6 +13,7 @@
 
 use crate::codelets::{fft16, fft_small};
 use crate::complex::Complex32;
+use crate::lanes::FftValue;
 use crate::twiddle::{Direction, InterTwiddle, TwiddleTable};
 
 /// A planned 1-D FFT of fixed power-of-two length.
@@ -56,8 +57,9 @@ impl Fft1dPlan {
         false
     }
 
-    /// Executes in place. `scratch` must be at least `n` long.
-    pub fn execute(&self, data: &mut [Complex32], scratch: &mut [Complex32], dir: Direction) {
+    /// Executes in place. `scratch` must be at least `n` long. With
+    /// [`crate::lanes::C32x8`] values, eight rows transform at once.
+    pub fn execute<T: FftValue>(&self, data: &mut [T], scratch: &mut [T], dir: Direction) {
         assert_eq!(data.len(), self.n, "data length mismatch");
         assert!(scratch.len() >= self.n, "scratch too small");
         let table = match dir {
@@ -101,12 +103,9 @@ pub fn fft_pow2(data: &mut [Complex32], dir: Direction) {
 ///
 /// `table` must hold the `n` twiddles for the desired direction; stage-`L`
 /// twiddles are read at stride `n / L` so a single length-`n` table serves
-/// every stage.
-pub fn stockham_with_table(
-    data: &mut [Complex32],
-    scratch: &mut [Complex32],
-    table: &TwiddleTable,
-) {
+/// every stage. Generic over [`FftValue`], so one call can transform eight
+/// rows held in the lanes of a [`crate::lanes::C32x8`].
+pub fn stockham_with_table<T: FftValue>(data: &mut [T], scratch: &mut [T], table: &TwiddleTable) {
     let n = data.len();
     debug_assert!(n.is_power_of_two());
     debug_assert!(scratch.len() >= n);
@@ -125,7 +124,7 @@ pub fn stockham_with_table(
         let m = len / 2;
         let twiddle_step = n / len;
         {
-            let (src, dst): (&[Complex32], &mut [Complex32]) = if in_data {
+            let (src, dst): (&[T], &mut [T]) = if in_data {
                 (&*data, &mut scratch[..n])
             } else {
                 (&scratch[..n], &mut *data)

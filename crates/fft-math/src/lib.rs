@@ -8,6 +8,9 @@
 //! * [`codelets`] — straight-line radix-2/4/8/16 kernels (the paper's
 //!   register-resident 16-point workhorse),
 //! * [`fft1d`] — Stockham autosort and the 256 = 16 x 16 two-step transform,
+//! * [`lanes`] — eight complex values side by side ([`lanes::C32x8`]) and
+//!   the [`lanes::FftValue`] arithmetic the codelets and Stockham loop are
+//!   generic over, so host executors run eight rows per butterfly,
 //! * [`fft64`] — the double-precision path (§4.5 future work),
 //! * [`layout`] — the 5-D view `V(X,16,16,16,16)`, Table 2's access patterns
 //!   A–D, and the digit bookkeeping of the five-step algorithm,
@@ -30,6 +33,7 @@ pub mod fft1d;
 pub mod fft64;
 pub mod flops;
 pub mod json;
+pub mod lanes;
 pub mod layout;
 pub mod rng;
 pub mod stats;

@@ -22,7 +22,12 @@
 //! launch shape and buffer addresses, not on the values it moves. Such a
 //! kernel can go through [`Gpu::launch_replay`]: the first launch of a
 //! shape is simulated and its counters recorded, and every later launch of
-//! that shape moves the data with a plain native loop and reuses them.
+//! that shape moves the data with a plain native loop and reuses them. The
+//! FFT kernels' native executors run eight rows at a time: they gather
+//! rows into the lanes of a [`fft_math::lanes::C32x8`], run the same
+//! generic arithmetic the simulated body runs on one `Complex32`, and
+//! scatter the results back, so every lane's bits equal the simulated
+//! row's.
 //!
 //! Half-warp grouping relies on the kernels being lane-uniform (every thread
 //! of a half-warp performs the same sequence of access *ordinals*), which

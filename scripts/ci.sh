@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 cargo build --workspace --release --offline
 cargo build --workspace --examples --offline
 cargo test --workspace -q --offline
+# perfbench measures the release build, where the lane-batched native
+# executors are vectorised: pin their bit-identity to the scalar arithmetic
+# and to the simulation in release too.
+cargo test --release --offline -q -p fft-math --test lanes
+cargo test --release --offline -q -p bifft --test replay
 cargo fmt --all -- --check
 # Keep the public API clippy-clean and documented: the workspace crates carry
 # #![warn(missing_docs)]; -D warnings promotes that (and deprecated calls
@@ -32,9 +37,11 @@ for w in paper-kernel serve-small serve-pipeline gate-small; do
         --workload "$w" --seed 1 --seconds 1 --trace 0
 done
 # Shapes outside a planner's envelope are typed failures (exit 1), never a
-# panic (exit 101): a five-step Y of 512, and out-of-core slabs thinner than
+# panic (exit 101): a five-step Y of 512, a Y of 1024 (planned before its
+# 128 MiB host volume would be built), and out-of-core slabs thinner than
 # the 16 planes an in-slab six-step plan needs.
-for cmd in "fft3d --dims 16x512x16" "profile --algo out-of-core --n 16"; do
+for cmd in "fft3d --dims 16x512x16" "fft3d --dims 16x1024x1024" \
+    "profile --algo out-of-core --n 16"; do
     status=0
     target/release/$cmd > /dev/null 2>&1 || status=$?
     [ "$status" -eq 1 ] || { echo "ci: '$cmd' exited $status, want 1" >&2; exit 1; }

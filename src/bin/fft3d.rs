@@ -156,17 +156,57 @@ fn report_check(report: Option<gpu_sim::CheckReport>) -> Result<(), String> {
     }
 }
 
-/// Runs the requested transform, dispatching on the algorithm: in-core
-/// algorithms go through the [`Fft3d`] facade, `out-of-core` through
-/// [`OutOfCoreFft`] and `multi-gpu` through [`MultiGpuFft3d`]. Every path
-/// prints its timing summary to stderr and returns the transformed volume.
-fn run_transform(args: &Args, host: &[Complex32]) -> Result<Vec<Complex32>, String> {
+/// The requested transform, planned before any host volume exists:
+/// planning runs the planner's shape envelope (`Algorithm::check_shape`,
+/// inside `Fft3d`'s builder, `OutOfCoreFft::new` and `MultiGpuFft3d::new`),
+/// so a rejected shape fails before its volume is built or read.
+enum Planned {
+    /// An in-core algorithm through the [`Fft3d`] facade, on its card.
+    InCore(Box<(Gpu, Fft3d)>),
+    /// The slab-streamed [`OutOfCoreFft`].
+    OutOfCore(OutOfCoreFft),
+    /// The [`MultiGpuFft3d`] fleet.
+    MultiGpu(MultiGpuFft3d),
+}
+
+/// Plans the transform `args` ask for.
+fn plan_transform(args: &Args) -> Result<Planned, String> {
     let (nx, ny, nz) = args.dims;
-    match args.algo {
-        Algorithm::OutOfCore => {
-            let plan = OutOfCoreFft::new(&args.device, nx, ny, nz, args.slabs)
+    Ok(match args.algo {
+        Algorithm::OutOfCore => Planned::OutOfCore(
+            OutOfCoreFft::new(&args.device, nx, ny, nz, args.slabs)
                 .and_then(|p| p.with_streams(args.streams))
+                .map_err(|e| e.to_string())?,
+        ),
+        Algorithm::MultiGpu => {
+            let mut plan = MultiGpuFft3d::new(&args.device, args.gpus, nx, ny, nz)
                 .map_err(|e| e.to_string())?;
+            if args.check {
+                plan.check_enable();
+            }
+            Planned::MultiGpu(plan)
+        }
+        _ => {
+            let mut gpu = Gpu::new(args.device);
+            let plan = Fft3d::builder(nx, ny, nz)
+                .algorithm(args.algo)
+                .checked(args.check)
+                .build(&mut gpu)
+                .map_err(|e| e.to_string())?;
+            Planned::InCore(Box::new((gpu, plan)))
+        }
+    })
+}
+
+/// Runs the planned transform on `host`. Every path prints its timing
+/// summary to stderr and returns the transformed volume.
+fn run_transform(
+    args: &Args,
+    planned: Planned,
+    host: &[Complex32],
+) -> Result<Vec<Complex32>, String> {
+    match planned {
+        Planned::OutOfCore(plan) => {
             let mut gpu = Gpu::new(args.device);
             if args.check {
                 gpu.check_enable();
@@ -185,24 +225,14 @@ fn run_transform(args: &Args, host: &[Complex32]) -> Result<Vec<Complex32>, Stri
             );
             Ok(out)
         }
-        Algorithm::MultiGpu => {
-            let mut plan = MultiGpuFft3d::new(&args.device, args.gpus, nx, ny, nz)
-                .map_err(|e| e.to_string())?;
-            if args.check {
-                plan.check_enable();
-            }
+        Planned::MultiGpu(mut plan) => {
             let (out, rep) = plan.transform(host, args.dir).map_err(|e| e.to_string())?;
             report_check(plan.check_report())?;
             eprintln!("{}", bifft::multi_gpu::summarize(&rep, args.dims));
             Ok(out)
         }
-        _ => {
-            let mut gpu = Gpu::new(args.device);
-            let plan = Fft3d::builder(nx, ny, nz)
-                .algorithm(args.algo)
-                .checked(args.check)
-                .build(&mut gpu)
-                .map_err(|e| e.to_string())?;
+        Planned::InCore(card) => {
+            let (mut gpu, plan) = *card;
             let (out, report) = plan
                 .transform(&mut gpu, host, args.dir)
                 .map_err(|e| e.to_string())?;
@@ -224,6 +254,13 @@ fn main() -> ExitCode {
     };
     let (nx, ny, nz) = args.dims;
     let vol = nx * ny * nz;
+    let planned = match plan_transform(&args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("fft3d: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let host = match &args.input {
         Some(path) => match read_volume(path, vol) {
@@ -251,7 +288,7 @@ fn main() -> ExitCode {
         args.device.name,
         args.dir
     );
-    let out = match run_transform(&args, &host) {
+    let out = match run_transform(&args, planned, &host) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("fft3d: {e}");
