@@ -333,7 +333,7 @@ fn native_multirow(
     let mut scratch = vec![C32x8::ZERO; n];
     for r0 in (0..rows).step_by(visit) {
         let base = row_base(r0, n, stride);
-        side_by_side_to_lanes(visit, stride, &mut groups, |i| data[base + i]);
+        side_by_side_to_lanes(visit, stride, &mut groups, &data[base..]);
         for row in groups.chunks_exact_mut(n) {
             plan.execute(row, &mut scratch, dir);
         }
@@ -629,12 +629,23 @@ mod tests {
     }
 
     /// The multirow kernel replayed against its simulation, launch by
-    /// launch: row counts below and above the grid's thread count, and a
-    /// spill area larger than one launch backs.
+    /// launch: row counts below and above the grid's thread count, a spill
+    /// area larger than one launch backs, and the Y and Z axes of a
+    /// 128×16×16 volume (where even a Y block's 128 neighbouring rows take
+    /// two native visits) with only the first `written` elements uploaded.
+    /// The first launch reads zeros past that prefix and backs the whole
+    /// volume, so the replays read the previous output there.
     #[test]
     fn replayed_multirow_matches_simulation() {
         let mut rng = SplitMix64::new(0x5911_0001);
-        for (n, stride, rows) in [(16, 2, 6), (16, 16, 64), (32, 64, 512), (64, 16, 128)] {
+        for (n, stride, rows, written) in [
+            (16, 2, 6, 96),
+            (16, 16, 64, 1024),
+            (32, 64, 512, 16384),
+            (64, 16, 128, 8192),
+            (16, 128, 2048, 12293),
+            (16, 2048, 2048, 12293),
+        ] {
             let plan = Fft1dPlan::new(n);
             let mut cards = [
                 Gpu::new(DeviceSpec::gt8800()),
@@ -648,7 +659,7 @@ mod tests {
             assert_eq!(bufs[0], bufs[1]);
             let (buf, spill) = bufs[0];
             for k in 0..3 {
-                let host: Vec<Complex32> = (0..rows * n)
+                let host: Vec<Complex32> = (0..written)
                     .map(|_| Complex32::new(rng.uniform_f32(-1.0, 1.0), 0.5))
                     .collect();
                 let dir = [Direction::Forward, Direction::Inverse][k % 2];
@@ -673,7 +684,7 @@ mod tests {
                 }
                 assert!(
                     seen[0] == seen[1],
-                    "n={n} stride={stride} rows={rows}: launch {k}"
+                    "n={n} stride={stride} rows={rows} written={written}: launch {k}"
                 );
             }
             assert_eq!(cards[0].launch_counts(), (3, 2));

@@ -219,8 +219,12 @@ fn simulate_strided_pass(
 /// gathered and scattered in plain loops. Both views are linear in every
 /// digit, so each row's elements sit at a fixed stride from its first, and
 /// at each of those offsets the `nx` rows of one `(f1, f2, f3)` are
-/// consecutive: all their groups are gathered at once, so every strided
-/// point is read and written as one `nx`-long run.
+/// consecutive: the `n` runs of `nx` elements are copied into one staging
+/// buffer with [`Backed::read`] (reading zeros past the backed prefix, as
+/// the simulated loads do), all their groups are filled from it at once,
+/// and every strided output point is written as one `nx`-long run.
+///
+/// [`Backed::read`]: gpu_sim::Backed::read
 fn native_strided_pass(
     mem: &mut DeviceMemory,
     src: BufferId,
@@ -235,13 +239,17 @@ fn native_strided_pass(
     let in_stride = in_view.slot_stride(4);
     let out_stride = out_index(pass, 0, [0; 3], 1);
     let (src, dst) = mem.src_dst(src, dst, pass.output.len());
+    let mut staged = vec![Complex32::ZERO; n * nx];
     let mut groups = vec![C32x8::ZERO; nx.div_ceil(LANES) * n];
     let [e1, e2, e3, _] = in_view.extents;
     for f3 in 0..e3 {
         for f2 in 0..e2 {
             for f1 in 0..e1 {
                 let from = in_view.index(0, [f1, f2, f3, 0]);
-                side_by_side_to_lanes(nx, in_stride, &mut groups, |i| src.get(from + i));
+                for (j, run) in staged.chunks_exact_mut(nx).enumerate() {
+                    src.read(from + j * in_stride, run);
+                }
+                side_by_side_to_lanes(nx, nx, &mut groups, &staged);
                 for row in groups.chunks_exact_mut(n) {
                     coarse_row(row, dir, inter.as_ref(), f3);
                 }

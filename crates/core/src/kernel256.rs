@@ -337,24 +337,44 @@ pub fn batched_config(
     }
 }
 
-/// One twiddled butterfly of stage `st` at sub-transform `p`: the radix-4
-/// butterfly on `x` (or the radix-2 tail on `x[..2]`), then every output
-/// `r > 0` times `W_n^{r·p·tw_step}`, fetched through `tw`. Returns the
-/// outputs and the FLOPs the kernel charges for them. The simulated body
-/// (on [`Complex32`]) and the native executor (on eight rows in
-/// [`C32x8`] lanes) both call this, so their arithmetic is one copy.
+/// The twiddles stage `st` multiplies sub-transform `p`'s outputs `r > 0`
+/// by: `W_n^{r·p·tw_step}`, fetched through `tw` for `r = 1, 2, 3` (radix
+/// 4) or `r = 1` (radix 2), in that order. `None` for `p = 0`, whose
+/// outputs are not multiplied.
 #[inline(always)]
-fn butterfly<T: FftValue>(
+fn twiddles(
     st: &Stage,
     p: usize,
     n: usize,
-    dir: Direction,
-    x: &[T],
     mut tw: impl FnMut(usize) -> Complex32,
-) -> ([T; 4], u64) {
+) -> Option<[Complex32; 3]> {
+    if p == 0 {
+        return None;
+    }
     let tw_step = n / (st.m * st.radix); // index scale into W_n
-    if st.radix == 4 {
-        let (a, b, c, d) = (x[0], x[1], x[2], x[3]);
+    let mut w = [Complex32::ZERO; 3];
+    for (r, v) in w[..st.radix - 1].iter_mut().enumerate() {
+        *v = tw(((r + 1) * p * tw_step) & (n - 1));
+    }
+    Some(w)
+}
+
+/// One butterfly of a stage of radix `radix`: the radix-4 butterfly on
+/// `x` (or the radix-2 tail on `x[..2]`), then output `r > 0` times
+/// `w[r - 1]` when the sub-transform has twiddles (see [`twiddles`]).
+/// Returns the outputs and the FLOPs the kernel charges for them. The
+/// simulated body (on [`Complex32`]) and the native executor (on eight rows
+/// in [`C32x8`] lanes) both call this, so their arithmetic is one copy;
+/// each fetches its twiddles before calling.
+#[inline(always)]
+fn butterfly<T: FftValue>(
+    radix: usize,
+    dir: Direction,
+    x: [T; 4],
+    w: Option<[Complex32; 3]>,
+) -> ([T; 4], u64) {
+    if radix == 4 {
+        let [a, b, c, d] = x;
         let t0 = a + c;
         let t1 = a - c;
         let t2 = b + d;
@@ -364,19 +384,19 @@ fn butterfly<T: FftValue>(
         };
         let mut y = [t0 + t2, t1 + t3, t0 - t2, t1 - t3];
         let mut fl = 16;
-        if p != 0 {
-            for (r, v) in y.iter_mut().enumerate().skip(1) {
-                *v *= tw((r * p * tw_step) & (n - 1));
-                fl += 6;
+        if let Some(w) = w {
+            for (v, w) in y[1..].iter_mut().zip(w) {
+                *v *= w;
             }
+            fl += 18;
         }
         (y, fl)
     } else {
-        let (a, b) = (x[0], x[1]);
+        let [a, b, ..] = x;
         let mut y1 = a - b;
         let mut fl = 4;
-        if p != 0 {
-            y1 *= tw((p * tw_step) & (n - 1));
+        if let Some(w) = w {
+            y1 *= w[0];
             fl += 6;
         }
         ([a + b, y1, T::ZERO, T::ZERO], fl)
@@ -530,8 +550,10 @@ fn simulate_batched_fft(
                     for b in 0..bpt {
                         let (p, q) = st.coords(t, b, threads);
                         let io = b * st.radix;
-                        let x = &vals[t][io..io + st.radix];
-                        let (out, fl) = butterfly(st, p, n, dir, x, |i| ctx.tex1d(tw, i));
+                        let mut x = [Complex32::ZERO; 4];
+                        x[..st.radix].copy_from_slice(&vals[t][io..io + st.radix]);
+                        let w = twiddles(st, p, n, |i| ctx.tex1d(tw, i));
+                        let (out, fl) = butterfly(st.radix, dir, x, w);
                         ctx.flops(fl);
                         if last {
                             for (r, v) in out.iter().enumerate().take(st.radix) {
@@ -590,30 +612,96 @@ fn native_batched_fft(
 
 /// Transforms the eight rows in the lanes of `buf[..n]` through every stage
 /// of `plan`, ping-ponging with the scratch `buf[n..]`, and returns the half
-/// holding the result.
+/// holding the result. The radix and direction are chosen once per stage.
 fn lane_stages<'a>(
     plan: &FineFftPlan,
     dir: Direction,
     tw: &[Complex32],
     buf: &'a mut [C32x8],
 ) -> &'a [C32x8] {
-    let (mut x, mut y) = buf.split_at_mut(plan.n);
+    let n = plan.n;
+    let (mut x, mut y) = buf.split_at_mut(n);
     for st in &plan.stages {
-        for p in 0..st.m {
-            for q in 0..st.s {
-                let mut inp = [C32x8::ZERO; 4];
-                for (k, v) in inp[..st.radix].iter_mut().enumerate() {
-                    *v = x[q + st.s * (p + k * st.m)];
-                }
-                let (out, _) = butterfly(st, p, plan.n, dir, &inp[..st.radix], |i| tw[i]);
-                for (r, v) in out[..st.radix].iter().enumerate() {
-                    y[q + st.s * (st.radix * p + r)] = *v;
-                }
-            }
+        match (st.radix, dir) {
+            (4, Direction::Forward) => radix4_stage::<false>(st, n, tw, x, y),
+            (4, Direction::Inverse) => radix4_stage::<true>(st, n, tw, x, y),
+            _ => radix2_stage(st, n, tw, x, y),
         }
         std::mem::swap(&mut x, &mut y);
     }
     x
+}
+
+/// One radix-4 stage from `x` to `y`, inverse when `INVERSE`. Sub-transform
+/// `p` reads input `k` from the `s`-long run at `s·(p + k·m)` and writes
+/// output `r` to the run at `s·(4p + r)` (the simulated kernel's indices,
+/// with `q` running along each run), and fetches its twiddles once for the
+/// whole run.
+fn radix4_stage<const INVERSE: bool>(
+    st: &Stage,
+    n: usize,
+    tw: &[Complex32],
+    x: &[C32x8],
+    y: &mut [C32x8],
+) {
+    let dir = if INVERSE {
+        Direction::Inverse
+    } else {
+        Direction::Forward
+    };
+    let s = st.s;
+    let (x0, rest) = x.split_at(st.m * s);
+    let (x1, rest) = rest.split_at(st.m * s);
+    let (x2, x3) = rest.split_at(st.m * s);
+    let ins = x0
+        .chunks_exact(s)
+        .zip(x1.chunks_exact(s))
+        .zip(x2.chunks_exact(s))
+        .zip(x3.chunks_exact(s));
+    for (p, (out, (((i0, i1), i2), i3))) in y.chunks_exact_mut(4 * s).zip(ins).enumerate() {
+        let (o0, rest) = out.split_at_mut(s);
+        let (o1, rest) = rest.split_at_mut(s);
+        let (o2, o3) = rest.split_at_mut(s);
+        let (ins, outs) = ([i0, i1, i2, i3], [o0, o1, o2, o3]);
+        match twiddles(st, p, n, |i| tw[i]) {
+            None => radix4_runs(dir, None, ins, outs),
+            w => radix4_runs(dir, w, ins, outs),
+        }
+    }
+}
+
+/// The butterflies of one radix-4 sub-transform: element `q` of each input
+/// run to element `q` of each output run.
+#[inline(always)]
+fn radix4_runs(
+    dir: Direction,
+    w: Option<[Complex32; 3]>,
+    [i0, i1, i2, i3]: [&[C32x8]; 4],
+    [o0, o1, o2, o3]: [&mut [C32x8]; 4],
+) {
+    let ins = i0.iter().zip(i1).zip(i2).zip(i3);
+    let outs = o0.iter_mut().zip(o1).zip(o2).zip(o3);
+    for ((((a, b), c), d), (((y0, y1), y2), y3)) in ins.zip(outs) {
+        let (v, _) = butterfly(4, dir, [*a, *b, *c, *d], w);
+        [*y0, *y1, *y2, *y3] = v;
+    }
+}
+
+/// The radix-2 tail from `x` to `y`, walked as [`radix4_stage`] walks its
+/// stage. Its butterfly does not rotate, so it has no direction.
+fn radix2_stage(st: &Stage, n: usize, tw: &[Complex32], x: &[C32x8], y: &mut [C32x8]) {
+    let s = st.s;
+    let (x0, x1) = x.split_at(st.m * s);
+    let ins = x0.chunks_exact(s).zip(x1.chunks_exact(s));
+    for (p, (out, (i0, i1))) in y.chunks_exact_mut(2 * s).zip(ins).enumerate() {
+        let (o0, o1) = out.split_at_mut(s);
+        let w = twiddles(st, p, n, |i| tw[i]);
+        for ((a, b), (y0, y1)) in i0.iter().zip(i1).zip(o0.iter_mut().zip(o1)) {
+            let zero = C32x8::ZERO;
+            let ([v0, v1, ..], _) = butterfly(2, Direction::Forward, [*a, *b, zero, zero], w);
+            (*y0, *y1) = (v0, v1);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -226,10 +226,11 @@ fn replayed_plans_on_narrow_axes_match_fresh_simulation() {
 }
 
 /// Runs a kernel three times on each of two identical cards, with fresh
-/// contents in `src` before each, forward, inverse, then a random
-/// direction: `replay` on one card, `simulate` on the other. Outputs (all of `dst`), reports, clocks
-/// and host backing must agree, and the replaying card must have replayed
-/// the last two.
+/// contents in the first `written` elements of `src` before each, forward,
+/// inverse, then a random direction: `replay` on one card, `simulate` on
+/// the other. Outputs (all of `src` and `dst`), reports, clocks and host
+/// backing must agree, and the replaying card must have replayed the last
+/// two.
 fn same_as_simulated(
     what: &str,
     rng: &mut SplitMix64,
@@ -261,11 +262,13 @@ fn same_as_simulated(
             } else {
                 simulate(g, src, dst, dir)
             });
-            let mut out = vec![Complex32::ZERO; g.mem().len(dst)];
-            g.mem().download(dst, 0, &mut out);
-            outs.push(bits(&out));
+            for b in [src, dst] {
+                let mut out = vec![Complex32::ZERO; g.mem().len(b)];
+                g.mem().download(b, 0, &mut out);
+                outs.push(bits(&out));
+            }
         }
-        assert_eq!(outs[0], outs[1], "{what}: output {k}");
+        assert_eq!(outs[..2], outs[2..], "{what}: output {k}");
         assert_eq!(reps[0], reps[1], "{what}: report {k}");
     }
     let [a, b] = &cards;
@@ -326,12 +329,13 @@ fn replayed_row_fft_matches_simulation() {
 }
 
 /// The native row FFT runs eight rows per group of lanes: row counts that
-/// leave the last group partial (1, 3, 9 and 17 rows) at the shortest, a
-/// middle and the longest length, in place and out of place.
+/// leave the last group partial (1, 3, 9 and 17 rows) at every length, so
+/// both stage shapes meet a full and a partial group: radix 4 only (16, 64,
+/// 256) and a radix-2 tail (32, 128, 512). In place and out of place.
 #[test]
 fn replayed_row_fft_covers_partial_lane_groups() {
     let mut rng = SplitMix64::new(0x0f17_0004);
-    for n in [16usize, 128, 512] {
+    for n in [16usize, 32, 64, 128, 256, 512] {
         for rows in [1usize, 3, 9, 17] {
             for in_place in [true, false] {
                 row_fft_matches(n, rows, in_place, &mut rng);
@@ -340,17 +344,18 @@ fn replayed_row_fft_covers_partial_lane_groups() {
     }
 }
 
-/// Every strided pass of `layout`.
-fn strided_passes_match(layout: FiveStepPlanLayout, rng: &mut SplitMix64) {
+/// Every strided pass of `layout`, with the first `written` elements of
+/// the source uploaded (the rest read as zero).
+fn strided_passes_match(layout: &FiveStepPlanLayout, written: usize, rng: &mut SplitMix64) {
     for pass in layout.strided_passes() {
-        let what = format!("{layout:?} step {}", pass.step);
+        let what = format!("{layout:?} written={written} step {}", pass.step);
         let vol = layout.volume();
         same_as_simulated(
             &what,
             rng,
             |g| {
                 let src = g.mem_mut().alloc(vol).unwrap();
-                (src, g.mem_mut().alloc(vol + 7).unwrap(), vol)
+                (src, g.mem_mut().alloc(vol + 7).unwrap(), written)
             },
             |g, s, d, dir| replay_strided_pass(g, s, d, &pass, dir, "pass"),
             |g, s, d, dir| run_strided_pass(g, s, d, &pass, dir, "pass"),
@@ -368,7 +373,7 @@ fn replayed_strided_passes_match_simulation() {
         let (ya, yb) = (pow2(&mut rng, 1, 3), pow2(&mut rng, 1, 3));
         let (za, zb) = (pow2(&mut rng, 1, 3), pow2(&mut rng, 1, 3));
         let layout = FiveStepPlanLayout::with_splits(nx, ya * yb, za * zb, (ya, yb), (za, zb));
-        strided_passes_match(layout, &mut rng);
+        strided_passes_match(&layout, layout.volume(), &mut rng);
     }
 }
 
@@ -379,8 +384,20 @@ fn replayed_strided_passes_match_simulation() {
 fn replayed_strided_passes_on_16_wide_axes_match_simulation() {
     let mut rng = SplitMix64::new(0x0f17_0005);
     for nx in [16usize, 8, 4] {
-        strided_passes_match(FiveStepPlanLayout::new(nx, 16, 16), &mut rng);
+        let layout = FiveStepPlanLayout::new(nx, 16, 16);
+        strided_passes_match(&layout, layout.volume(), &mut rng);
     }
+}
+
+/// The native strided pass stages each `(f1, f2, f3)`'s runs through a
+/// buffer: at an X of 128 with the source backed only part way, the
+/// staged runs past the backed prefix must read zero, as the simulated
+/// loads do.
+#[test]
+fn replayed_strided_passes_read_zeros_past_the_backed_prefix() {
+    let mut rng = SplitMix64::new(0x0f17_0006);
+    let layout = FiveStepPlanLayout::new(128, 16, 16);
+    strided_passes_match(&layout, layout.volume() * 5 / 8 + 3, &mut rng);
 }
 
 /// The tiled rotation over random tile-multiple volumes.

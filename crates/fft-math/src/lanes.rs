@@ -100,13 +100,19 @@ impl C32x8 {
         v
     }
 
-    /// Writes the first `dst.len()` (at most [`LANES`]) lanes to
-    /// consecutive elements of `dst`.
-    #[inline]
-    pub fn store(&self, dst: &mut [Complex32]) {
-        for (l, z) in dst.iter_mut().enumerate() {
-            *z = self.lane(l);
+    /// Lane `l` from `run[l]`.
+    #[inline(always)]
+    pub fn from_array(run: [Complex32; LANES]) -> Self {
+        C32x8 {
+            re: run.map(|z| z.re),
+            im: run.map(|z| z.im),
         }
+    }
+
+    /// The lanes in order.
+    #[inline(always)]
+    pub fn to_array(self) -> [Complex32; LANES] {
+        std::array::from_fn(|l| self.lane(l))
     }
 }
 
@@ -215,33 +221,42 @@ pub fn lanes_to_rows(lanes: &[C32x8], rows: &mut [Complex32]) {
 }
 
 /// Puts `span` side-by-side rows into groups of lanes: point `j` of row
-/// `r` is `elem(j * stride + r)`, and row `r` goes to lane `r % LANES` of
+/// `r` is `src[j * stride + r]`, and row `r` goes to lane `r % LANES` of
 /// group `r / LANES`, whose points are `groups[g*n..(g+1)*n]` for
 /// `span.div_ceil(LANES)` groups of `n` points. Lanes past `span` are
-/// zero. Each point of all `span` rows is read as one run.
-pub fn side_by_side_to_lanes(
-    span: usize,
-    stride: usize,
-    groups: &mut [C32x8],
-    elem: impl Fn(usize) -> Complex32,
-) {
+/// zero. Each point of all `span` rows is read as one run, eight elements
+/// at a time through a `[Complex32; LANES]`.
+pub fn side_by_side_to_lanes(span: usize, stride: usize, groups: &mut [C32x8], src: &[Complex32]) {
     let n = groups.len() / span.div_ceil(LANES);
     for j in 0..n {
-        for (g, row) in groups.chunks_exact_mut(n).enumerate() {
-            let at = j * stride + LANES * g;
-            row[j] = C32x8::gather(LANES.min(span - LANES * g), |l| elem(at + l));
+        let (whole, tail) = src[j * stride..][..span].as_chunks::<LANES>();
+        // Runs first: `zip` pulls from its left side first, and a row it
+        // pulled past the last whole run would be lost to the tail.
+        let mut rows = groups.chunks_exact_mut(n);
+        for (run, row) in whole.iter().zip(rows.by_ref()) {
+            row[j] = C32x8::from_array(*run);
+        }
+        if let Some(row) = rows.next() {
+            let mut run = [Complex32::ZERO; LANES];
+            run[..tail.len()].copy_from_slice(tail);
+            row[j] = C32x8::from_array(run);
         }
     }
 }
 
 /// The inverse of [`side_by_side_to_lanes`]: writes the `span` rows held in
-/// `groups` back to `out`, point `j` of row `r` at `out[j * stride + r]`.
+/// `groups` back to `out`, point `j` of row `r` at `out[j * stride + r]`,
+/// each point's run eight elements at a time.
 pub fn lanes_to_side_by_side(groups: &[C32x8], span: usize, stride: usize, out: &mut [Complex32]) {
     let n = groups.len() / span.div_ceil(LANES);
     for j in 0..n {
-        for (g, row) in groups.chunks_exact(n).enumerate() {
-            let at = j * stride + LANES * g;
-            row[j].store(&mut out[at..at + LANES.min(span - LANES * g)]);
+        let (whole, tail) = out[j * stride..][..span].as_chunks_mut::<LANES>();
+        let mut rows = groups.chunks_exact(n);
+        for (run, row) in whole.iter_mut().zip(rows.by_ref()) {
+            *run = row[j].to_array();
+        }
+        if let Some(row) = rows.next() {
+            tail.copy_from_slice(&row[j].to_array()[..tail.len()]);
         }
     }
 }
@@ -268,7 +283,7 @@ mod tests {
         // 11 rows of 3 points, 16 apart: two groups, the second partial.
         let elems: Vec<Complex32> = (0..3 * 16).map(|i| c32(i as f32, 1.0)).collect();
         let mut groups = vec![C32x8::ZERO; 2 * 3];
-        side_by_side_to_lanes(11, 16, &mut groups, |i| elems[i]);
+        side_by_side_to_lanes(11, 16, &mut groups, &elems);
         assert_eq!(groups[1].lane(5), elems[16 + 5]);
         assert_eq!(groups[3 + 2].lane(2), elems[2 * 16 + 8 + 2]);
         assert_eq!(groups[3].lane(3), Complex32::ZERO);
@@ -285,13 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn load_and_store_are_partial() {
+    fn gather_is_partial_and_arrays_round_trip() {
         let src = [c32(1.0, 2.0), c32(3.0, 4.0), c32(5.0, 6.0)];
         let v = C32x8::gather(src.len(), |l| src[l]);
         assert_eq!(v.lane(2), src[2]);
         assert_eq!(v.lane(3), Complex32::ZERO);
-        let mut dst = [Complex32::ONE; 2];
-        v.store(&mut dst);
-        assert_eq!(dst, [src[0], src[1]]);
+        assert_eq!(C32x8::from_array(v.to_array()), v);
+        assert_eq!(v.to_array()[..3], src);
     }
 }

@@ -4,13 +4,17 @@
 //! [`Complex32`] result on that lane's row: the codelets at every size and
 //! the Stockham loop at 16..=512 points, in both directions, over rows that
 //! hold signed zeros, subnormals and large (but not overflowing) magnitudes
-//! beside ordinary values. CI runs this file in release as well as debug,
-//! since the release build is the vectorised one.
+//! beside ordinary values. The side-by-side run helpers must move every
+//! element and leave the gaps between runs alone. CI runs this file in
+//! release as well as debug, since the release build is the vectorised one.
 
 use fft_math::codelets::fft_small;
 use fft_math::complex::{c32, Complex32};
 use fft_math::fft1d::stockham_with_table;
-use fft_math::lanes::{lanes_to_rows, rows_to_lanes, C32x8, FftValue, LANES};
+use fft_math::lanes::{
+    lanes_to_rows, lanes_to_side_by_side, rows_to_lanes, side_by_side_to_lanes, C32x8, FftValue,
+    LANES,
+};
 use fft_math::rng::SplitMix64;
 use fft_math::twiddle::{Direction, TwiddleTable};
 
@@ -148,6 +152,49 @@ fn stockham_in_lanes_matches_one_row() {
                     |row| stockham_with_table(row, &mut vec![Complex32::ZERO; n], &table),
                     |lanes| stockham_with_table(lanes, &mut vec![C32x8::ZERO; n], &table),
                 );
+            }
+        }
+    }
+}
+
+/// Spans 1..=24 (whole groups of eight, a partial tail group, or both) of
+/// 1..=5 points, with strides from one past the span up: each run moves
+/// through the lanes bit for bit (lane `r % 8` of group `r / 8`, zero past
+/// the span), and back without touching the elements between runs.
+#[test]
+fn side_by_side_runs_round_trip_bit_for_bit() {
+    let mut rng = SplitMix64::new(0x1a9e_0004);
+    let gap = c32(f32::from_bits(0x7fc0_1234), -1.5);
+    for span in 1..=24usize {
+        for n in 1..=5usize {
+            let stride = span + 1 + rng.below(2 * LANES);
+            let src = rows(n, &mut rng);
+            let src: Vec<Complex32> = src.iter().cycle().take(n * stride).copied().collect();
+            let what = format!("span={span} n={n} stride={stride}");
+            let mut groups = vec![C32x8::from_array([gap; LANES]); span.div_ceil(LANES) * n];
+            side_by_side_to_lanes(span, stride, &mut groups, &src);
+            for (g, row) in groups.chunks_exact(n).enumerate() {
+                for (j, v) in row.iter().enumerate() {
+                    for l in 0..LANES {
+                        let r = LANES * g + l;
+                        let want = if r < span {
+                            src[j * stride + r]
+                        } else {
+                            Complex32::ZERO
+                        };
+                        assert_eq!(
+                            bits(&[v.lane(l)]),
+                            bits(&[want]),
+                            "{what}: row {r} point {j}"
+                        );
+                    }
+                }
+            }
+            let mut back = vec![gap; src.len()];
+            lanes_to_side_by_side(&groups, span, stride, &mut back);
+            for (i, (got, want)) in back.iter().zip(&src).enumerate() {
+                let want = if i % stride < span { *want } else { gap };
+                assert_eq!(bits(&[*got]), bits(&[want]), "{what}: element {i}");
             }
         }
     }

@@ -36,6 +36,11 @@ for w in paper-kernel serve-small serve-pipeline gate-small; do
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 1 --trace 0
 done
+# paper-kernel again on perfbench's held-out seed (HELD_OUT_SEED), whose
+# volumes seed 1 never draws: the replayed executors meet the oracle on
+# inputs no tuning saw.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload paper-kernel --seed 6840135908842086438 --seconds 1 --trace 0
 # Shapes outside a planner's envelope are typed failures (exit 1), never a
 # panic (exit 101): a five-step Y of 512, a Y of 1024 (planned before its
 # 128 MiB host volume would be built), and out-of-core slabs thinner than
