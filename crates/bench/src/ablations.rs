@@ -10,13 +10,14 @@
 //! * **a4** — the five-step pass ordering vs a naive ordering that reads and
 //!   writes pattern D (what you get without the digit-rotation relayout).
 
+use bifft::kernel16::coarse_resources;
 use bifft::kernel256::{batched_config, bind_twiddle_texture, run_batched_fft, FineFftPlan};
 use fft_math::layout::AccessPattern;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
 use gpu_sim::dram::{effective_bandwidth_gbs, BandwidthQuery};
 use gpu_sim::timing::estimate_pass;
-use gpu_sim::{occupancy, DeviceSpec, Gpu, KernelReport, KernelResources};
+use gpu_sim::{occupancy, DeviceSpec, Gpu, KernelReport};
 use std::fmt::Write as _;
 
 /// a2 — runs the 256-point fine kernel with and without padding and reports
@@ -30,7 +31,8 @@ pub fn padding_ablation(rows: usize) -> String {
             .collect();
         gpu.mem_mut().upload(buf, 0, &host);
         let tw = bind_twiddle_texture(&mut gpu, 256, Direction::Forward);
-        run_batched_fft(&mut gpu, plan, buf, buf, rows, Direction::Forward, tw, "a2")
+        let cfg = batched_config(gpu.spec(), plan, rows, true, "a2");
+        run_batched_fft(&mut gpu, &cfg, plan, buf, buf, rows, Direction::Forward, tw)
     };
     let padded = run(&FineFftPlan::new(256));
     let unpadded = run(&FineFftPlan::with_uniform_pad(256, (0, 0)));
@@ -101,11 +103,11 @@ pub fn twiddle_source_ablation() -> String {
                 flops_scale = 1.55;
             }
         }
-        let occ = occupancy(&spec.arch, &res);
-        let mut cfg = batched_config(&fine, 65536, spec.sms * occ.blocks_per_sm, true, "a3");
+        let mut cfg = batched_config(&spec, &fine, 65536, true, "a3");
         cfg.resources = res;
         cfg.nominal_flops = (cfg.nominal_flops as f64 * flops_scale) as u64;
-        let t = estimate_pass(&spec, &cfg, &occ, elems);
+        let t = estimate_pass(&spec, &cfg, elems);
+        let occ = occupancy(&spec.arch, &res);
         let _ = writeln!(
             s,
             "  {:<16} {:>6.2} ms  (occupancy {:>3} threads/SM)",
@@ -126,12 +128,7 @@ pub fn pattern_order_ablation() -> String {
          (the five-step relayout exists precisely to avoid D x D)\n",
     );
     for spec in DeviceSpec::all_cards() {
-        let res = KernelResources {
-            threads_per_block: 64,
-            regs_per_thread: 52,
-            shared_bytes_per_block: 0,
-        };
-        let occ = occupancy(&spec.arch, &res);
+        let occ = occupancy(&spec.arch, &coarse_resources(16));
         let bw = |r, w| {
             effective_bandwidth_gbs(
                 &spec,

@@ -7,10 +7,12 @@
 //! prints the paper's value next to ours with the relative deviation.
 
 use crate::paper;
-use bifft::cufft_like::CufftLikeFft;
+use bifft::cufft_like::cufft1d_config;
 use bifft::five_step::FiveStepFft;
+use bifft::kernel256::batched_config;
+use bifft::noshared::noshared_config;
 use bifft::out_of_core::OutOfCoreFft;
-use bifft::six_step::SixStepFft;
+use bifft::Algorithm;
 use cpu_fft::model::{fftw_model_gflops, fftw_model_seconds, CpuSpec};
 use fft_math::flops::nominal_flops_3d;
 use fft_math::layout::{AccessPattern, View5};
@@ -18,8 +20,8 @@ use gpu_sim::dram::{self, BandwidthQuery};
 use gpu_sim::pcie::{transfer_time, Dir};
 use gpu_sim::power::{cpu_system, gpu_system};
 use gpu_sim::spec::DeviceSpec;
-use gpu_sim::timing::{time_kernel, KernelClass};
-use gpu_sim::{occupancy, KernelResources, KernelStats, LaunchConfig};
+use gpu_sim::timing::{estimate_pass, time_kernel, KernelTiming};
+use gpu_sim::{occupancy, KernelResources, KernelStats};
 use std::fmt::Write as _;
 
 fn cmp(ours: f64, paper_val: f64) -> String {
@@ -30,13 +32,19 @@ fn cmp(ours: f64, paper_val: f64) -> String {
 }
 
 /// Sum of estimated step times, seconds.
-fn total(est: &[(&'static str, gpu_sim::KernelTiming)]) -> f64 {
+fn total(est: &[(&'static str, KernelTiming)]) -> f64 {
     est.iter().map(|(_, t)| t.time_s).sum()
 }
 
 /// GFLOPS of an estimated run at the nominal convention.
-fn est_gflops(est: &[(&'static str, gpu_sim::KernelTiming)], n: usize) -> f64 {
+fn est_gflops(est: &[(&'static str, KernelTiming)], n: usize) -> f64 {
     nominal_flops_3d(n, n, n) as f64 / total(est) / 1e9
+}
+
+/// `algo`'s per-step estimate of an `n`³ transform on `spec`.
+fn steps(algo: Algorithm, spec: &DeviceSpec, n: usize) -> Vec<(&'static str, KernelTiming)> {
+    algo.estimate_steps(spec, n, n, n)
+        .expect("cube inside the envelope")
 }
 
 /// Table 1 — device specifications.
@@ -141,7 +149,7 @@ pub fn table6(n: usize) -> String {
     let mut s = format!("Table 6: conventional six-step at {n}³ — per-step time (ms) and GB/s\n");
     let pass_gb = |t: &gpu_sim::KernelTiming| t.achieved_gbs;
     for (i, spec) in DeviceSpec::all_cards().iter().enumerate() {
-        let est = SixStepFft::estimate(spec, n, n, n);
+        let est = steps(Algorithm::SixStep, spec, n);
         let fft = &est[0].1;
         let tr = &est[1].1;
         let (p_fft_ms, p_fft_gb, p_tr_ms, p_tr_gb) = paper::TABLE6[i];
@@ -201,25 +209,18 @@ pub fn table7(n: usize) -> String {
 /// Table 8 — 65536 x 256-point 1-D FFTs, ours vs CUFFT1D.
 pub fn table8() -> String {
     let rows = 65536usize;
+    let elems = (rows * 256) as u64;
     let nominal = fft_math::flops::nominal_flops_batch(256, rows);
+    let plan = bifft::wisdom::plan_arc(256);
     let mut s = String::from("Table 8: 65536 sets of 256-point 1-D FFTs\n");
     for (i, spec) in DeviceSpec::all_cards().iter().enumerate() {
         // Ours: one out-of-place fine-grained batched pass.
-        let plan = bifft::FineFftPlan::new(256);
-        let occ = occupancy(&spec.arch, &plan.resources());
-        let cfg = bifft::kernel256::batched_config(
-            &plan,
-            rows,
-            spec.sms * occ.blocks_per_sm,
-            false,
-            "t8",
-        );
-        let ours = gpu_sim::timing::estimate_pass(spec, &cfg, &occ, (rows * 256) as u64);
+        let cfg = batched_config(spec, &plan, rows, false, "t8");
+        let ours = estimate_pass(spec, &cfg, elems);
         // CUFFT1D: two legacy passes.
-        let cu: f64 = CufftLikeFft::estimate(spec, 256, 256, 256)
+        let cu: f64 = ["cufft1d_pass1", "cufft1d_pass2"]
+            .map(|name| estimate_pass(spec, &cufft1d_config(spec, 256, rows, name), elems).time_s)
             .iter()
-            .take(2)
-            .map(|(_, t)| t.time_s)
             .sum();
         let (p_ms, p_gf, pc_ms, pc_gf) = paper::TABLE8[i];
         let _ = writeln!(
@@ -250,24 +251,9 @@ pub fn table9() -> String {
     let shared_x = FiveStepFft::estimate(&spec, n, n, n)[4].1.time_s;
 
     // Both no-shared variants share the same coalesced first pass.
-    let res = KernelResources {
-        threads_per_block: 64,
-        regs_per_thread: 52,
-        shared_bytes_per_block: 0,
-    };
-    let occ = occupancy(&spec.arch, &res);
-    let mk_cfg = |name: &'static str| LaunchConfig {
-        name,
-        grid_blocks: spec.sms * occ.blocks_per_sm,
-        resources: res,
-        class: KernelClass::RegisterFft,
-        read_pattern: AccessPattern::A,
-        write_pattern: AccessPattern::A,
-        in_place: false,
-        nominal_flops: 5 * vol * 8 / 2,
-        streams: 16,
-    };
-    let pass1 = gpu_sim::timing::estimate_pass(&spec, &mk_cfg("x1"), &occ, vol).time_s;
+    let mk_cfg = |name: &'static str| noshared_config(&spec, n, vol as usize / n, 16, name);
+    let pass1 = estimate_pass(&spec, &mk_cfg("x1"), vol).time_s;
+    let occ = occupancy(&spec.arch, &mk_cfg("x2").resources);
     // Texture second pass: strided texture reads + coalesced writes.
     let tex_stats = KernelStats {
         stores: vol,
@@ -451,9 +437,9 @@ pub fn figure(which: usize) -> String {
         "Figure {which}: {n}³ on-board GFLOPS (bandwidth-intensive / conventional / CUFFT-like)\n"
     );
     for (i, spec) in DeviceSpec::all_cards().iter().enumerate() {
-        let five = est_gflops(&FiveStepFft::estimate(spec, n, n, n), n);
-        let six = est_gflops(&SixStepFft::estimate(spec, n, n, n), n);
-        let cufft = est_gflops(&CufftLikeFft::estimate(spec, n, n, n), n);
+        let five = est_gflops(&steps(Algorithm::FiveStep, spec, n), n);
+        let six = est_gflops(&steps(Algorithm::SixStep, spec, n), n);
+        let cufft = est_gflops(&steps(Algorithm::CufftLike, spec, n), n);
         let p = paper_bars[i];
         let _ = writeln!(
             s,
@@ -580,9 +566,9 @@ mod tests {
     fn figure1_shape_holds() {
         // Who wins and by what factor (the reproduction contract).
         for spec in DeviceSpec::all_cards() {
-            let five = est_gflops(&FiveStepFft::estimate(&spec, 256, 256, 256), 256);
-            let six = est_gflops(&SixStepFft::estimate(&spec, 256, 256, 256), 256);
-            let cufft = est_gflops(&CufftLikeFft::estimate(&spec, 256, 256, 256), 256);
+            let five = est_gflops(&steps(Algorithm::FiveStep, &spec, 256), 256);
+            let six = est_gflops(&steps(Algorithm::SixStep, &spec, 256), 256);
+            let cufft = est_gflops(&steps(Algorithm::CufftLike, &spec, 256), 256);
             assert!(
                 five > 1.7 * six,
                 "{}: five {five:.1} vs six {six:.1}",
@@ -654,7 +640,7 @@ mod tests {
                     spec.name
                 );
             }
-            let est6 = SixStepFft::estimate(spec, 256, 256, 256);
+            let est6 = steps(Algorithm::SixStep, spec, 256);
             let p6 = paper::TABLE6[i];
             assert!(
                 (est6[0].1.time_s * 1e3 - p6.0).abs() / p6.0 < 0.07,

@@ -60,7 +60,10 @@ pub fn functional_crosscheck(n: usize) -> CrossCheck {
     let got6 = six.download(&gpu2, v2);
     let six_step_err = rel_l2_error_f32(&got6, &want);
 
-    // Functional vs estimated timing (same configs -> near-identical).
+    // Functional vs estimated timing: both read the plan's launch list, so
+    // they differ only where the functional launch measures coalescing, bank
+    // conflicts or strided texture reads the estimate does not assume (step
+    // 5's rows coalesce below 1 under 64 points).
     let est = FiveStepFft::estimate(gpu.spec(), n, n, n);
     let mut timing_gap: f64 = 0.0;
     for (step, (_, e)) in run5.steps.iter().zip(&est) {

@@ -5,15 +5,15 @@
 //! kernels — the shapes a CUFFT-class library exposes. Both operate on the
 //! natural contiguous layout.
 
-use crate::kernel256::{bind_twiddle_texture, run_batched_fft, FineFftPlan};
+use crate::kernel256::{batched_config, bind_twiddle_texture, run_batched_fft, FineFftPlan};
 use crate::plan::FftError;
 use crate::report::RunReport;
-use crate::transpose::run_transpose_2d;
+use crate::transpose::{run_transpose_2d, transpose_2d_config};
 use crate::wisdom;
 use fft_math::flops::nominal_flops_1d;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
-use gpu_sim::{AllocError, BufferId, Gpu, KernelReport, TextureId};
+use gpu_sim::{AllocError, BufferId, DeviceSpec, Gpu, KernelReport, Launch, TextureId};
 
 /// A planned batch of contiguous `n`-point 1-D FFTs on the device.
 pub struct Fft1dBatchGpu {
@@ -77,7 +77,8 @@ impl Fft1dBatchGpu {
             Direction::Forward => self.tw[0],
             Direction::Inverse => self.tw[1],
         };
-        run_batched_fft(gpu, &self.plan, src, dst, rows, dir, tw, "fft1d_batch")
+        let cfg = batched_config(gpu.spec(), &self.plan, rows, src == dst, "fft1d_batch");
+        run_batched_fft(gpu, &cfg, &self.plan, src, dst, rows, dir, tw)
     }
 }
 
@@ -139,9 +140,28 @@ impl Fft2dGpu {
         Ok((gpu.mem_mut().alloc(n)?, gpu.mem_mut().alloc(n)?))
     }
 
+    /// The launches of a batch of `planes` planes on `spec` whose X and Y
+    /// row FFTs run `fine`, in execution order: X rows, transpose, Y rows,
+    /// transpose back. Each moves every plane once each way.
+    pub(crate) fn launch_list(
+        spec: &DeviceSpec,
+        fine: [&FineFftPlan; 2],
+        planes: usize,
+    ) -> [Launch; 4] {
+        let [x, y] = fine;
+        let (nx, ny) = (x.len(), y.len());
+        let elems = (nx * ny * planes) as u64;
+        [
+            batched_config(spec, x, ny * planes, false, "fft2d_x"),
+            transpose_2d_config(spec, nx, ny, "fft2d_t1"),
+            batched_config(spec, y, nx * planes, false, "fft2d_y"),
+            transpose_2d_config(spec, ny, nx, "fft2d_t2"),
+        ]
+        .map(|cfg| Launch { cfg, elems })
+    }
+
     /// Transforms `planes` planes in `v` (natural order, x fastest), using
     /// `work` as scratch; results land back in `v`.
-    #[allow(clippy::vec_init_then_push)] // the pass sequence reads top to bottom
     pub fn execute(
         &self,
         gpu: &mut Gpu,
@@ -154,39 +174,38 @@ impl Fft2dGpu {
             Direction::Forward => 0,
             Direction::Inverse => 1,
         };
-        let mut steps = Vec::with_capacity(4);
-        steps.push(run_batched_fft(
-            gpu,
-            &self.fine_x,
-            v,
-            work,
-            self.ny * planes,
-            dir,
-            self.tw[0][di],
-            "fft2d_x",
-        ));
-        steps.push(run_transpose_2d(
-            gpu, work, v, self.nx, self.ny, planes, "fft2d_t1",
-        ));
-        steps.push(run_batched_fft(
-            gpu,
-            &self.fine_y,
-            v,
-            work,
-            self.nx * planes,
-            dir,
-            self.tw[1][di],
-            "fft2d_y",
-        ));
-        steps.push(run_transpose_2d(
-            gpu, work, v, self.ny, self.nx, planes, "fft2d_t2",
-        ));
+        let (nx, ny) = (self.nx, self.ny);
+        let [fft_x, t1, fft_y, t2] =
+            Self::launch_list(gpu.spec(), [&self.fine_x, &self.fine_y], planes).map(|l| l.cfg);
+        let steps = vec![
+            run_batched_fft(
+                gpu,
+                &fft_x,
+                &self.fine_x,
+                v,
+                work,
+                ny * planes,
+                dir,
+                self.tw[0][di],
+            ),
+            run_transpose_2d(gpu, &t1, work, v, nx, ny, planes),
+            run_batched_fft(
+                gpu,
+                &fft_y,
+                &self.fine_y,
+                v,
+                work,
+                nx * planes,
+                dir,
+                self.tw[1][di],
+            ),
+            run_transpose_2d(gpu, &t2, work, v, ny, nx, planes),
+        ];
         RunReport {
             algorithm: "fft2d",
-            dims: (self.nx, self.ny, planes),
+            dims: (nx, ny, planes),
             nominal_flops: planes as u64
-                * (self.ny as u64 * nominal_flops_1d(self.nx)
-                    + self.nx as u64 * nominal_flops_1d(self.ny)),
+                * (ny as u64 * nominal_flops_1d(nx) + nx as u64 * nominal_flops_1d(ny)),
             steps,
             trace: None,
         }

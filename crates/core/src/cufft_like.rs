@@ -28,11 +28,9 @@ use fft_math::lanes::{
 use fft_math::layout::AccessPattern;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
-use gpu_sim::occupancy::occupancy;
-use gpu_sim::timing::{estimate_pass, KernelTiming};
 use gpu_sim::{
     AllocError, BufferId, DeviceMemory, DeviceSpec, Gpu, KernelClass, KernelReport,
-    KernelResources, LaunchConfig,
+    KernelResources, Launch, LaunchConfig,
 };
 
 /// The two legacy 1-D passes' block shape.
@@ -63,27 +61,17 @@ const RES_COPY: KernelResources = KernelResources {
 /// visit moves 512 contiguous bytes there instead of one cache line.
 const VISIT_ROWS: usize = 64;
 
-/// Batched 1-D FFT the way CUFFT 1.1 ran it: the transform's arithmetic
-/// split over two full passes through device memory, each through
-/// [`Gpu::launch_replay`].
-///
-/// Functionally, pass 1 computes the whole transform and pass 2 copies —
-/// together they move exactly the traffic (2 x read+write) and execute
-/// exactly the arithmetic (charged half per pass) of the historical two-pass
-/// radix pipeline.
-pub fn cufft1d_batch(
-    gpu: &mut Gpu,
-    plan: &Fft1dPlan,
-    src: BufferId,
-    dst: BufferId,
+/// The launch of one of the two legacy 1-D passes over `rows` `n`-point
+/// rows on `spec`: each charges half the transform's arithmetic.
+pub fn cufft1d_config(
+    spec: &DeviceSpec,
+    n: usize,
     rows: usize,
-    dir: Direction,
-) -> Vec<KernelReport> {
-    let n = plan.len();
-    let grid = gpu.fill_grid(&RES_1D);
-    let cfg = |name: &'static str| LaunchConfig {
+    name: &'static str,
+) -> LaunchConfig {
+    LaunchConfig {
         name,
-        grid_blocks: grid,
+        grid_blocks: spec.fill_grid(&RES_1D),
         resources: RES_1D,
         class: KernelClass::LegacyFft,
         read_pattern: AccessPattern::X,
@@ -91,25 +79,44 @@ pub fn cufft1d_batch(
         in_place: false,
         nominal_flops: rows as u64 * nominal_flops_1d(n) / 2,
         streams: 1,
-    };
+    }
+}
+
+/// Batched 1-D FFT the way CUFFT 1.1 ran it: the transform's arithmetic
+/// split over two full passes through device memory, launched as `cfgs`
+/// (two [`cufft1d_config`]s), each through [`Gpu::launch_replay`].
+///
+/// Functionally, pass 1 computes the whole transform and pass 2 copies —
+/// together they move exactly the traffic (2 x read+write) and execute
+/// exactly the arithmetic (charged half per pass) of the historical two-pass
+/// radix pipeline.
+pub fn cufft1d_batch(
+    gpu: &mut Gpu,
+    cfgs: [&LaunchConfig; 2],
+    plan: &Fft1dPlan,
+    src: BufferId,
+    dst: BufferId,
+    rows: usize,
+    dir: Direction,
+) -> [KernelReport; 2] {
+    let n = plan.len();
+    let [pass1, pass2] = cfgs;
     // The direction picks only the arithmetic, never an address, count or
     // branch a counter sees, so it is not part of either pass's shape.
     let shape = [n as u64, rows as u64];
-    let pass1 = cfg("cufft1d_pass1");
     let r1 = gpu.launch_replay(
-        &pass1,
+        pass1,
         &[src, dst],
         &shape,
-        |g| simulate_pass1(g, &pass1, plan, src, dst, rows, dir),
+        |g| simulate_pass1(g, pass1, plan, src, dst, rows, dir),
         |mem, _| native_pass1(mem, plan, src, dst, rows, dir),
     );
-    let pass2 = cfg("cufft1d_pass2");
     let r2 = gpu.launch_replay(
-        &pass2,
+        pass2,
         &[dst],
         &shape,
         |g| {
-            g.launch_items(&pass2, rows * n, |t, i| {
+            g.launch_items(pass2, rows * n, |t, i| {
                 let v = t.ld(dst, i);
                 t.st(dst, i, v);
                 t.flops(5 * n as u64 / 2);
@@ -121,7 +128,7 @@ pub fn cufft1d_batch(
             mem.backed_mut(dst, rows * n);
         },
     );
-    vec![r1, r2]
+    [r1, r2]
 }
 
 /// The simulated pass 1: one block per row (grid-strided), lanes own
@@ -211,29 +218,28 @@ fn row_base(r: usize, n: usize, stride: usize) -> usize {
 #[allow(clippy::too_many_arguments)]
 fn run_multirow_axis(
     gpu: &mut Gpu,
+    cfg: &LaunchConfig,
     buf: BufferId,
     spill: BufferId,
     plan: &Fft1dPlan,
     stride: usize,
     rows: usize,
     dir: Direction,
-    name: &'static str,
 ) -> KernelReport {
     let n = plan.len();
-    let cfg = multirow_config(gpu, n, stride, rows, name);
     gpu.launch_replay(
-        &cfg,
+        cfg,
         &[buf, spill],
         &[n as u64, stride as u64, rows as u64],
-        |g| simulate_multirow(g, &cfg, buf, spill, plan, stride, rows, dir),
-        |mem, _| native_multirow(mem, &cfg, buf, spill, plan, stride, rows, dir),
+        |g| simulate_multirow(g, cfg, buf, spill, plan, stride, rows, dir),
+        |mem, _| native_multirow(mem, cfg, buf, spill, plan, stride, rows, dir),
     )
 }
 
 /// The multirow launch over `rows` rows of an `n`-point axis `stride`
-/// elements apart.
+/// elements apart, on `spec`.
 fn multirow_config(
-    gpu: &Gpu,
+    spec: &DeviceSpec,
     n: usize,
     stride: usize,
     rows: usize,
@@ -242,7 +248,7 @@ fn multirow_config(
     let pattern = classify_stride(stride * 8);
     LaunchConfig {
         name,
-        grid_blocks: gpu.fill_grid(&RES_MULTIROW),
+        grid_blocks: spec.fill_grid(&RES_MULTIROW),
         resources: RES_MULTIROW,
         class: KernelClass::LegacyFft,
         read_pattern: pattern,
@@ -341,12 +347,11 @@ fn native_multirow(
     }
 }
 
-/// The final copy back into the caller's buffer, as CUFFT's API contract
-/// (out-of-place into the user buffer) required.
-fn copyback(gpu: &mut Gpu, src: BufferId, dst: BufferId, vol: usize) -> KernelReport {
-    let cfg = LaunchConfig {
+/// The launch of the final copy on `spec`.
+fn copyback_config(spec: &DeviceSpec) -> LaunchConfig {
+    LaunchConfig {
         name: "cufft_copyback",
-        grid_blocks: gpu.fill_grid(&RES_COPY),
+        grid_blocks: spec.fill_grid(&RES_COPY),
         resources: RES_COPY,
         class: KernelClass::Copy,
         read_pattern: AccessPattern::X,
@@ -354,13 +359,24 @@ fn copyback(gpu: &mut Gpu, src: BufferId, dst: BufferId, vol: usize) -> KernelRe
         in_place: false,
         nominal_flops: 0,
         streams: 1,
-    };
+    }
+}
+
+/// The final copy back into the caller's buffer, as CUFFT's API contract
+/// (out-of-place into the user buffer) required, launched as `cfg`.
+fn copyback(
+    gpu: &mut Gpu,
+    cfg: &LaunchConfig,
+    src: BufferId,
+    dst: BufferId,
+    vol: usize,
+) -> KernelReport {
     gpu.launch_replay(
-        &cfg,
+        cfg,
         &[src, dst],
         &[vol as u64],
         |g| {
-            g.launch_items(&cfg, vol, |t, i| {
+            g.launch_items(cfg, vol, |t, i| {
                 let val = t.ld(src, i);
                 t.st(dst, i, val);
             })
@@ -379,6 +395,7 @@ pub struct CufftLikeFft {
     nz: usize,
     /// One planned 1-D transform per distinct axis length.
     plans: Vec<Fft1dPlan>,
+    launches: Vec<Launch>,
     /// The Y and Z multirow kernels' shared spill area, or why it did not
     /// fit on the card.
     spill: Result<BufferId, AllocError>,
@@ -395,7 +412,9 @@ impl CufftLikeFft {
     /// When it does not fit, [`CufftLikeFft::alloc_buffers`] reports the
     /// error.
     pub fn new(gpu: &mut Gpu, nx: usize, ny: usize, nz: usize) -> Self {
-        let threads = gpu.fill_grid(&RES_MULTIROW) * RES_MULTIROW.threads_per_block;
+        let launches = Self::launch_list(gpu.spec(), nx, ny, nz);
+        let multirow = &launches[2].cfg;
+        let threads = multirow.grid_blocks * multirow.resources.threads_per_block;
         let spill = gpu.mem_mut().alloc(ny.max(nz) / 2 * threads);
         let mut plans: Vec<Fft1dPlan> = Vec::new();
         for n in [nx, ny, nz] {
@@ -408,9 +427,38 @@ impl CufftLikeFft {
             ny,
             nz,
             plans,
+            launches,
             spill,
             _guard: BufferGuard::new(gpu, spill.iter().copied().collect()),
         }
+    }
+
+    /// The launches of an `nx x ny x nz` plan on `spec`, in execution
+    /// order: the two 1-D passes along X, the Y and Z multirow passes and
+    /// the copy-back. Each moves the whole volume once each way, and a
+    /// multirow pass half as much again through its spill area
+    /// ([`run_multirow_axis`]).
+    pub(crate) fn launch_list(spec: &DeviceSpec, nx: usize, ny: usize, nz: usize) -> Vec<Launch> {
+        let vol = nx * ny * nz;
+        let pass = |name| cufft1d_config(spec, nx, vol / nx, name);
+        let y = multirow_config(spec, ny, nx, vol / ny, "cufft_y_multirow");
+        let z = multirow_config(spec, nz, nx * ny, vol / nz, "cufft_z_multirow");
+        let (once, spilled) = (vol as u64, vol as u64 * 3 / 2);
+        [
+            (pass("cufft1d_pass1"), once),
+            (pass("cufft1d_pass2"), once),
+            (y, spilled),
+            (z, spilled),
+            (copyback_config(spec), once),
+        ]
+        .map(|(cfg, elems)| Launch { cfg, elems })
+        .to_vec()
+    }
+
+    /// The plan's launches, in execution order: what `execute` runs and
+    /// [`crate::plan::Algorithm::estimate_steps`] prices.
+    pub fn launches(&self) -> &[Launch] {
+        &self.launches
     }
 
     /// Total elements.
@@ -451,9 +499,19 @@ impl CufftLikeFft {
         let spill = self.spill.expect("spill area fits");
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let vol = self.volume();
+        let cfg = |i: usize| &self.launches[i].cfg;
+        let mut steps = Vec::with_capacity(5);
         gpu.span_begin("cufft_like");
         gpu.span_begin("cufft_1d_x");
-        let mut steps = cufft1d_batch(gpu, self.plan(nx), v, work, vol / nx, dir);
+        steps.extend(cufft1d_batch(
+            gpu,
+            [cfg(0), cfg(1)],
+            self.plan(nx),
+            v,
+            work,
+            vol / nx,
+            dir,
+        ));
         gpu.span_end("cufft_1d_x");
         // The 1-D path is out of place, so its result lands in `work`; the
         // Y and Z kernels transform `work` in place, and a final copy
@@ -461,29 +519,29 @@ impl CufftLikeFft {
         gpu.span_begin("cufft_y");
         steps.push(run_multirow_axis(
             gpu,
+            cfg(2),
             work,
             spill,
             self.plan(ny),
             nx,
             vol / ny,
             dir,
-            "cufft_y_multirow",
         ));
         gpu.span_end("cufft_y");
         gpu.span_begin("cufft_z");
         steps.push(run_multirow_axis(
             gpu,
+            cfg(3),
             work,
             spill,
             self.plan(nz),
             nx * ny,
             vol / nz,
             dir,
-            "cufft_z_multirow",
         ));
         gpu.span_end("cufft_z");
         gpu.span_begin("cufft_copyback");
-        steps.push(copyback(gpu, work, v, vol));
+        steps.push(copyback(gpu, cfg(4), work, v, vol));
         gpu.span_end("cufft_copyback");
         gpu.span_end("cufft_like");
         RunReport {
@@ -493,76 +551,6 @@ impl CufftLikeFft {
             steps,
             trace: None,
         }
-    }
-}
-
-impl CufftLikeFft {
-    /// Analytic per-step estimate (same configurations as the functional
-    /// kernels; no execution).
-    pub fn estimate(
-        spec: &DeviceSpec,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-    ) -> Vec<(&'static str, KernelTiming)> {
-        let vol = (nx * ny * nz) as u64;
-        let mut out = Vec::new();
-        // Two legacy 1-D passes along X.
-        let occ = occupancy(&spec.arch, &RES_1D);
-        let grid = spec.sms * occ.blocks_per_sm;
-        for name in ["cufft1d_pass1", "cufft1d_pass2"] {
-            let cfg = LaunchConfig {
-                name,
-                grid_blocks: grid,
-                resources: RES_1D,
-                class: KernelClass::LegacyFft,
-                read_pattern: AccessPattern::X,
-                write_pattern: AccessPattern::X,
-                in_place: false,
-                nominal_flops: vol / nx as u64 * nominal_flops_1d(nx) / 2,
-                streams: 1,
-            };
-            out.push((name, estimate_pass(spec, &cfg, &occ, vol)));
-        }
-        // Whole-axis-per-thread multirow passes for Y and Z.
-        let occ = occupancy(&spec.arch, &RES_MULTIROW);
-        let grid = spec.sms * occ.blocks_per_sm;
-        for (axis, n, stride, name) in [
-            ('y', ny, nx * 8, "cufft_y_multirow"),
-            ('z', nz, nx * ny * 8, "cufft_z_multirow"),
-        ] {
-            let _ = axis;
-            let p = classify_stride(stride);
-            let cfg = LaunchConfig {
-                name,
-                grid_blocks: grid,
-                resources: RES_MULTIROW,
-                class: KernelClass::LegacyFft,
-                read_pattern: p,
-                write_pattern: p,
-                in_place: true,
-                nominal_flops: vol / n as u64 * nominal_flops_1d(n),
-                streams: n,
-            };
-            // +50% traffic: the local-memory spill round trip (see
-            // run_multirow_axis).
-            out.push((name, estimate_pass(spec, &cfg, &occ, vol * 3 / 2)));
-        }
-        // Final copy back into the caller's buffer.
-        let occ = occupancy(&spec.arch, &RES_COPY);
-        let cfg = LaunchConfig {
-            name: "cufft_copyback",
-            grid_blocks: spec.sms * occ.blocks_per_sm,
-            resources: RES_COPY,
-            class: KernelClass::Copy,
-            read_pattern: AccessPattern::X,
-            write_pattern: AccessPattern::X,
-            in_place: false,
-            nominal_flops: 0,
-            streams: 1,
-        };
-        out.push(("cufft_copyback", estimate_pass(spec, &cfg, &occ, vol)));
-        out
     }
 }
 
@@ -666,10 +654,10 @@ mod tests {
                 let mut seen = Vec::new();
                 for (i, g) in cards.iter_mut().enumerate() {
                     g.mem_mut().upload(buf, 0, &host);
+                    let cfg = multirow_config(g.spec(), n, stride, rows, "mr");
                     let rep = if i == 0 {
-                        run_multirow_axis(g, buf, spill, &plan, stride, rows, dir, "mr")
+                        run_multirow_axis(g, &cfg, buf, spill, &plan, stride, rows, dir)
                     } else {
-                        let cfg = multirow_config(g, n, stride, rows, "mr");
                         simulate_multirow(g, &cfg, buf, spill, &plan, stride, rows, dir)
                     };
                     let mut out = vec![Complex32::ZERO; rows * n + g.mem().len(spill)];
@@ -697,7 +685,16 @@ mod tests {
         let src = gpu.mem_mut().alloc(256 * 4).unwrap();
         let dst = gpu.mem_mut().alloc(256 * 4).unwrap();
         let plan = Fft1dPlan::new(256);
-        let reps = cufft1d_batch(&mut gpu, &plan, src, dst, 4, Direction::Forward);
-        assert_eq!(reps.len(), 2);
+        let cfgs = ["p1", "p2"].map(|name| cufft1d_config(gpu.spec(), 256, 4, name));
+        let reps = cufft1d_batch(
+            &mut gpu,
+            [&cfgs[0], &cfgs[1]],
+            &plan,
+            src,
+            dst,
+            4,
+            Direction::Forward,
+        );
+        assert_eq!(reps.map(|r| r.name), ["p1", "p2"]);
     }
 }

@@ -13,17 +13,19 @@
 //! Every strided pass reads pattern D and writes pattern A or B — never the
 //! catastrophic C/D x C/D combinations of Tables 3–4.
 
-use crate::kernel16::{coarse_resources, pass_config, replay_strided_pass};
+use crate::kernel16::{pass_config, replay_strided_pass};
 use crate::kernel256::{batched_config, bind_twiddle_texture, replay_batched_fft, FineFftPlan};
+use crate::plan::Algorithm;
 use crate::report::RunReport;
 use fft_math::flops::nominal_flops_3d;
 use fft_math::layout::FiveStepPlanLayout;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
-use gpu_sim::occupancy::occupancy;
-use gpu_sim::timing::{estimate_pass, KernelTiming};
-use gpu_sim::DeviceSpec;
-use gpu_sim::{AllocError, BufferId, Gpu, TextureId};
+use gpu_sim::timing::KernelTiming;
+use gpu_sim::{AllocError, BufferId, DeviceSpec, Gpu, Launch, TextureId};
+
+/// The strided passes' step names, in launch order.
+const STRIDED_STEPS: [&str; 4] = ["step1_z16", "step2_z16", "step3_y16", "step4_y16"];
 
 /// A planned five-step 3-D FFT bound to one device.
 ///
@@ -52,6 +54,7 @@ use gpu_sim::{AllocError, BufferId, Gpu, TextureId};
 pub struct FiveStepFft {
     layout: FiveStepPlanLayout,
     fine: FineFftPlan,
+    launches: Vec<Launch>,
     tw_fwd: TextureId,
     tw_inv: TextureId,
 }
@@ -65,14 +68,42 @@ impl FiveStepFft {
     /// Plans with an explicit layout (used for split-swapped inverse plans).
     pub fn from_layout(gpu: &mut Gpu, layout: FiveStepPlanLayout) -> Self {
         let fine = crate::wisdom::plan(layout.nx);
+        let launches = Self::launch_list(gpu.spec(), &layout, &fine);
         let tw_fwd = bind_twiddle_texture(gpu, layout.nx, Direction::Forward);
         let tw_inv = bind_twiddle_texture(gpu, layout.nx, Direction::Inverse);
         FiveStepFft {
             layout,
             fine,
+            launches,
             tw_fwd,
             tw_inv,
         }
+    }
+
+    /// The launches of a plan with `layout` on `spec`, in execution order:
+    /// the four strided passes, then step 5 over `fine` in place. Each moves
+    /// the whole volume once each way.
+    pub(crate) fn launch_list(
+        spec: &DeviceSpec,
+        layout: &FiveStepPlanLayout,
+        fine: &FineFftPlan,
+    ) -> Vec<Launch> {
+        let elems = layout.volume() as u64;
+        let strided = layout.strided_passes();
+        let step5 = batched_config(spec, fine, layout.ny * layout.nz, true, "step5_x");
+        strided
+            .iter()
+            .zip(STRIDED_STEPS)
+            .map(|(pass, name)| pass_config(spec, pass, name))
+            .chain([step5])
+            .map(|cfg| Launch { cfg, elems })
+            .collect()
+    }
+
+    /// The plan's launches, in execution order: what `execute` runs and
+    /// [`Algorithm::estimate_steps`] prices.
+    pub fn launches(&self) -> &[Launch] {
+        &self.launches
     }
 
     /// A plan that consumes this plan's *output* layout directly — chain a
@@ -142,16 +173,14 @@ impl FiveStepFft {
     /// scratch of the same size.
     pub fn execute(&self, gpu: &mut Gpu, v: BufferId, work: BufferId, dir: Direction) -> RunReport {
         let l = &self.layout;
-        let passes = l.strided_passes();
-        let names = ["step1_z16", "step2_z16", "step3_y16", "step4_y16"];
         let spans = ["z_fft_pass1", "z_fft_pass2", "y_fft_pass1", "y_fft_pass2"];
         gpu.span_begin("five_step");
         let mut steps = Vec::with_capacity(5);
         let mut src = v;
         let mut dst = work;
-        for ((pass, name), span) in passes.iter().zip(names).zip(spans) {
+        for ((pass, launch), span) in l.strided_passes().iter().zip(&self.launches).zip(spans) {
             gpu.span_begin(span);
-            steps.push(replay_strided_pass(gpu, src, dst, pass, dir, name));
+            steps.push(replay_strided_pass(gpu, &launch.cfg, src, dst, pass, dir));
             gpu.span_end(span);
             std::mem::swap(&mut src, &mut dst);
         }
@@ -162,9 +191,10 @@ impl FiveStepFft {
             Direction::Inverse => self.tw_inv,
         };
         let rows = l.ny * l.nz;
+        let step5 = &self.launches[4].cfg;
         gpu.span_begin("x_fft_shared");
         steps.push(replay_batched_fft(
-            gpu, &self.fine, v, v, rows, dir, tw, "step5_x",
+            gpu, step5, &self.fine, v, v, rows, dir, tw,
         ));
         gpu.span_end("x_fft_shared");
         gpu.span_end("five_step");
@@ -178,33 +208,24 @@ impl FiveStepFft {
         }
     }
 
-    /// Analytic per-step timing estimate at any size, without functional
-    /// execution — the fast path the report harness uses to project
-    /// paper-scale (256³) numbers. Uses the *same* launch configurations as
-    /// the functional kernels, so the two paths agree exactly.
+    /// Analytic per-step timing estimate at any shape in the five-step
+    /// envelope, without functional execution: [`Algorithm::estimate_steps`]
+    /// over the launches `execute` runs. Swept over every shape with axes
+    /// in {16, 32, 64} on all four cards, each functional step equals it to
+    /// 1e-9 except step 5 on a 16- or 32-point X axis: those rows coalesce
+    /// below 1, so the functional step is slower.
+    ///
+    /// # Panics
+    /// Panics outside the envelope ([`Algorithm::check_shape`]).
     pub fn estimate(
         spec: &DeviceSpec,
         nx: usize,
         ny: usize,
         nz: usize,
     ) -> Vec<(&'static str, KernelTiming)> {
-        let layout = FiveStepPlanLayout::new(nx, ny, nz);
-        let elems = layout.volume() as u64;
-        let names = ["step1_z16", "step2_z16", "step3_y16", "step4_y16"];
-        let mut out = Vec::with_capacity(5);
-        for (pass, name) in layout.strided_passes().iter().zip(names) {
-            let res = coarse_resources(pass.fft_len);
-            let occ = occupancy(&spec.arch, &res);
-            let grid = spec.sms * occ.blocks_per_sm;
-            let cfg = pass_config(pass, grid, name);
-            out.push((name, estimate_pass(spec, &cfg, &occ, elems)));
-        }
-        let fine = FineFftPlan::new(nx);
-        let occ = occupancy(&spec.arch, &fine.resources());
-        let grid = spec.sms * occ.blocks_per_sm;
-        let cfg = batched_config(&fine, ny * nz, grid, true, "step5_x");
-        out.push(("step5_x", estimate_pass(spec, &cfg, &occ, elems)));
-        out
+        Algorithm::FiveStep
+            .estimate_steps(spec, nx, ny, nz)
+            .expect("shape inside the five-step envelope")
     }
 
     /// Convenience: upload a natural-order host volume (packing included).

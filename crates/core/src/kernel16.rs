@@ -19,7 +19,8 @@ use fft_math::layout::{StridedPass, View5};
 use fft_math::twiddle::{Direction, InterTwiddle};
 use fft_math::Complex32;
 use gpu_sim::{
-    BufferId, DeviceMemory, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig,
+    BufferId, DeviceMemory, DeviceSpec, Gpu, KernelClass, KernelReport, KernelResources,
+    LaunchConfig,
 };
 
 /// Register demand of the coarse kernel for an `n`-point per-thread FFT.
@@ -39,14 +40,19 @@ pub fn coarse_resources(fft_len: usize) -> KernelResources {
     }
 }
 
-/// Builds the launch configuration of one strided pass (shared between the
-/// functional path and the analytic estimator).
-pub fn pass_config(pass: &StridedPass, grid: usize, name: &'static str) -> LaunchConfig {
+/// The launch of one strided pass on `spec`: the one configuration the
+/// functional pass and the analytic estimator both use.
+pub fn pass_config(spec: &DeviceSpec, pass: &StridedPass, name: &'static str) -> LaunchConfig {
     let n = pass.fft_len;
+    assert!(
+        n <= 16,
+        "coarse kernel is register-resident: fft_len must be <= 16"
+    );
+    let resources = coarse_resources(n);
     LaunchConfig {
         name,
-        grid_blocks: grid,
-        resources: coarse_resources(n),
+        grid_blocks: spec.fill_grid(&resources),
+        resources,
         class: KernelClass::RegisterFft,
         read_pattern: pass.read_pattern,
         write_pattern: pass.write_pattern,
@@ -115,47 +121,18 @@ fn inter_twiddle(pass: &StridedPass, dir: Direction) -> Option<InterTwiddle> {
         .then(|| InterTwiddle::new(n, pass.axis_len / n, dir))
 }
 
-/// The launch of one strided pass on `gpu`.
-fn pass_launch(gpu: &Gpu, pass: &StridedPass, name: &'static str) -> LaunchConfig {
-    assert!(
-        pass.fft_len <= 16,
-        "coarse kernel is register-resident: fft_len must be <= 16"
-    );
-    let grid = gpu.fill_grid(&coarse_resources(pass.fft_len));
-    pass_config(pass, grid, name)
-}
-
-/// Executes one strided pass (`src` → `dst`) on the device.
-///
-/// `pass` carries the 5-D views, FFT length, and declared access patterns
-/// from [`fft_math::layout::FiveStepPlanLayout::strided_passes`]. The kernel
-/// is fully functional; the returned report carries measured coalescing and
-/// modelled timing.
-pub fn run_strided_pass(
-    gpu: &mut Gpu,
-    src: BufferId,
-    dst: BufferId,
-    pass: &StridedPass,
-    dir: Direction,
-    name: &'static str,
-) -> KernelReport {
-    let cfg = pass_launch(gpu, pass, name);
-    simulate_strided_pass(gpu, &cfg, src, dst, pass, dir)
-}
-
 /// [`run_strided_pass`] through [`Gpu::launch_replay`]: the first pass of a
 /// shape is simulated, and every later one computes the same rows in plain
 /// loops and reuses its report. Outputs and report are bit-identical to
 /// [`run_strided_pass`]'s.
 pub fn replay_strided_pass(
     gpu: &mut Gpu,
+    cfg: &LaunchConfig,
     src: BufferId,
     dst: BufferId,
     pass: &StridedPass,
     dir: Direction,
-    name: &'static str,
 ) -> KernelReport {
-    let cfg = pass_launch(gpu, pass, name);
     // As for the row FFT, the direction changes only the values computed.
     let (i, o) = (pass.input, pass.output);
     let shape = [
@@ -176,17 +153,23 @@ pub fn replay_strided_pass(
     ]
     .map(|w| w as u64);
     gpu.launch_replay(
-        &cfg,
+        cfg,
         &[src, dst],
         &shape,
-        |g| simulate_strided_pass(g, &cfg, src, dst, pass, dir),
+        |g| run_strided_pass(g, cfg, src, dst, pass, dir),
         |mem, _| native_strided_pass(mem, src, dst, pass, dir),
     )
 }
 
-/// The simulated pass: one thread per row, gathered and scattered through
-/// global memory.
-fn simulate_strided_pass(
+/// Executes one strided pass (`src` → `dst`) on the device as `cfg`, its
+/// [`pass_config`]: one simulated thread per row, gathered and scattered
+/// through global memory.
+///
+/// `pass` carries the 5-D views, FFT length, and declared access patterns
+/// from [`fft_math::layout::FiveStepPlanLayout::strided_passes`]. The kernel
+/// is fully functional; the returned report carries measured coalescing and
+/// modelled timing.
+pub fn run_strided_pass(
     gpu: &mut Gpu,
     cfg: &LaunchConfig,
     src: BufferId,
@@ -288,7 +271,8 @@ mod tests {
             .collect();
         gpu.mem_mut().upload(src, 0, &host);
 
-        run_strided_pass(&mut gpu, src, dst, &pass, Direction::Forward, "p1");
+        let cfg = pass_config(gpu.spec(), &pass, "p1");
+        run_strided_pass(&mut gpu, &cfg, src, dst, &pass, Direction::Forward);
 
         let in_view = pass.input;
         let out_view = pass.output;
@@ -327,7 +311,8 @@ mod tests {
         let mut gpu = make_gpu();
         let src = gpu.mem_mut().alloc(vol).unwrap();
         let dst = gpu.mem_mut().alloc(vol).unwrap();
-        let rep = run_strided_pass(&mut gpu, src, dst, &pass, Direction::Forward, "p1");
+        let cfg = pass_config(gpu.spec(), &pass, "p1");
+        let rep = run_strided_pass(&mut gpu, &cfg, src, dst, &pass, Direction::Forward);
         assert!(rep.stats.coalesced_fraction() > 0.999, "{:?}", rep.stats);
         assert_eq!(rep.stats.loads, vol as u64);
         assert_eq!(rep.stats.stores, vol as u64);
@@ -366,7 +351,8 @@ mod tests {
             .map(|i| Complex32::new((i as f32).sin(), (i as f32).cos()))
             .collect();
         gpu.mem_mut().upload(a, 0, &host);
-        run_strided_pass(&mut gpu, a, b, &passes[0], Direction::Forward, "fwd");
+        let cfg = pass_config(gpu.spec(), &passes[0], "fwd");
+        run_strided_pass(&mut gpu, &cfg, a, b, &passes[0], Direction::Forward);
         // Invert: an inverse pass over the *output's* slot-1 digit with the
         // same (input-view, output-view) roles swapped is pass 1 of the
         // split-swapped plan run on different digits; the cheap check here

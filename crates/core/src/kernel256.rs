@@ -24,8 +24,8 @@ use fft_math::twiddle::{Direction, TwiddleTable};
 use fft_math::Complex32;
 use gpu_sim::shared::bank_conflict_degree;
 use gpu_sim::{
-    BufferId, DeviceMemory, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig,
-    TexAccess, TextureId,
+    BufferId, DeviceMemory, DeviceSpec, Gpu, KernelClass, KernelReport, KernelResources,
+    LaunchConfig, TexAccess, TextureId,
 };
 
 /// One Stockham stage of the decomposition.
@@ -315,19 +315,21 @@ pub fn bind_twiddle_texture(gpu: &mut Gpu, n: usize, dir: Direction) -> TextureI
     gpu.bind_texture(table.as_slice().to_vec(), TexAccess::Cached)
 }
 
-/// Builds the launch configuration of a batched fine-grained row-FFT pass
-/// (shared between the functional path and the analytic estimator).
+/// The launch of a batched fine-grained row-FFT pass over `rows` rows on
+/// `spec`: one block per row, so never more blocks than rows. The one
+/// configuration the functional pass and the analytic estimator both use.
 pub fn batched_config(
+    spec: &DeviceSpec,
     plan: &FineFftPlan,
     rows: usize,
-    grid: usize,
     in_place: bool,
     name: &'static str,
 ) -> LaunchConfig {
+    let resources = plan.resources();
     LaunchConfig {
         name,
-        grid_blocks: grid,
-        resources: plan.resources(),
+        grid_blocks: spec.fill_grid(&resources).min(rows.max(1)),
+        resources,
         class: KernelClass::SharedFft,
         read_pattern: AccessPattern::X,
         write_pattern: AccessPattern::X,
@@ -403,39 +405,6 @@ fn butterfly<T: FftValue>(
     }
 }
 
-/// The launch of a batched row-FFT pass over `rows` rows on `gpu`.
-fn batched_launch(
-    gpu: &Gpu,
-    plan: &FineFftPlan,
-    rows: usize,
-    in_place: bool,
-    name: &'static str,
-) -> LaunchConfig {
-    let grid = gpu.fill_grid(&plan.resources()).min(rows.max(1));
-    batched_config(plan, rows, grid, in_place, name)
-}
-
-/// Runs `rows` consecutive `n`-point FFTs: row `r` occupies elements
-/// `[r*n, (r+1)*n)` of `src` and lands in the same range of `dst` (which may
-/// equal `src` for the in-place step 5).
-///
-/// `tw` must be the texture bound by [`bind_twiddle_texture`] for the same
-/// `n` and direction.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batched_fft(
-    gpu: &mut Gpu,
-    plan: &FineFftPlan,
-    src: BufferId,
-    dst: BufferId,
-    rows: usize,
-    dir: Direction,
-    tw: TextureId,
-    name: &'static str,
-) -> KernelReport {
-    let cfg = batched_launch(gpu, plan, rows, src == dst, name);
-    simulate_batched_fft(gpu, &cfg, plan, src, dst, rows, dir, tw)
-}
-
 /// [`run_batched_fft`] through [`Gpu::launch_replay`]: the first pass of a
 /// shape is simulated, and every later one runs the same butterflies in
 /// plain loops and reuses its report. Outputs and report are bit-identical
@@ -443,33 +412,38 @@ pub fn run_batched_fft(
 #[allow(clippy::too_many_arguments)]
 pub fn replay_batched_fft(
     gpu: &mut Gpu,
+    cfg: &LaunchConfig,
     plan: &FineFftPlan,
     src: BufferId,
     dst: BufferId,
     rows: usize,
     dir: Direction,
     tw: TextureId,
-    name: &'static str,
 ) -> KernelReport {
-    let cfg = batched_launch(gpu, plan, rows, src == dst, name);
     // The direction picks only the arithmetic (the rotation's sign and the
     // twiddles' values), never an address, count or branch a counter sees,
     // so an inverse pass replays its forward twin's report.
     let mut shape = vec![rows as u64, gpu.texture_access(tw) as u64];
     plan.shape_words(&mut shape);
     gpu.launch_replay(
-        &cfg,
+        cfg,
         &[src, dst],
         &shape,
-        |g| simulate_batched_fft(g, &cfg, plan, src, dst, rows, dir, tw),
+        |g| run_batched_fft(g, cfg, plan, src, dst, rows, dir, tw),
         |mem, tex| native_batched_fft(mem, tex.data(tw), plan, src, dst, rows, dir),
     )
 }
 
-/// The simulated batched pass: one cooperative block per row, stages
-/// exchanged through padded shared memory.
+/// Runs `rows` consecutive `n`-point FFTs as `cfg`, their
+/// [`batched_config`]: row `r` occupies elements `[r*n, (r+1)*n)` of `src`
+/// and lands in the same range of `dst` (which may equal `src` for the
+/// in-place step 5). One cooperative block per row, stages exchanged
+/// through padded shared memory.
+///
+/// `tw` must be the texture bound by [`bind_twiddle_texture`] for the same
+/// `n` and direction.
 #[allow(clippy::too_many_arguments)]
-fn simulate_batched_fft(
+pub fn run_batched_fft(
     gpu: &mut Gpu,
     cfg: &LaunchConfig,
     plan: &FineFftPlan,
@@ -724,7 +698,8 @@ mod tests {
         let src = gpu.mem_mut().alloc(n * rows).unwrap();
         gpu.mem_mut().upload(src, 0, &host);
         let tw = bind_twiddle_texture(&mut gpu, n, dir);
-        let rep = run_batched_fft(&mut gpu, &plan, src, src, rows, dir, tw, "fine");
+        let cfg = batched_config(gpu.spec(), &plan, rows, true, "fine");
+        let rep = run_batched_fft(&mut gpu, &cfg, &plan, src, src, rows, dir, tw);
         let mut out = vec![Complex32::ZERO; n * rows];
         gpu.mem_mut().download(src, 0, &mut out);
         (out, rep)
@@ -756,25 +731,26 @@ mod tests {
         gpu.mem_mut().upload(src, 0, &host);
         let twf = bind_twiddle_texture(&mut gpu, n, Direction::Forward);
         let twi = bind_twiddle_texture(&mut gpu, n, Direction::Inverse);
+        let cfg = batched_config(gpu.spec(), &plan, rows, true, "f");
         run_batched_fft(
             &mut gpu,
+            &cfg,
             &plan,
             src,
             src,
             rows,
             Direction::Forward,
             twf,
-            "f",
         );
         run_batched_fft(
             &mut gpu,
+            &cfg,
             &plan,
             src,
             src,
             rows,
             Direction::Inverse,
             twi,
-            "i",
         );
         let mut out = vec![Complex32::ZERO; n * rows];
         gpu.mem_mut().download(src, 0, &mut out);

@@ -25,15 +25,15 @@
 
 use crate::batch::{Fft1dBatchGpu, Fft2dGpu};
 use crate::cufft_like::classify_stride;
-use crate::kernel256::{batched_config, FineFftPlan};
+use crate::kernel256::batched_config;
 use crate::plan::{Algorithm, FftError};
-use crate::transpose::{transpose_config, transpose_resources};
+use crate::wisdom::plan_arc;
 use fft_math::flops::nominal_flops_3d;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
 use gpu_sim::pcie::{transfer_time, Dir as PcieDir};
 use gpu_sim::timing::estimate_pass;
-use gpu_sim::{occupancy, BufferId, CheckReport, DeviceSpec, Gpu, KernelReport, LaunchConfig};
+use gpu_sim::{BufferId, CheckReport, DeviceSpec, Gpu, KernelReport, LaunchConfig};
 
 /// Pieces each exchanged chunk is chopped into, so a destination's H2D can
 /// start as soon as the first piece has crossed to the host instead of
@@ -377,27 +377,13 @@ impl MultiGpuFft3d {
         let slab_bytes = slab_elems * 8;
         let chunk_bytes = (nx * y_loc * z_loc) as u64 * 8;
 
-        let fft = |n: usize, rows: usize| {
-            let plan = FineFftPlan::new(n);
-            let occ = occupancy(&spec.arch, &plan.resources());
-            let grid = spec.sms * occ.blocks_per_sm;
-            let cfg = batched_config(&plan, rows, grid, false, "fft");
-            estimate_pass(spec, &cfg, &occ, slab_elems).time_s
-        };
-        let tr = |streams: usize| {
-            let occ = occupancy(&spec.arch, &transpose_resources());
-            let grid = spec.sms * occ.blocks_per_sm;
-            let cfg = transpose_config(streams, grid, "tr");
-            estimate_pass(spec, &cfg, &occ, slab_elems).time_s
-        };
-        let rearrange = || {
-            let cfg = pack_cfg(plane, 1);
-            let occ = occupancy(&spec.arch, &cfg.resources);
-            estimate_pass(spec, &cfg, &occ, slab_elems).time_s
-        };
-
-        let xy = fft(nx, ny * z_loc) + tr(ny.max(nx)) + fft(ny, nx * z_loc) + tr(nx.max(ny));
-        let zf = fft(nz, nx * y_loc);
+        let xy: f64 = Fft2dGpu::launch_list(spec, [&plan_arc(nx), &plan_arc(ny)], z_loc)
+            .iter()
+            .map(|l| estimate_pass(spec, &l.cfg, l.elems).time_s)
+            .sum();
+        let z_cfg = batched_config(spec, &plan_arc(nz), nx * y_loc, false, "fft1d_batch");
+        let zf = estimate_pass(spec, &z_cfg, slab_elems).time_s;
+        let rearrange = || estimate_pass(spec, &pack_cfg(spec, plane), slab_elems).time_s;
         let upload = transfer_time(spec.pcie, PcieDir::H2D, slab_bytes, z_loc).time_s;
         let download = transfer_time(spec.pcie, PcieDir::D2H, slab_bytes, z_loc).time_s;
 
@@ -430,8 +416,10 @@ impl MultiGpuFft3d {
     }
 }
 
-fn pack_cfg(plane: usize, grid: usize) -> LaunchConfig {
-    let mut cfg = LaunchConfig::copy("mgpu_pack", grid, 128);
+/// The pack kernel's launch on `spec` for slabs of `plane`-element planes.
+fn pack_cfg(spec: &DeviceSpec, plane: usize) -> LaunchConfig {
+    let mut cfg = LaunchConfig::copy("mgpu_pack", 0, 128);
+    cfg.grid_blocks = spec.fill_grid(&cfg.resources);
     // Gathering Z-columns out of plane-major storage strides by a whole
     // plane between consecutive reads.
     cfg.read_pattern = classify_stride(plane * 8);
@@ -453,8 +441,7 @@ fn run_pack(
     let plane = nx * y_loc * n_gpus;
     let slab = plane * z_loc;
     let chunk = nx * y_loc * z_loc;
-    let grid = gpu.fill_grid(&pack_cfg(plane, 1).resources);
-    let cfg = pack_cfg(plane, grid);
+    let cfg = pack_cfg(gpu.spec(), plane);
     gpu.launch_items(&cfg, slab, |t, i| {
         let d = i / chunk;
         let r = i % chunk;
@@ -467,8 +454,10 @@ fn run_pack(
     })
 }
 
-fn unpack_cfg(nz: usize, grid: usize) -> LaunchConfig {
-    let mut cfg = LaunchConfig::copy("mgpu_unpack", grid, 128);
+/// The unpack kernel's launch on `spec` for `nz`-point Z columns.
+fn unpack_cfg(spec: &DeviceSpec, nz: usize) -> LaunchConfig {
+    let mut cfg = LaunchConfig::copy("mgpu_unpack", 0, 128);
+    cfg.grid_blocks = spec.fill_grid(&cfg.resources);
     cfg.write_pattern = classify_stride(nz * 8);
     cfg
 }
@@ -487,8 +476,7 @@ fn run_unpack(
     let nz = z_loc * n_gpus;
     let chunk = nx * y_loc * z_loc;
     let slab = chunk * n_gpus;
-    let grid = gpu.fill_grid(&unpack_cfg(nz, 1).resources);
-    let cfg = unpack_cfg(nz, grid);
+    let cfg = unpack_cfg(gpu.spec(), nz);
     gpu.launch_items(&cfg, slab, |t, i| {
         let s = i / chunk;
         let r = i % chunk;

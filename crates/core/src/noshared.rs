@@ -19,7 +19,9 @@ use fft_math::flops::nominal_flops_1d;
 use fft_math::layout::{split_radix, AccessPattern};
 use fft_math::twiddle::{Direction, InterTwiddle};
 use fft_math::Complex32;
-use gpu_sim::{BufferId, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig, TexAccess};
+use gpu_sim::{
+    BufferId, DeviceSpec, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig, TexAccess,
+};
 
 /// How the second pass performs its inter-thread data exchange.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,6 +30,35 @@ pub enum XExchange {
     Texture,
     /// Plain uncoalesced global loads (Table 9 row 3).
     NonCoalesced,
+}
+
+/// The launch of either no-shared pass over `rows` `nx`-point rows on
+/// `spec`: `points`-point FFTs per thread in registers, each pass charging
+/// half the rows' arithmetic.
+pub fn noshared_config(
+    spec: &DeviceSpec,
+    nx: usize,
+    rows: usize,
+    points: usize,
+    name: &'static str,
+) -> LaunchConfig {
+    let (a, b) = split_radix(nx);
+    let resources = KernelResources {
+        threads_per_block: 64,
+        regs_per_thread: 3 * b.max(a) + 4,
+        shared_bytes_per_block: 0,
+    };
+    LaunchConfig {
+        name,
+        grid_blocks: spec.fill_grid(&resources),
+        resources,
+        class: KernelClass::RegisterFft,
+        read_pattern: AccessPattern::A,
+        write_pattern: AccessPattern::A,
+        in_place: false,
+        nominal_flops: rows as u64 * nominal_flops_1d(nx) / 2,
+        streams: points,
+    }
 }
 
 /// Runs the no-shared-memory X-axis transform over `rows` contiguous
@@ -45,27 +76,11 @@ pub fn run_x_axis_noshared(
 ) -> Vec<KernelReport> {
     let (a, b) = split_radix(nx);
     let inter = InterTwiddle::new(b, a, dir);
-    let res = KernelResources {
-        threads_per_block: 64,
-        regs_per_thread: 3 * b.max(a) + 4,
-        shared_bytes_per_block: 0,
-    };
-    let grid = gpu.fill_grid(&res);
 
     // ---- pass 1: FFTs over the high digit n1 (length b) at fixed n2 ----
     // x = a*n1 + n2; output k1 stored back at the same interleaving
     // (w = n2 + a*k1), so lanes (consecutive n2) coalesce on both sides.
-    let cfg1 = LaunchConfig {
-        name: "x_noshared_1",
-        grid_blocks: grid,
-        resources: res,
-        class: KernelClass::RegisterFft,
-        read_pattern: AccessPattern::A,
-        write_pattern: AccessPattern::A,
-        in_place: false,
-        nominal_flops: rows as u64 * nominal_flops_1d(nx) / 2,
-        streams: b,
-    };
+    let cfg1 = noshared_config(gpu.spec(), nx, rows, b, "x_noshared_1");
     let sub_rows = rows * a;
     let flops1 = codelet_flops(b) as u64;
     let inter1 = inter.clone();
@@ -93,20 +108,11 @@ pub fn run_x_axis_noshared(
         let snapshot = gpu.mem_mut().as_slice(work).to_vec();
         gpu.bind_texture(snapshot, TexAccess::Strided)
     });
-    let cfg2 = LaunchConfig {
-        name: match variant {
-            XExchange::Texture => "x_noshared_2_tex",
-            XExchange::NonCoalesced => "x_noshared_2_nc",
-        },
-        grid_blocks: grid,
-        resources: res,
-        class: KernelClass::RegisterFft,
-        read_pattern: AccessPattern::A,
-        write_pattern: AccessPattern::A,
-        in_place: false,
-        nominal_flops: rows as u64 * nominal_flops_1d(nx) / 2,
-        streams: a,
+    let name2 = match variant {
+        XExchange::Texture => "x_noshared_2_tex",
+        XExchange::NonCoalesced => "x_noshared_2_nc",
     };
+    let cfg2 = noshared_config(gpu.spec(), nx, rows, a, name2);
     let sub_rows2 = rows * b;
     let flops2 = codelet_flops(a) as u64;
     let rep2 = gpu.launch_items(&cfg2, sub_rows2, |t, r| {

@@ -29,7 +29,7 @@ use fft_math::flops::{nominal_flops_1d, nominal_flops_3d};
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
 use gpu_sim::pcie::{transfer_time, Dir as PcieDir};
-use gpu_sim::timing::KernelTiming;
+use gpu_sim::timing::estimate_pass;
 use gpu_sim::{
     DeviceSpec, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig, StreamId,
 };
@@ -396,7 +396,9 @@ impl OutOfCoreFft {
         let group_bytes = (plane * slabs) as u64 * 8;
         let n_groups = slab_z;
 
-        let slab_fft: f64 = SixStepFft::estimate(spec, nx, ny, slab_z)
+        let slab_fft: f64 = Algorithm::SixStep
+            .estimate_steps(spec, nx, ny, slab_z)
+            .expect("OutOfCoreFft::new checked the slab shape")
             .iter()
             .map(|(_, t)| t.time_s)
             .sum();
@@ -405,7 +407,9 @@ impl OutOfCoreFft {
             let bw = gpu_sim::dram::copy_base_gbs(spec) * 1e9;
             2.0 * slab_bytes as f64 / bw
         };
-        let s2_fft = cross_plane_estimate(spec, plane, slabs).time_s * n_groups as f64;
+        let cross_plane = cross_plane_cfg(spec, plane, slabs);
+        let s2_fft =
+            estimate_pass(spec, &cross_plane, (plane * slabs) as u64).time_s * n_groups as f64;
 
         let mut rep = OutOfCoreReport {
             s1_h2d_s: slabs as f64
@@ -444,15 +448,18 @@ fn gather_slab(
     }
 }
 
-fn cross_plane_cfg(plane: usize, slabs: usize, grid: usize) -> LaunchConfig {
+/// The cross-plane kernel's launch on `spec`: `slabs`-point FFTs across
+/// planes of `plane` elements.
+fn cross_plane_cfg(spec: &DeviceSpec, plane: usize, slabs: usize) -> LaunchConfig {
+    let resources = KernelResources {
+        threads_per_block: 64,
+        regs_per_thread: 3 * slabs + 4,
+        shared_bytes_per_block: 0,
+    };
     LaunchConfig {
         name: "fft_cross_plane",
-        grid_blocks: grid,
-        resources: KernelResources {
-            threads_per_block: 64,
-            regs_per_thread: 3 * slabs + 4,
-            shared_bytes_per_block: 0,
-        },
+        grid_blocks: spec.fill_grid(&resources),
+        resources,
         class: KernelClass::RegisterFft,
         read_pattern: crate::cufft_like::classify_stride(plane * 8),
         write_pattern: crate::cufft_like::classify_stride(plane * 8),
@@ -460,12 +467,6 @@ fn cross_plane_cfg(plane: usize, slabs: usize, grid: usize) -> LaunchConfig {
         nominal_flops: plane as u64 * nominal_flops_1d(slabs),
         streams: slabs,
     }
-}
-
-fn cross_plane_estimate(spec: &DeviceSpec, plane: usize, slabs: usize) -> KernelTiming {
-    let cfg = cross_plane_cfg(plane, slabs, 1);
-    let occ = gpu_sim::occupancy(&spec.arch, &cfg.resources);
-    gpu_sim::timing::estimate_pass(spec, &cfg, &occ, (plane * slabs) as u64)
 }
 
 /// The `FFT1X1X8` kernel: length-`slabs` FFTs across `slabs` consecutive
@@ -477,8 +478,7 @@ fn run_cross_plane_fft(
     slabs: usize,
     dir: Direction,
 ) -> KernelReport {
-    let grid = gpu.fill_grid(&cross_plane_cfg(plane, slabs, 1).resources);
-    let cfg = cross_plane_cfg(plane, slabs, grid);
+    let cfg = cross_plane_cfg(gpu.spec(), plane, slabs);
     let fl = codelet_flops(slabs) as u64;
     gpu.launch_items(&cfg, plane, |t, r| {
         let mut buf16 = [Complex32::ZERO; 16];

@@ -16,10 +16,12 @@ use crate::cufft_like::CufftLikeFft;
 use crate::five_step::FiveStepFft;
 use crate::report::RunReport;
 use crate::six_step::SixStepFft;
+use crate::wisdom;
+use fft_math::layout::FiveStepPlanLayout;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
-use gpu_sim::timing::KernelTiming;
-use gpu_sim::{AllocError, BufferId, DeviceSpec, FreeQueue, Gpu};
+use gpu_sim::timing::{estimate_pass, KernelTiming};
+use gpu_sim::{AllocError, BufferId, DeviceSpec, FreeQueue, Gpu, Launch};
 
 /// Which 3-D FFT algorithm a plan uses. Declaration order is the order
 /// serving keys (batch keys, plan caches) sort in.
@@ -103,9 +105,36 @@ impl Algorithm {
         Ok(())
     }
 
-    /// Analytic per-kernel estimate for the in-core algorithms (the
-    /// out-of-core and multi-GPU pipelines' estimates live on their own
-    /// types and are not per-kernel).
+    /// The launch list of this algorithm's single-card plan of an
+    /// `nx x ny x nz` volume on `spec`: the list [`Fft3d::launches`] holds,
+    /// built from the same configuration functions and wisdom-cached fine
+    /// plans.
+    ///
+    /// # Errors
+    /// [`Algorithm::check_shape`]'s, for a shape outside the envelope.
+    pub fn launches(
+        self,
+        spec: &DeviceSpec,
+        nx: usize,
+        ny: usize,
+        nz: usize,
+    ) -> Result<Vec<Launch>, FftError> {
+        self.check_shape(nx, ny, nz)?;
+        let fine = wisdom::plan_arc;
+        Ok(match self {
+            Algorithm::FiveStep => {
+                FiveStepFft::launch_list(spec, &FiveStepPlanLayout::new(nx, ny, nz), &fine(nx))
+            }
+            Algorithm::SixStep => SixStepFft::launch_list(spec, [&fine(nx), &fine(ny), &fine(nz)]),
+            Algorithm::CufftLike => CufftLikeFft::launch_list(spec, nx, ny, nz),
+            Algorithm::OutOfCore | Algorithm::MultiGpu => unreachable!("check_shape refused it"),
+        })
+    }
+
+    /// Analytic per-kernel estimate for the in-core algorithms: the
+    /// roofline of each entry of [`Algorithm::launches`], without
+    /// functional execution. (The out-of-core and multi-GPU pipelines'
+    /// estimates live on their own types and are not per-kernel.)
     ///
     /// # Errors
     /// [`Algorithm::check_shape`]'s, for a shape outside the envelope.
@@ -116,13 +145,11 @@ impl Algorithm {
         ny: usize,
         nz: usize,
     ) -> Result<Vec<(&'static str, KernelTiming)>, FftError> {
-        self.check_shape(nx, ny, nz)?;
-        Ok(match self {
-            Algorithm::FiveStep => FiveStepFft::estimate(spec, nx, ny, nz),
-            Algorithm::SixStep => SixStepFft::estimate(spec, nx, ny, nz),
-            Algorithm::CufftLike => CufftLikeFft::estimate(spec, nx, ny, nz),
-            Algorithm::OutOfCore | Algorithm::MultiGpu => unreachable!("check_shape refused it"),
-        })
+        let launches = self.launches(spec, nx, ny, nz)?;
+        Ok(launches
+            .iter()
+            .map(|l| (l.cfg.name, estimate_pass(spec, &l.cfg, l.elems)))
+            .collect())
     }
 }
 
@@ -383,6 +410,16 @@ impl Fft3d {
     /// Grid dimensions `(nx, ny, nz)`.
     pub fn dims(&self) -> (usize, usize, usize) {
         self.dims
+    }
+
+    /// The plan's launches, in execution order: what
+    /// [`Fft3d::transform`] runs and [`Algorithm::estimate_steps`] prices.
+    pub fn launches(&self) -> &[Launch] {
+        match &self.inner {
+            Inner::Five(p) => p.launches(),
+            Inner::Six(p) => p.launches(),
+            Inner::Cufft(p) => p.launches(),
+        }
     }
 
     /// Volume in elements.

@@ -13,14 +13,11 @@
 
 use crate::kernel256::{batched_config, bind_twiddle_texture, replay_batched_fft, FineFftPlan};
 use crate::report::RunReport;
-use crate::transpose::{replay_rotate_zxy, transpose_config, transpose_resources};
+use crate::transpose::{replay_rotate_zxy, rotate_config};
 use fft_math::flops::nominal_flops_3d;
 use fft_math::twiddle::Direction;
 use fft_math::Complex32;
-use gpu_sim::occupancy::occupancy;
-use gpu_sim::timing::{estimate_pass, KernelTiming};
-use gpu_sim::DeviceSpec;
-use gpu_sim::{AllocError, BufferId, Gpu, TextureId};
+use gpu_sim::{AllocError, BufferId, DeviceSpec, Gpu, Launch, TextureId};
 
 /// A planned six-step 3-D FFT. Operates on the natural row-major layout
 /// (`x` fastest) with no packing.
@@ -31,6 +28,7 @@ pub struct SixStepFft {
     fine_x: FineFftPlan,
     fine_y: FineFftPlan,
     fine_z: FineFftPlan,
+    launches: Vec<Launch>,
     tw: [[TextureId; 3]; 2], // [dir][axis]
 }
 
@@ -41,6 +39,7 @@ impl SixStepFft {
         let fine_x = crate::wisdom::plan(nx);
         let fine_y = crate::wisdom::plan(ny);
         let fine_z = crate::wisdom::plan(nz);
+        let launches = Self::launch_list(gpu.spec(), [&fine_x, &fine_y, &fine_z]);
         let tw = [Direction::Forward, Direction::Inverse]
             .map(|d| [nx, ny, nz].map(|n| bind_twiddle_texture(gpu, n, d)));
         SixStepFft {
@@ -50,8 +49,36 @@ impl SixStepFft {
             fine_x,
             fine_y,
             fine_z,
+            launches,
             tw,
         }
+    }
+
+    /// The launches of a plan on `spec` whose X, Y and Z row FFTs run
+    /// `fine`, in execution order: each axis's row FFT, then the rotation
+    /// that brings the next axis to the front. Each moves the whole volume
+    /// once each way.
+    pub(crate) fn launch_list(spec: &DeviceSpec, fine: [&FineFftPlan; 3]) -> Vec<Launch> {
+        let [x, y, z] = fine;
+        let (nx, ny, nz) = (x.len(), y.len(), z.len());
+        let vol = nx * ny * nz;
+        let elems = vol as u64;
+        [
+            batched_config(spec, x, vol / nx, false, "fft_x"),
+            rotate_config(spec, nx, ny, nz, "transpose_zxy"),
+            batched_config(spec, z, vol / nz, false, "fft_z"),
+            rotate_config(spec, nz, nx, ny, "transpose_yzx"),
+            batched_config(spec, y, vol / ny, false, "fft_y"),
+            rotate_config(spec, ny, nz, nx, "transpose_xyz"),
+        ]
+        .map(|cfg| Launch { cfg, elems })
+        .to_vec()
+    }
+
+    /// The plan's launches, in execution order: what `execute` runs and
+    /// [`crate::plan::Algorithm::estimate_steps`] prices.
+    pub fn launches(&self) -> &[Launch] {
+        &self.launches
     }
 
     /// Total complex elements.
@@ -76,41 +103,7 @@ impl SixStepFft {
         out
     }
 
-    /// Analytic per-step estimate (same configurations as the functional
-    /// kernels; no execution).
-    pub fn estimate(
-        spec: &DeviceSpec,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-    ) -> Vec<(&'static str, KernelTiming)> {
-        let elems = (nx * ny * nz) as u64;
-        let mut out = Vec::with_capacity(6);
-        let fft = |n: usize, rows: usize, name: &'static str| {
-            let plan = FineFftPlan::new(n);
-            let occ = occupancy(&spec.arch, &plan.resources());
-            let grid = spec.sms * occ.blocks_per_sm;
-            let cfg = batched_config(&plan, rows, grid, false, name);
-            (name, estimate_pass(spec, &cfg, &occ, elems))
-        };
-        let tr = |streams: usize, name: &'static str| {
-            let occ = occupancy(&spec.arch, &transpose_resources());
-            let grid = spec.sms * occ.blocks_per_sm;
-            let cfg = transpose_config(streams, grid, name);
-            (name, estimate_pass(spec, &cfg, &occ, elems))
-        };
-        let vol = nx * ny * nz;
-        out.push(fft(nx, vol / nx, "fft_x"));
-        out.push(tr(nz.max(ny), "transpose_zxy"));
-        out.push(fft(nz, vol / nz, "fft_z"));
-        out.push(tr(ny.max(nx), "transpose_yzx"));
-        out.push(fft(ny, vol / ny, "fft_y"));
-        out.push(tr(nx.max(nz), "transpose_xyz"));
-        out
-    }
-
     /// Executes all six steps; input and output live in `v` (natural order).
-    #[allow(clippy::vec_init_then_push)] // the pass sequence reads top to bottom
     pub fn execute(&self, gpu: &mut Gpu, v: BufferId, work: BufferId, dir: Direction) -> RunReport {
         let di = match dir {
             Direction::Forward => 0,
@@ -118,60 +111,38 @@ impl SixStepFft {
         };
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let vol = self.volume();
+        let cfg = |i: usize| &self.launches[i].cfg;
         let mut steps = Vec::with_capacity(6);
         gpu.span_begin("six_step");
-
-        // 1: X-axis FFTs, (x,y,z) rows are contiguous.
-        gpu.span_begin("x_fft");
-        steps.push(replay_batched_fft(
-            gpu,
-            &self.fine_x,
-            v,
-            work,
-            vol / nx,
-            dir,
-            self.tw[di][0],
-            "fft_x",
-        ));
-        gpu.span_end("x_fft");
-        // 2: (x,y,z) -> (z,x,y).
-        gpu.span_begin("transpose_a");
-        steps.push(replay_rotate_zxy(gpu, work, v, nx, ny, nz, "transpose_zxy"));
-        gpu.span_end("transpose_a");
-        // 3: Z-axis FFTs, now contiguous.
-        gpu.span_begin("z_fft");
-        steps.push(replay_batched_fft(
-            gpu,
-            &self.fine_z,
-            v,
-            work,
-            vol / nz,
-            dir,
-            self.tw[di][2],
-            "fft_z",
-        ));
-        gpu.span_end("z_fft");
-        // 4: (z,x,y) -> (y,z,x).
-        gpu.span_begin("transpose_b");
-        steps.push(replay_rotate_zxy(gpu, work, v, nz, nx, ny, "transpose_yzx"));
-        gpu.span_end("transpose_b");
-        // 5: Y-axis FFTs.
-        gpu.span_begin("y_fft");
-        steps.push(replay_batched_fft(
-            gpu,
-            &self.fine_y,
-            v,
-            work,
-            vol / ny,
-            dir,
-            self.tw[di][1],
-            "fft_y",
-        ));
-        gpu.span_end("y_fft");
-        // 6: (y,z,x) -> (x,y,z).
-        gpu.span_begin("transpose_c");
-        steps.push(replay_rotate_zxy(gpu, work, v, ny, nz, nx, "transpose_xyz"));
-        gpu.span_end("transpose_c");
+        // Each axis: its row FFTs (v -> work, rows contiguous), then the
+        // rotation (work -> v) that brings the next axis to the front:
+        // (x,y,z) -> (z,x,y) -> (y,z,x) -> (x,y,z).
+        for (k, (fine, axis, dims, spans)) in [
+            (&self.fine_x, 0, (nx, ny, nz), ("x_fft", "transpose_a")),
+            (&self.fine_z, 2, (nz, nx, ny), ("z_fft", "transpose_b")),
+            (&self.fine_y, 1, (ny, nz, nx), ("y_fft", "transpose_c")),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (a, b, c) = dims;
+            let tw = self.tw[di][axis];
+            gpu.span_begin(spans.0);
+            steps.push(replay_batched_fft(
+                gpu,
+                cfg(2 * k),
+                fine,
+                v,
+                work,
+                vol / a,
+                dir,
+                tw,
+            ));
+            gpu.span_end(spans.0);
+            gpu.span_begin(spans.1);
+            steps.push(replay_rotate_zxy(gpu, cfg(2 * k + 1), work, v, a, b, c));
+            gpu.span_end(spans.1);
+        }
         gpu.span_end("six_step");
 
         RunReport {

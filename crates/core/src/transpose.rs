@@ -13,29 +13,36 @@
 
 use fft_math::layout::AccessPattern;
 use fft_math::Complex32;
-use gpu_sim::{BufferId, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig};
+use gpu_sim::{
+    BufferId, DeviceSpec, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig,
+};
 
 /// Tile edge (matches the half-warp, as real transpose kernels do).
 pub const TILE: usize = 16;
 
-/// Resources of the tiled transpose kernel.
-pub fn transpose_resources() -> KernelResources {
-    KernelResources {
+/// The launch of a tiled transpose on `spec` over the two `tiled` axes,
+/// whose scatter is priced as a `streams`-stream copy.
+fn tiled_config(
+    spec: &DeviceSpec,
+    tiled: [usize; 2],
+    streams: usize,
+    name: &'static str,
+) -> LaunchConfig {
+    assert!(
+        tiled.iter().all(|n| n.is_multiple_of(TILE)),
+        "transpose dims must be multiples of the {TILE}-wide tile"
+    );
+    let resources = KernelResources {
         threads_per_block: 64,
         regs_per_thread: 12,
         // Separate padded re and im regions (§3.2's trick): interleaving
         // them would put lanes at stride 2 and cost a 2-way bank conflict.
         shared_bytes_per_block: 2 * TILE * (TILE + 1) * 4,
-    }
-}
-
-/// Launch configuration of the tiled transpose (shared between the
-/// functional path and the analytic estimator).
-pub fn transpose_config(streams: usize, grid: usize, name: &'static str) -> LaunchConfig {
+    };
     LaunchConfig {
         name,
-        grid_blocks: grid,
-        resources: transpose_resources(),
+        grid_blocks: spec.fill_grid(&resources),
+        resources,
         class: KernelClass::StreamCopy,
         read_pattern: AccessPattern::X,
         write_pattern: AccessPattern::D,
@@ -43,6 +50,31 @@ pub fn transpose_config(streams: usize, grid: usize, name: &'static str) -> Laun
         nominal_flops: 0,
         streams,
     }
+}
+
+/// The launch of the rotation `(x, y, z) → (z, x, y)` of an
+/// `nx x ny x nz` volume on `spec` ([`run_rotate_zxy`]): the one
+/// configuration the functional rotation and the analytic estimator both
+/// use.
+pub fn rotate_config(
+    spec: &DeviceSpec,
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    name: &'static str,
+) -> LaunchConfig {
+    tiled_config(spec, [nx, nz], nz.max(ny), name)
+}
+
+/// The launch of the per-plane transpose of `nx x ny` planes on `spec`
+/// ([`run_transpose_2d`]).
+pub fn transpose_2d_config(
+    spec: &DeviceSpec,
+    nx: usize,
+    ny: usize,
+    name: &'static str,
+) -> LaunchConfig {
+    tiled_config(spec, [nx, ny], ny.max(nx), name)
 }
 
 /// The rotation `(x, y, z) → (z, x, y)` of an `nx x ny x nz` volume, as
@@ -84,77 +116,22 @@ impl Rotation {
     }
 }
 
-/// The launch of a rotation on `gpu`.
-fn rotate_launch(gpu: &Gpu, rot: Rotation, name: &'static str) -> LaunchConfig {
-    assert!(
-        rot.nx.is_multiple_of(TILE) && rot.nz.is_multiple_of(TILE),
-        "transpose dims must be multiples of the {TILE}-wide tile"
-    );
-    let grid = gpu.fill_grid(&transpose_resources());
-    transpose_config(rot.nz.max(rot.ny), grid, name)
-}
-
-/// Rotates `(x, y, z) → (z, x, y)`: `dst[z + nz*(x + nx*y)] = src[x + nx*(y + ny*z)]`.
+/// Rotates `(x, y, z) → (z, x, y)` as `cfg`, its [`rotate_config`]:
+/// `dst[z + nz*(x + nx*y)] = src[x + nx*(y + ny*z)]`. 64 threads move a
+/// 16x16 tile in four 16-lane sweeps; the tile lives in shared memory with a
+/// pad word per row to kill bank conflicts.
 ///
-/// Dimensions must be multiples of [`TILE`].
+/// `nx` and `nz` must be multiples of [`TILE`].
 pub fn run_rotate_zxy(
-    gpu: &mut Gpu,
-    src: BufferId,
-    dst: BufferId,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    name: &'static str,
-) -> KernelReport {
-    let rot = Rotation { nx, ny, nz };
-    let cfg = rotate_launch(gpu, rot, name);
-    simulate_rotate(gpu, &cfg, src, dst, rot)
-}
-
-/// [`run_rotate_zxy`] through [`Gpu::launch_replay`]: the first rotation of
-/// a shape is simulated, and every later one permutes the volume in plain
-/// loops and reuses its report. Outputs and report are bit-identical to
-/// [`run_rotate_zxy`]'s.
-pub fn replay_rotate_zxy(
-    gpu: &mut Gpu,
-    src: BufferId,
-    dst: BufferId,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    name: &'static str,
-) -> KernelReport {
-    let rot = Rotation { nx, ny, nz };
-    let cfg = rotate_launch(gpu, rot, name);
-    gpu.launch_replay(
-        &cfg,
-        &[src, dst],
-        &[nx as u64, ny as u64, nz as u64],
-        |g| simulate_rotate(g, &cfg, src, dst, rot),
-        |mem, _| {
-            let (src, dst) = mem.src_dst(src, dst, nx * ny * nz);
-            for tile in 0..rot.tiles() {
-                let (x0, y, z0) = rot.tile(tile);
-                for z in z0..z0 + TILE {
-                    for x in x0..x0 + TILE {
-                        dst[rot.dst(x, y, z)] = src.get(rot.src(x, y, z));
-                    }
-                }
-            }
-        },
-    )
-}
-
-/// The simulated rotation: 64 threads move a 16x16 tile in four 16-lane
-/// sweeps; the tile lives in shared memory with a pad word per row to kill
-/// bank conflicts.
-fn simulate_rotate(
     gpu: &mut Gpu,
     cfg: &LaunchConfig,
     src: BufferId,
     dst: BufferId,
-    rot: Rotation,
+    nx: usize,
+    ny: usize,
+    nz: usize,
 ) -> KernelReport {
+    let rot = Rotation { nx, ny, nz };
     let rows_per_thread_pass = TILE / (64 / TILE); // 4 rows per sweep of 64 threads
     gpu.launch_coop_items(cfg, rot.tiles(), |blk, tile| {
         let (x0, y, z0) = rot.tile(tile);
@@ -187,34 +164,60 @@ fn simulate_rotate(
     })
 }
 
-/// Per-plane 2-D transpose of a batch of planes:
+/// [`run_rotate_zxy`] through [`Gpu::launch_replay`]: the first rotation of
+/// a shape is simulated, and every later one permutes the volume in plain
+/// loops and reuses its report. Outputs and report are bit-identical to
+/// [`run_rotate_zxy`]'s.
+pub fn replay_rotate_zxy(
+    gpu: &mut Gpu,
+    cfg: &LaunchConfig,
+    src: BufferId,
+    dst: BufferId,
+    nx: usize,
+    ny: usize,
+    nz: usize,
+) -> KernelReport {
+    let rot = Rotation { nx, ny, nz };
+    gpu.launch_replay(
+        cfg,
+        &[src, dst],
+        &[nx as u64, ny as u64, nz as u64],
+        |g| run_rotate_zxy(g, cfg, src, dst, nx, ny, nz),
+        |mem, _| {
+            let (src, dst) = mem.src_dst(src, dst, nx * ny * nz);
+            for tile in 0..rot.tiles() {
+                let (x0, y, z0) = rot.tile(tile);
+                for z in z0..z0 + TILE {
+                    for x in x0..x0 + TILE {
+                        dst[rot.dst(x, y, z)] = src.get(rot.src(x, y, z));
+                    }
+                }
+            }
+        },
+    )
+}
+
+/// Per-plane 2-D transpose of a batch of planes as `cfg`, its
+/// [`transpose_2d_config`]:
 /// `dst[y + ny*(x + nx*p)] = src[x + nx*(y + ny*p)]` for `p in 0..planes`.
 ///
 /// Same 16x16 padded-tile structure as [`run_rotate_zxy`]; used by the 2-D
 /// plan API.
 pub fn run_transpose_2d(
     gpu: &mut Gpu,
+    cfg: &LaunchConfig,
     src: BufferId,
     dst: BufferId,
     nx: usize,
     ny: usize,
     planes: usize,
-    name: &'static str,
 ) -> KernelReport {
-    assert!(
-        nx.is_multiple_of(TILE) && ny.is_multiple_of(TILE),
-        "transpose dims must be multiples of the {TILE}-wide tile"
-    );
-    let res = transpose_resources();
-    let grid = gpu.fill_grid(&res);
-    let cfg = transpose_config(ny.max(nx), grid, name);
-
     let tiles_x = nx / TILE;
     let tiles_y = ny / TILE;
     let tiles_total = tiles_x * tiles_y * planes;
     let rows_per_thread_pass = TILE / (64 / TILE);
 
-    gpu.launch_coop_items(&cfg, tiles_total, |blk, tile| {
+    gpu.launch_coop_items(cfg, tiles_total, |blk, tile| {
         let tx = tile % tiles_x;
         let rest = tile / tiles_x;
         let ty = rest % tiles_y;
@@ -254,6 +257,19 @@ mod tests {
     use fft_math::c32;
     use gpu_sim::DeviceSpec;
 
+    /// Runs the simulated rotation of an `nx x ny x nz` volume.
+    fn rotate(
+        g: &mut Gpu,
+        src: BufferId,
+        dst: BufferId,
+        nx: usize,
+        ny: usize,
+        nz: usize,
+    ) -> KernelReport {
+        let cfg = rotate_config(g.spec(), nx, ny, nz, "t");
+        run_rotate_zxy(g, &cfg, src, dst, nx, ny, nz)
+    }
+
     #[test]
     fn rotation_is_correct() {
         let (nx, ny, nz) = (16usize, 4, 32);
@@ -264,7 +280,7 @@ mod tests {
             .map(|i| c32(i as f32, -(i as f32)))
             .collect();
         g.mem_mut().upload(src, 0, &host);
-        run_rotate_zxy(&mut g, src, dst, nx, ny, nz, "t");
+        rotate(&mut g, src, dst, nx, ny, nz);
         for z in 0..nz {
             for y in 0..ny {
                 for x in 0..nx {
@@ -282,7 +298,7 @@ mod tests {
         let n = 16 * 16 * 16;
         let src = g.mem_mut().alloc(n).unwrap();
         let dst = g.mem_mut().alloc(n).unwrap();
-        let rep = run_rotate_zxy(&mut g, src, dst, 16, 16, 16, "t");
+        let rep = rotate(&mut g, src, dst, 16, 16, 16);
         assert!(rep.stats.coalesced_fraction() > 0.999, "{:?}", rep.stats);
         assert_eq!(rep.stats.shared_races, 0);
         assert_eq!(rep.stats.shared_conflict_rate(), 0.0);
@@ -296,7 +312,7 @@ mod tests {
         let n = 32 * 16 * 256;
         let src = g.mem_mut().alloc(n).unwrap();
         let dst = g.mem_mut().alloc(n).unwrap();
-        let rep = run_rotate_zxy(&mut g, src, dst, 32, 16, 256, "t");
+        let rep = rotate(&mut g, src, dst, 32, 16, 256);
         assert!(
             (rep.timing.modeled_bandwidth_gbs - 20.5).abs() < 1.0,
             "{:?}",
@@ -312,7 +328,8 @@ mod tests {
         let dst = g.mem_mut().alloc(nx * ny * planes).unwrap();
         let host: Vec<Complex32> = (0..nx * ny * planes).map(|i| c32(i as f32, 1.0)).collect();
         g.mem_mut().upload(src, 0, &host);
-        let rep = run_transpose_2d(&mut g, src, dst, nx, ny, planes, "t2d");
+        let cfg = transpose_2d_config(g.spec(), nx, ny, "t2d");
+        let rep = run_transpose_2d(&mut g, &cfg, src, dst, nx, ny, planes);
         assert!(rep.stats.coalesced_fraction() > 0.999);
         assert_eq!(rep.stats.shared_races, 0);
         for p in 0..planes {
@@ -334,9 +351,9 @@ mod tests {
         let b = g.mem_mut().alloc(nx * ny * nz).unwrap();
         let host: Vec<Complex32> = (0..nx * ny * nz).map(|i| c32(i as f32, 0.5)).collect();
         g.mem_mut().upload(a, 0, &host);
-        run_rotate_zxy(&mut g, a, b, nx, ny, nz, "t1");
-        run_rotate_zxy(&mut g, b, a, nz, nx, ny, "t2");
-        run_rotate_zxy(&mut g, a, b, ny, nz, nx, "t3");
+        rotate(&mut g, a, b, nx, ny, nz);
+        rotate(&mut g, b, a, nz, nx, ny);
+        rotate(&mut g, a, b, ny, nz, nx);
         let mut out = vec![Complex32::ZERO; host.len()];
         g.mem_mut().download(b, 0, &mut out);
         assert_eq!(out, host);

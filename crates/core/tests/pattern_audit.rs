@@ -1,7 +1,7 @@
 //! End-to-end pattern-audit checks: the classifier really observes the
 //! Tables 2–4 classes on executed transforms, and the audit judges them.
 
-use bifft::{Algorithm, Fft3d, PatternAudit, RunReport};
+use bifft::{expected_patterns, Algorithm, Fft3d, PatternAudit, RunReport};
 use fft_math::layout::AccessPattern;
 use fft_math::{Complex32, Direction};
 use gpu_sim::{DeviceSpec, Gpu, LaunchConfig};
@@ -129,4 +129,25 @@ fn deliberately_strided_copy_is_flagged_class_d() {
     let load = audit.steps[0].observed.load.expect("loads sampled");
     assert_eq!(load.pattern, AccessPattern::D);
     assert!(audit.table().contains("strided_copy"));
+}
+
+/// The audit matches expectations to steps by name, and an unmatched step
+/// passes unannotated: each in-core algorithm's table must list exactly
+/// its launch list's steps, in order, so a renamed step cannot slip past.
+#[test]
+fn expectations_name_every_launched_step() {
+    let spec = DeviceSpec::gts8800();
+    for algo in Algorithm::IN_CORE {
+        let launched: Vec<&str> = algo
+            .launches(&spec, 64, 64, 64)
+            .unwrap()
+            .iter()
+            .map(|l| l.cfg.name)
+            .collect();
+        let annotated: Vec<&str> = expected_patterns(algo.name())
+            .iter()
+            .map(|e| e.step)
+            .collect();
+        assert_eq!(annotated, launched, "{}", algo.name());
+    }
 }

@@ -5,7 +5,7 @@
 //! deterministic SplitMix64 case sweep.
 
 use bifft::five_step::FiveStepFft;
-use bifft::kernel256::{bind_twiddle_texture, run_batched_fft, FineFftPlan};
+use bifft::kernel256::{batched_config, bind_twiddle_texture, run_batched_fft, FineFftPlan};
 use bifft::plan::{Algorithm, Fft3d};
 use fft_math::error::rel_l2_error_f32;
 use fft_math::fft1d::fft_pow2;
@@ -38,7 +38,17 @@ fn fine_plan_always_conflict_free() {
         let buf = gpu.mem_mut().alloc(n * rows).unwrap();
         gpu.mem_mut().upload(buf, 0, &signal(n * rows, logn as u64));
         let tw = bind_twiddle_texture(&mut gpu, n, Direction::Forward);
-        let rep = run_batched_fft(&mut gpu, &plan, buf, buf, rows, Direction::Forward, tw, "p");
+        let cfg = batched_config(gpu.spec(), &plan, rows, true, "p");
+        let rep = run_batched_fft(
+            &mut gpu,
+            &cfg,
+            &plan,
+            buf,
+            buf,
+            rows,
+            Direction::Forward,
+            tw,
+        );
         assert_eq!(rep.stats.shared_races, 0);
         assert_eq!(rep.stats.shared_conflict_rate(), 0.0);
         assert!(rep.stats.coalesced_fraction() > 0.999);
@@ -59,7 +69,17 @@ fn fine_kernel_matches_reference() {
         let buf = gpu.mem_mut().alloc(n * rows).unwrap();
         gpu.mem_mut().upload(buf, 0, &host);
         let tw = bind_twiddle_texture(&mut gpu, n, Direction::Forward);
-        run_batched_fft(&mut gpu, &plan, buf, buf, rows, Direction::Forward, tw, "p");
+        let cfg = batched_config(gpu.spec(), &plan, rows, true, "p");
+        run_batched_fft(
+            &mut gpu,
+            &cfg,
+            &plan,
+            buf,
+            buf,
+            rows,
+            Direction::Forward,
+            tw,
+        );
         let mut out = vec![Complex32::ZERO; n * rows];
         gpu.mem_mut().download(buf, 0, &mut out);
         for r in 0..rows {

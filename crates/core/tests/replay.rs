@@ -9,10 +9,12 @@
 
 use bifft::cufft_like::CufftLikeFft;
 use bifft::five_step::FiveStepFft;
-use bifft::kernel16::{replay_strided_pass, run_strided_pass};
-use bifft::kernel256::{bind_twiddle_texture, replay_batched_fft, run_batched_fft, FineFftPlan};
+use bifft::kernel16::{pass_config, replay_strided_pass, run_strided_pass};
+use bifft::kernel256::{
+    batched_config, bind_twiddle_texture, replay_batched_fft, run_batched_fft, FineFftPlan,
+};
 use bifft::six_step::SixStepFft;
-use bifft::transpose::{replay_rotate_zxy, run_rotate_zxy};
+use bifft::transpose::{replay_rotate_zxy, rotate_config, run_rotate_zxy};
 use bifft::RunReport;
 use fft_math::layout::FiveStepPlanLayout;
 use fft_math::rng::SplitMix64;
@@ -306,11 +308,13 @@ fn row_fft_matches(n: usize, rows: usize, in_place: bool, rng: &mut SplitMix64) 
         setup,
         |g, s, d, dir| {
             let tw = bind_twiddle_texture(g, n, dir);
-            replay_batched_fft(g, &plan, s, d, rows, dir, tw, "rows")
+            let cfg = batched_config(g.spec(), &plan, rows, in_place, "rows");
+            replay_batched_fft(g, &cfg, &plan, s, d, rows, dir, tw)
         },
         |g, s, d, dir| {
             let tw = bind_twiddle_texture(g, n, dir);
-            run_batched_fft(g, &plan, s, d, rows, dir, tw, "rows")
+            let cfg = batched_config(g.spec(), &plan, rows, in_place, "rows");
+            run_batched_fft(g, &cfg, &plan, s, d, rows, dir, tw)
         },
     );
 }
@@ -357,8 +361,14 @@ fn strided_passes_match(layout: &FiveStepPlanLayout, written: usize, rng: &mut S
                 let src = g.mem_mut().alloc(vol).unwrap();
                 (src, g.mem_mut().alloc(vol + 7).unwrap(), written)
             },
-            |g, s, d, dir| replay_strided_pass(g, s, d, &pass, dir, "pass"),
-            |g, s, d, dir| run_strided_pass(g, s, d, &pass, dir, "pass"),
+            |g, s, d, dir| {
+                let cfg = pass_config(g.spec(), &pass, "pass");
+                replay_strided_pass(g, &cfg, s, d, &pass, dir)
+            },
+            |g, s, d, dir| {
+                let cfg = pass_config(g.spec(), &pass, "pass");
+                run_strided_pass(g, &cfg, s, d, &pass, dir)
+            },
         );
     }
 }
@@ -416,8 +426,14 @@ fn replayed_rotation_matches_simulation() {
                 let src = g.mem_mut().alloc(vol).unwrap();
                 (src, g.mem_mut().alloc(vol).unwrap(), vol)
             },
-            |g, s, d, _| replay_rotate_zxy(g, s, d, nx, ny, nz, "rotate"),
-            |g, s, d, _| run_rotate_zxy(g, s, d, nx, ny, nz, "rotate"),
+            |g, s, d, _| {
+                let cfg = rotate_config(g.spec(), nx, ny, nz, "rotate");
+                replay_rotate_zxy(g, &cfg, s, d, nx, ny, nz)
+            },
+            |g, s, d, _| {
+                let cfg = rotate_config(g.spec(), nx, ny, nz, "rotate");
+                run_rotate_zxy(g, &cfg, s, d, nx, ny, nz)
+            },
         );
     }
 }

@@ -1651,11 +1651,9 @@ impl Gpu {
         }
     }
 
-    /// A natural grid size: enough blocks to fill every SM at the kernel's
-    /// occupancy (the paper's Tables 3–4 use 42 = 14 SMs x 3 and 48 = 16 x 3).
+    /// [`DeviceSpec::fill_grid`] of this card.
     pub fn fill_grid(&self, res: &KernelResources) -> usize {
-        let occ = occupancy(&self.spec.arch, res);
-        (self.spec.sms * occ.blocks_per_sm).max(1)
+        self.spec.fill_grid(res)
     }
 }
 

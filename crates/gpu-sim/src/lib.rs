@@ -50,5 +50,5 @@ pub use memory::{AllocError, Backed, BufferId, DeviceMemory, FreeQueue};
 pub use occupancy::{occupancy, KernelResources, Occupancy};
 pub use spec::{DeviceSpec, PcieGen};
 pub use stream::{EventId, StreamId};
-pub use timing::{KernelClass, KernelTiming};
+pub use timing::{KernelClass, KernelTiming, Launch};
 pub use trace::{Recorder, SharedSink, Span, Trace, TraceEvent, TraceSink, Tracer};

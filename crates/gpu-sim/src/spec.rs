@@ -7,6 +7,8 @@
 //! 1.x programming guide (warp size, register file, shared memory, max
 //! threads).
 
+use crate::occupancy::{occupancy, KernelResources};
+
 /// PCI-Express interface generation of the card (Table 10: the 8800 GTX is an
 /// older design supporting only PCIe 1.1, which dominates its transfer times).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,6 +80,12 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
+    /// A natural grid size: enough blocks to fill every SM at the kernel's
+    /// occupancy (the paper's Tables 3–4 use 42 = 14 SMs x 3 and 48 = 16 x 3).
+    pub fn fill_grid(&self, res: &KernelResources) -> usize {
+        (self.sms * occupancy(&self.arch, res).blocks_per_sm).max(1)
+    }
+
     /// Total streaming processors.
     pub fn total_sps(&self) -> usize {
         self.sms * self.sps_per_sm

@@ -30,7 +30,7 @@ use crate::dram::{
 };
 use crate::exec::{KernelStats, LaunchConfig};
 use crate::memory::ELEM_BYTES;
-use crate::occupancy::Occupancy;
+use crate::occupancy::{occupancy, Occupancy};
 use crate::spec::DeviceSpec;
 
 /// Fixed cost of one kernel launch (driver + front-end), seconds.
@@ -170,21 +170,28 @@ pub fn time_kernel(
     }
 }
 
+/// One entry of a plan's launch list: a kernel's configuration and its
+/// traffic. A plan builds its list once; `execute` hands each entry's
+/// `cfg` to the launch, and [`estimate_pass`] prices the same entry.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Launch {
+    /// The launch's configuration.
+    pub cfg: LaunchConfig,
+    /// Complex elements the launch loads, and stores, once each.
+    pub elems: u64,
+}
+
 /// A purely analytic (no functional execution) estimate of a pass: feeds the
 /// fast paper-scale projections in the report harness. `elems` is the number
-/// of complex elements read *and* written once each.
-pub fn estimate_pass(
-    spec: &DeviceSpec,
-    cfg: &LaunchConfig,
-    occ: &Occupancy,
-    elems: u64,
-) -> KernelTiming {
+/// of complex elements read *and* written once each, and the occupancy is
+/// the one `cfg.resources` allows.
+pub fn estimate_pass(spec: &DeviceSpec, cfg: &LaunchConfig, elems: u64) -> KernelTiming {
     let stats = KernelStats {
         loads: elems,
         stores: elems,
         ..Default::default()
     };
-    time_kernel(spec, cfg, occ, &stats)
+    time_kernel(spec, cfg, &occupancy(&spec.arch, &cfg.resources), &stats)
 }
 
 /// Convenience check used by ablation reports: would this class/config be
@@ -196,7 +203,7 @@ pub fn is_memory_bound(t: &KernelTiming) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::occupancy::{occupancy, KernelResources};
+    use crate::occupancy::KernelResources;
     use fft_math::flops::nominal_flops_batch;
     use fft_math::layout::AccessPattern;
 
@@ -371,7 +378,7 @@ mod tests {
     fn estimate_matches_time_kernel() {
         let spec = DeviceSpec::gtx8800();
         let (cfg, occ) = cfg_step5(&spec, true);
-        let a = estimate_pass(&spec, &cfg, &occ, 1 << 24);
+        let a = estimate_pass(&spec, &cfg, 1 << 24);
         let b = time_kernel(&spec, &cfg, &occ, &pass_stats(1 << 24));
         assert_eq!(a.time_s, b.time_s);
     }

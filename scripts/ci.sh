@@ -13,6 +13,10 @@ cargo test --workspace -q --offline
 # and to the simulation in release too.
 cargo test --release --offline -q -p fft-math --test lanes
 cargo test --release --offline -q -p bifft --test replay
+# Each in-core plan's launch list against its functional launches, over
+# every shape with axes in {16, 32, 64} on all four cards; only the release
+# build also runs the 256³ cases (about 12 s).
+cargo test --release --offline -q -p bifft --test launch_sweep
 cargo fmt --all -- --check
 # Keep the public API clippy-clean and documented: the workspace crates carry
 # #![warn(missing_docs)]; -D warnings promotes that (and deprecated calls
