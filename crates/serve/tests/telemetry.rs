@@ -142,14 +142,24 @@ fn pipeline_smoke_report_matches_committed_golden() {
 }
 
 /// Same pins for the multi-tenant preemption smoke
-/// (`fft-serve --smoke --tenants 3 --preempt`), the only smoke run whose
-/// ledger carries the `preempted` category and whose books split by
-/// tenant.
+/// (`fft-serve --smoke --tenants 3 --preempt --rate 40000`), the only
+/// smoke run whose ledger carries the `preempted` category and whose books
+/// split by tenant. At the plain smoke's 5000 req/s no lane is ever
+/// preempted; at 40000 req/s high-priority arrivals land on busy lanes, so
+/// the run must report preemptions.
 #[test]
 fn qos_smoke_report_matches_committed_golden() {
-    let args = ["--smoke", "--tenants", "3", "--preempt"];
+    let args = ["--smoke", "--tenants", "3", "--preempt", "--rate", "40000"];
+    let report = cli_report(&args, "qos_smoke");
+    let preemptions = fft_math::json::parse(&report)
+        .ok()
+        .and_then(|doc| doc.get("preemptions")?.as_u64());
+    assert!(
+        preemptions.is_some_and(|n| n > 0),
+        "the preemption smoke must preempt, report says {preemptions:?}"
+    );
     check_golden(
-        &cli_report(&args, "qos_smoke"),
+        &report,
         concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/qos_smoke_report.json"
