@@ -159,15 +159,18 @@ pub struct MetricsFile {
 pub fn parse_metrics(text: &str) -> Result<MetricsFile, String> {
     let doc = json::parse(text)?;
     let steps = need_arr(&doc, "steps")?
-        .iter()
         .map(|s| {
             let name = need_str(s, "name")?;
             let step = |key| need_f64(s, key).map_err(|e| format!("step {name}: {e}"));
-            Ok((name.clone(), step("time_s")?, step("coalesced_fraction")?))
+            Ok((
+                name.to_string(),
+                step("time_s")?,
+                step("coalesced_fraction")?,
+            ))
         })
         .collect::<Result<_, String>>()?;
     Ok(MetricsFile {
-        algorithm: need_str(&doc, "algorithm")?,
+        algorithm: need_str(&doc, "algorithm")?.to_string(),
         total_time_s: need_f64(&doc, "total_time_s")?,
         steps,
     })

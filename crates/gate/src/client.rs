@@ -68,6 +68,8 @@ pub struct PollAnswer {
 pub struct ServeClient {
     stream: TcpStream,
     decoder: FrameDecoder,
+    /// The frame being sent, encoded into capacity kept from the last one.
+    out: Vec<u8>,
     info: ServerInfo,
 }
 
@@ -95,6 +97,7 @@ impl ServeClient {
         let mut client = ServeClient {
             stream,
             decoder: FrameDecoder::new(),
+            out: Vec::new(),
             info: ServerInfo {
                 server: String::new(),
                 gpus: 0,
@@ -147,7 +150,9 @@ impl ServeClient {
     /// # Errors
     /// Socket write errors.
     pub fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
-        self.stream.write_all(&frame.encode())
+        self.out.clear();
+        frame.encode_into(&mut self.out);
+        self.stream.write_all(&self.out)
     }
 
     /// Receives the next frame, blocking until one is complete.

@@ -10,6 +10,12 @@
 //! bumps it to `bifft-wire-v2` and old clients get a typed
 //! [`code::PROTO_MISMATCH`] instead of undefined behaviour.
 //!
+//! The per-frame path allocates nothing once its buffers are warm:
+//! [`Frame::encode_into`] writes header and body straight into the
+//! caller's buffer (the socket's out-buffer, in the server), and
+//! [`FrameDecoder`] reads each field from a token tape of the body it
+//! keeps between frames, borrowing strings from the bytes received.
+//!
 //! The v1.2 → v1.3 minor rev added pipeline DAGs: `PipelineSubmit` (type
 //! 20) carries a [`fft_serve::SeededPipeline`] — dims, per-input payload
 //! seeds, and the stage list with stable string kinds and `"in{i}"`/
@@ -40,7 +46,7 @@
 //! in-process run without shipping megabytes of samples.
 
 use bifft::plan::Algorithm;
-use fft_math::json::{self, need_bool, need_f64, need_str, need_u64, obj, Value};
+use fft_math::json::{self, field, write_str, write_u64, Lookup, Node, ObjWriter, Tape};
 use fft_math::twiddle::Direction;
 use fft_serve::pipeline::{PipelineStage, StageKind};
 use fft_serve::{
@@ -444,16 +450,39 @@ impl Frame {
         }
     }
 
-    /// Encodes the frame: header + JSON body.
+    /// Decodes one frame from its type byte and body bytes.
+    ///
+    /// # Errors
+    /// A human-readable reason; the gateway maps it to
+    /// [`code::BAD_FRAME`] / [`code::UNKNOWN_TYPE`]. Never panics, whatever
+    /// the input.
+    pub fn decode(type_byte: u8, body: &[u8]) -> Result<Frame, String> {
+        Frame::decode_on(&mut Tape::default(), type_byte, body)
+    }
+
+    /// Encodes the frame into a fresh buffer: header + JSON body (see
+    /// [`Frame::encode_into`]).
     pub fn encode(&self) -> Vec<u8> {
-        let body = self.body().encode();
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-        out.push(self.type_byte());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(body.as_bytes());
+        let mut out = Vec::with_capacity(ENCODE_CAPACITY);
+        self.encode_into(&mut out);
         out
     }
+
+    /// Appends the frame to `out`: the header, then the JSON body written
+    /// in place, then the body length patched into the header. A reused
+    /// `out` makes the encode allocation-free.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.push(self.type_byte());
+        out.extend_from_slice(&[0; 4]);
+        self.put_body(out);
+        let len = (out.len() - start - HEADER_LEN) as u32;
+        out[start + 1..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    }
 }
+
+/// [`Frame::encode`]'s first allocation: room for any submit or ack frame.
+const ENCODE_CAPACITY: usize = 256;
 
 /// A field's wire key: its name, or the `as "key"` override.
 macro_rules! wire_key {
@@ -465,9 +494,9 @@ macro_rules! wire_key {
     };
 }
 
-/// Generates `type_byte`, `body` and `decode` from the codec table below.
-/// Every arm names all of its variant's fields and none with `..`, so a
-/// table that drifts from the enum does not compile.
+/// Generates `type_byte`, `put_body` and `decode_on` from the codec table
+/// below. Every arm names all of its variant's fields and none with `..`,
+/// so a table that drifts from the enum does not compile.
 macro_rules! codec {
     ($($ty:literal => $variant:ident { $($field:ident $(as $key:literal)?),* },)*) => {
         impl Frame {
@@ -478,28 +507,30 @@ macro_rules! codec {
                 }
             }
 
-            fn body(&self) -> Value {
+            /// Writes the JSON body, fields in table order.
+            fn put_body(&self, out: &mut Vec<u8>) {
+                let mut body = ObjWriter::new(out);
                 match self {
                     $(Frame::$variant { $($field),* } => {
-                        obj(vec![$((wire_key!($field $($key)?), $field.put())),*])
+                        $($field.put(body.key(wire_key!($field $($key)?)));)*
                     })*
                 }
+                body.end();
             }
 
-            /// Decodes one frame from its type byte and body bytes.
-            ///
-            /// # Errors
-            /// A human-readable reason; the gateway maps it to
-            /// [`code::BAD_FRAME`] / [`code::UNKNOWN_TYPE`]. Never panics,
-            /// whatever the input.
-            pub fn decode(type_byte: u8, body: &[u8]) -> Result<Frame, String> {
+            /// [`Frame::decode`] on `tape`, which a caller keeps from frame
+            /// to frame so the decode allocates nothing of its own.
+            fn decode_on(tape: &mut Tape, type_byte: u8, body: &[u8]) -> Result<Frame, String> {
                 let text =
                     std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-                let v = json::parse(text)?;
+                let v = tape.parse(text)?;
                 match type_byte {
-                    $($ty => Ok(Frame::$variant {
-                        $($field: Wire::take(&v, wire_key!($field $($key)?))?),*
-                    }),)*
+                    $($ty => {
+                        let [$($field),*] = v.fields([$(wire_key!($field $($key)?)),*]);
+                        Ok(Frame::$variant {
+                            $($field: Wire::take($field, wire_key!($field $($key)?))?),*
+                        })
+                    })*
                     other => Err(format!("unknown frame type {other}")),
                 }
             }
@@ -532,86 +563,91 @@ codec! {
     21 => PipelineAck { seq, id, trace, recv_s, enq_s, ack_s },
 }
 
-/// A field type of the codec table: how it renders into a frame body and
-/// how it is read back out of one.
+/// A field type of the codec table: how it is written into a frame body
+/// and how it is read back out of one.
 trait Wire: Sized {
-    /// The field's JSON value.
-    fn put(&self) -> Value;
-    /// Field `key` of the body object `v`. Absent is an error unless
-    /// `Self` is an `Option`.
-    fn take(v: &Value, key: &str) -> Result<Self, String>;
+    /// Appends the field's JSON value to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads field `key` from its value as found (`None`: the key is
+    /// absent, which is an error unless `Self` is an `Option`).
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String>;
 }
 
 impl Wire for String {
-    fn put(&self) -> Value {
-        Value::Str(self.clone())
+    fn put(&self, out: &mut Vec<u8>) {
+        write_str(out, self);
     }
-    fn take(v: &Value, key: &str) -> Result<Self, String> {
-        need_str(v, key)
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
+        field::str(v, key).map(str::to_string)
     }
 }
 
 impl Wire for u64 {
-    fn put(&self) -> Value {
-        Value::Int(*self)
+    fn put(&self, out: &mut Vec<u8>) {
+        write_u64(out, *self);
     }
-    fn take(v: &Value, key: &str) -> Result<Self, String> {
-        need_u64(v, key)
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
+        field::u64(v, key)
     }
 }
 
 /// Error codes: an integer on the wire, range-checked on the way in.
 impl Wire for u16 {
-    fn put(&self) -> Value {
-        Value::Int(u64::from(*self))
+    fn put(&self, out: &mut Vec<u8>) {
+        write_u64(out, u64::from(*self));
     }
-    fn take(v: &Value, key: &str) -> Result<Self, String> {
-        u16::try_from(need_u64(v, key)?).map_err(|_| format!("{key} out of range"))
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
+        u16::try_from(field::u64(v, key)?).map_err(|_| format!("{key} out of range"))
     }
 }
 
 impl Wire for f64 {
-    fn put(&self) -> Value {
-        Value::Num(*self)
+    fn put(&self, out: &mut Vec<u8>) {
+        json::write_f64(out, *self);
     }
-    fn take(v: &Value, key: &str) -> Result<Self, String> {
-        need_f64(v, key)
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
+        field::f64(v, key)
     }
 }
 
 impl Wire for bool {
-    fn put(&self) -> Value {
-        Value::Bool(*self)
+    fn put(&self, out: &mut Vec<u8>) {
+        json::write_bool(out, *self);
     }
-    fn take(v: &Value, key: &str) -> Result<Self, String> {
-        need_bool(v, key)
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
+        field::bool(v, key)
     }
 }
 
 /// `null` and an absent key both read as `None`; anything else must read
 /// as a `T`.
 impl<T: Wire> Wire for Option<T> {
-    fn put(&self) -> Value {
-        self.as_ref().map_or(Value::Null, T::put)
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(x) => x.put(out),
+            None => out.extend_from_slice(b"null"),
+        }
     }
-    fn take(v: &Value, key: &str) -> Result<Self, String> {
-        match v.get(key) {
-            None | Some(Value::Null) => Ok(None),
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
+        match v {
+            None => Ok(None),
+            Some(x) if x.is_null() => Ok(None),
             Some(_) => T::take(v, key).map(Some),
         }
     }
 }
 
-/// Enums that travel as a string label: `put` renders the label function,
-/// `take` finds the member whose label matches — one table read both ways.
+/// Enums that travel as a string label: `put` writes the label function's
+/// string, `take` finds the member whose label matches — one table read
+/// both ways.
 macro_rules! labelled {
     ($($ty:ty: $label:expr, $all:expr, $what:literal;)*) => {$(
         impl Wire for $ty {
-            fn put(&self) -> Value {
-                Value::Str($label(*self).to_string())
+            fn put(&self, out: &mut Vec<u8>) {
+                write_str(out, $label(*self));
             }
-            fn take(v: &Value, key: &str) -> Result<Self, String> {
-                let s = need_str(v, key)?;
+            fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
+                let s = field::str(v, key)?;
                 $all.into_iter()
                     .find(|&x| $label(x) == s)
                     .ok_or_else(|| format!("unknown {} '{s}'", $what))
@@ -644,32 +680,30 @@ fn algorithm_label(a: Algorithm) -> &'static str {
     }
 }
 
-/// The scheduling fields a spec and a pipeline share, in wire order.
-fn qos_put(
-    priority: Priority,
-    deadline_s: Option<f64>,
-    tenant: TenantId,
-) -> [(&'static str, Value); 3] {
-    [
-        ("priority", priority.put()),
-        ("deadline_s", deadline_s.put()),
-        ("tenant", Value::Int(tenant.0)),
-    ]
+/// Writes the scheduling fields a spec and a pipeline share, in wire
+/// order.
+fn qos_put(w: &mut ObjWriter<'_>, priority: Priority, deadline_s: Option<f64>, tenant: TenantId) {
+    priority.put(w.key("priority"));
+    deadline_s.put(w.key("deadline_s"));
+    tenant.0.put(w.key("tenant"));
 }
 
-/// Reads the shared scheduling fields back. A deadline must be positive; a
+/// Reads the shared scheduling fields back from the values found under
+/// `priority`, `deadline_s` and `tenant`. A deadline must be positive; a
 /// `null` or absent tenant (a v1.1 capture) is the anonymous tenant 0, so
 /// recorded pre-QoS schedules replay bit-identically.
-fn qos_take(v: &Value) -> Result<(Priority, Option<f64>, TenantId), String> {
-    let deadline_s: Option<f64> = Wire::take(v, "deadline_s")?;
+fn qos_take(
+    [priority, deadline_s, tenant]: [Option<Node<'_>>; 3],
+) -> Result<(Priority, Option<f64>, TenantId), String> {
+    let deadline_s: Option<f64> = Wire::take(deadline_s, "deadline_s")?;
     if let Some(d) = deadline_s {
         if d <= 0.0 || d.is_nan() {
             return Err(format!("deadline_s = {d} must be positive"));
         }
     }
-    let tenant: Option<u64> = Wire::take(v, "tenant")?;
+    let tenant: Option<u64> = Wire::take(tenant, "tenant")?;
     Ok((
-        Wire::take(v, "priority")?,
+        Wire::take(priority, "priority")?,
         deadline_s,
         TenantId(tenant.unwrap_or(0)),
     ))
@@ -679,63 +713,65 @@ fn qos_take(v: &Value) -> Result<(Priority, Option<f64>, TenantId), String> {
 /// before any multiplication, so a hostile `nx: 2^63` cannot overflow
 /// admission arithmetic.
 impl Wire for SeededSpec {
-    fn put(&self) -> Value {
-        let shape = match self.shape {
-            Shape::Rows1d { n, rows } => obj(vec![
-                ("kind", Value::Str("rows".to_string())),
-                ("n", Value::Int(n as u64)),
-                ("rows", Value::Int(rows as u64)),
-            ]),
-            Shape::Volume { nx, ny, nz } => obj(vec![
-                ("kind", Value::Str("volume".to_string())),
-                ("nx", Value::Int(nx as u64)),
-                ("ny", Value::Int(ny as u64)),
-                ("nz", Value::Int(nz as u64)),
-            ]),
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut spec = ObjWriter::new(out);
+        let mut shape = ObjWriter::new(spec.key("shape"));
+        let (kind, dims): (&str, &[(&str, usize)]) = match self.shape {
+            Shape::Rows1d { n, rows } => ("rows", &[("n", n), ("rows", rows)]),
+            Shape::Volume { nx, ny, nz } => ("volume", &[("nx", nx), ("ny", ny), ("nz", nz)]),
         };
-        let [priority, deadline_s, tenant] = qos_put(self.priority, self.deadline_s, self.tenant);
-        obj(vec![
-            ("shape", shape),
-            ("dir", self.direction.put()),
-            ("algorithm", self.algorithm.put()),
-            priority,
-            deadline_s,
-            tenant,
-            ("seed", Value::Int(self.seed)),
-        ])
+        write_str(shape.key("kind"), kind);
+        for &(key, d) in dims {
+            write_u64(shape.key(key), d as u64);
+        }
+        shape.end();
+        self.direction.put(spec.key("dir"));
+        self.algorithm.put(spec.key("algorithm"));
+        qos_put(&mut spec, self.priority, self.deadline_s, self.tenant);
+        self.seed.put(spec.key("seed"));
+        spec.end();
     }
 
-    fn take(v: &Value, key: &str) -> Result<Self, String> {
-        let v = json::need(v, key)?;
-        let shape_v = v.get("shape").ok_or("missing spec.shape")?;
-        let dim = |key: &str| -> Result<usize, String> {
-            let d = need_u64(shape_v, key)?;
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
+        let [shape_v, dir, algorithm, qos @ .., seed] = field::any(v, key)?.fields([
+            "shape",
+            "dir",
+            "algorithm",
+            "priority",
+            "deadline_s",
+            "tenant",
+            "seed",
+        ]);
+        let shape_v = shape_v.ok_or("missing spec.shape")?;
+        let [kind, n, rows, nx, ny, nz] = shape_v.fields(["kind", "n", "rows", "nx", "ny", "nz"]);
+        let dim = |d: Option<Node<'_>>, key: &str| -> Result<usize, String> {
+            let d = field::u64(d, key)?;
             if d == 0 || d > (1 << 24) {
                 return Err(format!("shape.{key} = {d} out of range"));
             }
             Ok(d as usize)
         };
-        let shape = match need_str(shape_v, "kind")?.as_str() {
+        let shape = match field::str(kind, "kind")? {
             "rows" => Shape::Rows1d {
-                n: dim("n")?,
-                rows: dim("rows")?,
+                n: dim(n, "n")?,
+                rows: dim(rows, "rows")?,
             },
             "volume" => Shape::Volume {
-                nx: dim("nx")?,
-                ny: dim("ny")?,
-                nz: dim("nz")?,
+                nx: dim(nx, "nx")?,
+                ny: dim(ny, "ny")?,
+                nz: dim(nz, "nz")?,
             },
             other => return Err(format!("unknown shape kind '{other}'")),
         };
-        let (priority, deadline_s, tenant) = qos_take(v)?;
+        let (priority, deadline_s, tenant) = qos_take(qos)?;
         Ok(SeededSpec {
             shape,
-            direction: Wire::take(v, "dir")?,
-            algorithm: Wire::take(v, "algorithm")?,
+            direction: Wire::take(dir, "dir")?,
+            algorithm: Wire::take(algorithm, "algorithm")?,
             priority,
             deadline_s,
             tenant,
-            seed: need_u64(v, "seed")?,
+            seed: field::u64(seed, "seed")?,
         })
     }
 }
@@ -755,70 +791,66 @@ impl Wire for SeededSpec {
 /// hostile sub-KiB frame can never name a template whose expansion would
 /// allocate gigabytes or overflow the `nx*ny*nz` admission arithmetic.
 impl Wire for SeededPipeline {
-    fn put(&self) -> Value {
-        let stages = self
-            .stages
-            .iter()
-            .map(|st| {
-                obj(vec![
-                    ("kind", Value::Str(st.kind.label().to_string())),
-                    ("src", Value::Str(st.src.label())),
-                    (
-                        "src2",
-                        st.src2.map_or(Value::Null, |o| Value::Str(o.label())),
-                    ),
-                    ("scale", Value::Num(f64::from(st.scale))),
-                    ("after", Value::Int(u64::from(st.after_mask))),
-                ])
-            })
-            .collect();
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut pipe = ObjWriter::new(out);
         let (x, y, z) = self.dims;
-        let [priority, deadline_s, tenant] = qos_put(self.priority, self.deadline_s, self.tenant);
-        obj(vec![
-            (
-                "dims",
-                Value::Arr(vec![
-                    Value::Int(x as u64),
-                    Value::Int(y as u64),
-                    Value::Int(z as u64),
-                ]),
-            ),
-            (
-                "seeds",
-                Value::Arr(self.input_seeds.iter().map(|&s| Value::Int(s)).collect()),
-            ),
-            ("stages", Value::Arr(stages)),
-            priority,
-            deadline_s,
-            tenant,
-        ])
+        put_arr(pipe.key("dims"), [x, y, z], |out, d| {
+            write_u64(out, d as u64)
+        });
+        put_arr(pipe.key("seeds"), &self.input_seeds, |out, &s| {
+            write_u64(out, s)
+        });
+        put_arr(pipe.key("stages"), &self.stages, |out, st| {
+            let mut stage = ObjWriter::new(out);
+            write_str(stage.key("kind"), st.kind.label());
+            put_operand(stage.key("src"), st.src);
+            match st.src2 {
+                Some(op) => put_operand(stage.key("src2"), op),
+                None => stage.key("src2").extend_from_slice(b"null"),
+            }
+            f64::from(st.scale).put(stage.key("scale"));
+            write_u64(stage.key("after"), u64::from(st.after_mask));
+            stage.end();
+        });
+        qos_put(&mut pipe, self.priority, self.deadline_s, self.tenant);
+        pipe.end();
     }
 
-    fn take(v: &Value, key: &str) -> Result<Self, String> {
+    fn take(v: Option<Node<'_>>, key: &str) -> Result<Self, String> {
         use fft_serve::pipeline::{MAX_INPUTS, MAX_STAGES};
-        let v = json::need(v, key)?;
-        let dims_v = json::need_arr(v, "dims")?;
+        let [dims_v, seeds_v, stages_v, qos @ ..] = field::any(v, key)?.fields([
+            "dims",
+            "seeds",
+            "stages",
+            "priority",
+            "deadline_s",
+            "tenant",
+        ]);
+        let mut dims_v = field::arr(dims_v, "dims")?;
         if dims_v.len() != 3 {
             return Err(format!("dims has {} entries, want 3", dims_v.len()));
         }
-        let dim = |i: usize| dims_v[i].as_u64().ok_or("dims must be integers");
-        let [x, y, z] =
-            [dim(0)?, dim(1)?, dim(2)?].map(|d| usize::try_from(d).unwrap_or(usize::MAX));
+        let mut dim = || {
+            dims_v
+                .next()
+                .and_then(Lookup::as_u64)
+                .ok_or("dims must be integers")
+        };
+        let [x, y, z] = [dim()?, dim()?, dim()?].map(|d| usize::try_from(d).unwrap_or(usize::MAX));
         Algorithm::FiveStep
             .check_shape(x, y, z)
             .map_err(|e| e.to_string())?;
-        let seeds_v = json::need_arr(v, "seeds")?;
-        if seeds_v.is_empty() || seeds_v.len() > MAX_INPUTS {
+        let seeds_v = field::arr(seeds_v, "seeds")?;
+        if seeds_v.len() == 0 || seeds_v.len() > MAX_INPUTS {
             return Err(format!("{} seeds outside 1..={MAX_INPUTS}", seeds_v.len()));
         }
         let input_seeds = seeds_v
-            .iter()
             .map(|s| {
                 s.as_u64()
                     .ok_or_else(|| "seeds must be integers".to_string())
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let stages_v = json::need_arr(v, "stages")?;
+        let stages_v = field::arr(stages_v, "stages")?;
         if stages_v.len() > MAX_STAGES {
             return Err(format!(
                 "{} stages exceeds the {MAX_STAGES} bound",
@@ -826,25 +858,28 @@ impl Wire for SeededPipeline {
             ));
         }
         let mut stages = Vec::with_capacity(stages_v.len());
-        for (i, st) in stages_v.iter().enumerate() {
-            let kind_label = need_str(st, "kind")?;
-            let kind = StageKind::parse(&kind_label)
+        for (i, st) in stages_v.enumerate() {
+            let [kind, src, src2, scale, after] =
+                st.fields(["kind", "src", "src2", "scale", "after"]);
+            let kind_label = field::str(kind, "kind")?;
+            let kind = StageKind::parse(kind_label)
                 .ok_or_else(|| format!("unsupported stage kind '{kind_label}' (stage {i})"))?;
-            let src = Operand::parse(&need_str(st, "src")?)
+            let src = Operand::parse(field::str(src, "src")?)
                 .ok_or_else(|| format!("stage {i}: bad src operand"))?;
-            let src2 = match st.get("src2") {
-                None | Some(Value::Null) => None,
+            let src2 = match src2 {
+                None => None,
+                Some(o) if o.is_null() => None,
                 Some(o) => Some(
                     o.as_str()
                         .and_then(Operand::parse)
                         .ok_or_else(|| format!("stage {i}: bad src2 operand"))?,
                 ),
             };
-            let scale = need_f64(st, "scale")? as f32;
+            let scale = field::f64(scale, "scale")? as f32;
             if !scale.is_finite() {
                 return Err(format!("stage {i}: scale must be finite"));
             }
-            let after = need_u64(st, "after")?;
+            let after = field::u64(after, "after")?;
             let after_mask =
                 u32::try_from(after).map_err(|_| format!("stage {i}: after mask out of range"))?;
             stages.push(PipelineStage {
@@ -855,7 +890,7 @@ impl Wire for SeededPipeline {
                 after_mask,
             });
         }
-        let (priority, deadline_s, tenant) = qos_take(v)?;
+        let (priority, deadline_s, tenant) = qos_take(qos)?;
         Ok(SeededPipeline {
             dims: (x, y, z),
             input_seeds,
@@ -867,11 +902,45 @@ impl Wire for SeededPipeline {
     }
 }
 
-/// Incremental frame decoder over a growing byte buffer: feed raw reads in,
-/// take complete frames out.
+/// Writes an operand as its label, `"in{i}"` / `"s{i}"`
+/// ([`Operand::label`]).
+fn put_operand(out: &mut Vec<u8>, op: Operand) {
+    let (prefix, i): (&[u8], u8) = match op {
+        Operand::Input(i) => (b"\"in", i),
+        Operand::Stage(i) => (b"\"s", i),
+    };
+    out.extend_from_slice(prefix);
+    write_u64(out, u64::from(i));
+    out.push(b'"');
+}
+
+/// Writes `items` as a JSON array, each by `put`.
+fn put_arr<I: IntoIterator>(out: &mut Vec<u8>, items: I, put: impl Fn(&mut Vec<u8>, I::Item)) {
+    out.push(b'[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        put(out, item);
+    }
+    out.push(b']');
+}
+
+/// Incremental frame decoder: feed raw reads in, take complete frames out.
+///
+/// Frames are decoded where they lie in the buffer: a read cursor moves
+/// past each one, and the consumed prefix is dropped once per
+/// [`FrameDecoder::feed`], not once per frame. Bodies are tokenized onto a
+/// [`Tape`] the decoder keeps, and fields are read from it in place, so
+/// once the buffer and tape have grown to the traffic's frame size a
+/// decode allocates only what the frame itself owns (its strings, a
+/// pipeline's seed and stage lists).
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Start of the first byte not yet decoded.
+    pos: usize,
+    tape: Tape,
 }
 
 impl FrameDecoder {
@@ -880,14 +949,17 @@ impl FrameDecoder {
         Self::default()
     }
 
-    /// Appends raw bytes from the socket.
+    /// Appends raw bytes from the socket, first dropping the bytes already
+    /// decoded.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet decoded.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Takes the next complete frame, if one is buffered.
@@ -897,11 +969,12 @@ impl FrameDecoder {
     /// stream unsynchronizable, so the caller replies with a typed error
     /// and closes.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, (u16, String)> {
-        if self.buf.len() < HEADER_LEN {
+        let rest = &self.buf[self.pos..];
+        if rest.len() < HEADER_LEN {
             return Ok(None);
         }
-        let ty = self.buf[0];
-        let len = u32::from_le_bytes([self.buf[1], self.buf[2], self.buf[3], self.buf[4]]);
+        let ty = rest[0];
+        let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]);
         if len > MAX_FRAME {
             return Err((
                 code::FRAME_TOO_BIG,
@@ -909,22 +982,23 @@ impl FrameDecoder {
             ));
         }
         let total = HEADER_LEN + len as usize;
-        if self.buf.len() < total {
+        if rest.len() < total {
             return Ok(None);
         }
-        let frame = Frame::decode(ty, &self.buf[HEADER_LEN..total]).map_err(|e| {
-            if e.starts_with("unknown frame type") {
-                (code::UNKNOWN_TYPE, e)
-            } else if e.starts_with("unsupported stage kind") {
-                // A structurally fine v1.3 pipeline naming a kind this
-                // server does not implement: typed rejection, not a
-                // connection-fatal bad frame.
-                (code::UNSUPPORTED_STAGE, e)
-            } else {
-                (code::BAD_FRAME, e)
-            }
-        })?;
-        self.buf.drain(..total);
+        let frame =
+            Frame::decode_on(&mut self.tape, ty, &rest[HEADER_LEN..total]).map_err(|e| {
+                if e.starts_with("unknown frame type") {
+                    (code::UNKNOWN_TYPE, e)
+                } else if e.starts_with("unsupported stage kind") {
+                    // A structurally fine v1.3 pipeline naming a kind this
+                    // server does not implement: typed rejection, not a
+                    // connection-fatal bad frame.
+                    (code::UNSUPPORTED_STAGE, e)
+                } else {
+                    (code::BAD_FRAME, e)
+                }
+            })?;
+        self.pos += total;
         Ok(Some(frame))
     }
 }

@@ -432,7 +432,7 @@ impl GateServer {
     /// and counts it.
     fn reply(&mut self, id: u64, frame: &Frame) {
         if let Some(conn) = self.conns.get_mut(&id) {
-            conn.out.extend_from_slice(&frame.encode());
+            frame.encode_into(&mut conn.out);
         }
         self.svc.telemetry_mut().registry.inc(names::FRAMES_OUT);
     }

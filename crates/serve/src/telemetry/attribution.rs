@@ -631,7 +631,7 @@ pub fn parse_attr_json(text: &str) -> Result<AttrSummary, String> {
         e2e_p95_s: need_f64(e2e, "p95_s")?,
         cat_mean_s,
         cat_share,
-        driver: need_str(tail, "driver")?,
+        driver: need_str(tail, "driver")?.to_string(),
         driver_delta_s: need_f64(tail, "driver_delta_s")?,
     })
 }

@@ -254,7 +254,7 @@ pub fn validate_metrics(doc: &Value) -> Result<bool, String> {
     let counters = need_obj(doc, "counters")?;
     need_obj(doc, "gauges")?;
     need_obj(doc, "histograms")?;
-    need_arr(doc, "series")?;
+    let _series = need_arr(doc, "series")?;
     need_u64(doc, "series_dropped")?;
     // Pre-registered by `Telemetry::new`, so every service-rendered
     // document carries them even with zero traffic.
